@@ -13,15 +13,12 @@ from .characters import (
 from .chevalley import (
     ChevElement,
     StructureTable,
-    bracket_g,
     build_chevalley,
     eta,
-    omega,
     sl_realization,
     sp_realization,
     sp_structure_table,
     verify_gl_presentation,
-    y_basis,
 )
 from .exact_math import ExactMatrix, GaussianRational, Rational, nullspace_basis, rank, span_rank
 from .freelie import (
@@ -44,7 +41,7 @@ from .onsager import (
     realization_for,
     relations,
 )
-from .roots import AffineRoot, RootSystem, affine_positive_roots, coroot_coords, enumerate_positive_roots
+from .roots import AffineRoot, RootSystem, affine_positive_roots
 from .serre_coeffs import CoeffRow, c0_closed_form, coeff_row, coeff_table, serre_relation
 
 __version__ = "0.1.0"

@@ -38,14 +38,10 @@ def root_closure(a):
     return seen
 
 
-def height(v):
-    return sum(v)
-
-
 def positive_roots(a):
     """Positive roots of a finite-type matrix, sorted by (height, coords)."""
     pos = [v for v in root_closure(a) if all(c >= 0 for c in v)]
-    pos.sort(key=lambda v: (height(v), v))
+    pos.sort(key=lambda v: (sum(v), v))
     return pos
 
 
@@ -53,7 +49,7 @@ def highest_root(a):
     """The unique maximal-height root of a finite-type indecomposable matrix."""
     pos = positive_roots(a)
     top = pos[-1]
-    same = [v for v in pos if height(v) == height(top)]
+    same = [v for v in pos if sum(v) == sum(top)]
     if len(same) != 1:
         raise ValueError("no unique highest root: matrix is decomposable")
     return top

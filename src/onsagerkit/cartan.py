@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import _closure
+from .exact_math import IncrementalSpan
 
 
 class NotGCM(ValueError):
@@ -144,31 +145,26 @@ def symmetrizer(a):
 
 
 def _det(a):
-    """Exact determinant of an integer matrix."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
+    """Exact determinant of an integer matrix.
+
+    Row i reduced against the rows before it keeps its determinant and holds
+    none of their pivot columns, so the determinant is the product of the
+    pivot entries, signed by the inversions of the pivot columns.
+    """
+    span = IncrementalSpan()
     det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+    cols = []
+    for row in a:
+        v = span.reduce(dict(enumerate(row)))
+        if not v:
             return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if not m[r][col]:
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
+        p = min(v)
+        det *= v[p]
+        cols.append(p)
+        span.add(v)
+    inversions = sum(1 for i in range(len(cols)) for j in range(i) if cols[j] > cols[i])
     assert det.denominator == 1
-    return int(det)
+    return int(det) * (-1) ** inversions
 
 
 def _submatrix(a, keep):

@@ -11,13 +11,12 @@ solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .cartan import CartanMatrix, preset
 from .chevalley import sp_structure_table
-from .exact_math import ExactMatrix, nullspace_basis
+from .exact_math import ExactMatrix, IncrementalSpan, add_into, nullspace_basis
 from .loop import YIndex, k_bracket_expand
 from .onsager import Realization, affine_realization, finite_realization
 from .roots import AffineRoot, RootSystem, height
@@ -159,42 +158,27 @@ def solve_character(rz: Realization, H: int, values: dict) -> Character:
 
 def character_from_values(space: CharacterSpace, values: dict):
     """The unique functional in the solved space with the given generator
-    values (scalars may be rational or Gaussian rational)."""
+    values (scalars may be rational or Gaussian rational).
+
+    Solves for the coefficients x_j over space.basis: one row per generator,
+    with the value in column nb = len(space.basis).  A pivot at nb means no
+    combination attains the values; free coefficients are 0.
+    """
     nb = len(space.basis)
-    pivots = []  # (column, unit-pivot row vector, rhs) in elimination order
+    span = IncrementalSpan()
     for lab in sorted(values):
         key = space.generator_keys[lab]
-        vec = [b.get(key, Fraction(0)) for b in space.basis]
-        val = values[lab]
-        for col, pvec, pval in pivots:
-            f = vec[col]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, pvec)]
-                val = val - f * pval
-        piv = next((j for j, a in enumerate(vec) if a), None)
-        if piv is None:
-            if val:
-                raise ValueError("generator values are not attained by any character")
-            continue
-        inv = vec[piv]
-        pivots.append((piv, [a / inv for a in vec], val / inv))
-    solution = [Fraction(0)] * nb
-    for col, vec, val in reversed(pivots):
-        acc = val
-        for j in range(nb):
-            if j != col and vec[j]:
-                acc = acc - vec[j] * solution[j]
-        solution[col] = acc
+        row = {j: b[key] for j, b in enumerate(space.basis) if key in b}
+        row[nb] = values[lab]
+        span.add(row)
+    rows = span.reduced_rows()
+    if nb in rows:
+        raise ValueError("generator values are not attained by any character")
     out = {}
-    for j, x in enumerate(solution):
-        if not x:
-            continue
-        for k, c in space.basis[j].items():
-            s = out.get(k, 0) + x * c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+    for j in sorted(rows):
+        x = rows[j].get(nb)
+        if x:
+            add_into(out, space.basis[j], x)
     return out
 
 

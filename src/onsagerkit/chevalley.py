@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import CartanMatrix, preset
-from .exact_math import ExactMatrix, I
+from .exact_math import ExactMatrix, I, add_into, add_term
 from .roots import RootSystem, height
 
 
@@ -63,22 +63,9 @@ class ChevElement:
         return self.h == other.h and self.e == other.e
 
     def __add__(self, other):
-        h = dict(self.h)
-        for i, c in other.h.items():
-            s = h.get(i, Fraction(0)) + c
-            if s:
-                h[i] = s
-            else:
-                h.pop(i, None)
-        e = dict(self.e)
-        for a, c in other.e.items():
-            s = e.get(a, Fraction(0)) + c
-            if s:
-                e[a] = s
-            else:
-                e.pop(a, None)
         out = ChevElement()
-        out.h, out.e = h, e
+        out.h = add_into(dict(self.h), other.h)
+        out.e = add_into(dict(self.e), other.e)
         return out
 
     def __sub__(self, other):
@@ -96,12 +83,6 @@ class ChevElement:
         return out
 
     __mul__ = __rmul__
-
-    def coordinates(self):
-        """Sparse coordinate dict over keys ('h', i) and ('e', root)."""
-        out = {("h", i): c for i, c in self.h.items()}
-        out.update({("e", a): c for a, c in self.e.items()})
-        return out
 
     def __repr__(self):
         if self.is_zero():
@@ -163,20 +144,12 @@ class StructureTable:
         rs = self.rs
         h_out = {}
         e_out = {}
-
-        def bump(d, k, v):
-            s = d.get(k, Fraction(0)) + v
-            if s:
-                d[k] = s
-            else:
-                d.pop(k, None)
-
         for i, ci in x.h.items():
             for beta, cb in y.e.items():
-                bump(e_out, beta, ci * cb * rs.pairing(beta, i))
+                add_term(e_out, beta, ci * cb * rs.pairing(beta, i))
         for i, ci in y.h.items():
             for beta, cb in x.e.items():
-                bump(e_out, beta, -ci * cb * rs.pairing(beta, i))
+                add_term(e_out, beta, -ci * cb * rs.pairing(beta, i))
         for al, ca in x.e.items():
             for be, cb in y.e.items():
                 coeff = ca * cb
@@ -184,10 +157,9 @@ class StructureTable:
                 if not any(s):
                     for i, k in enumerate(rs.coroot_coords(al)):
                         if k:
-                            bump(h_out, i, coeff * k)
+                            add_term(h_out, i, coeff * k)
                 elif rs.is_root(s):
-                    n = self.N[(al, be)]
-                    bump(e_out, s, coeff * n)
+                    add_term(e_out, s, coeff * self.N[(al, be)])
         out = ChevElement()
         out.h, out.e = h_out, e_out
         return out
@@ -221,20 +193,11 @@ class StructureTable:
                 return xi, eta
         raise ValueError("no decomposition for %r" % (gamma,))
 
-    def chain_p(self, alpha, beta):
-        """Largest p with beta - p*alpha a root."""
-        p = 0
-        cur = _vsub(beta, alpha)
-        while self.rs.is_root(cur):
-            p += 1
-            cur = _vsub(cur, alpha)
-        return p
-
     def _check_sign_laws(self):
         for (a, b), n in self.N.items():
             assert self.N[(b, a)] == -n, "antisymmetry fails at %r, %r" % (a, b)
             assert self.N[(_vneg(a), _vneg(b))] == -n, "negation law fails at %r, %r" % (a, b)
-            assert abs(n) == self.chain_p(a, b) + 1, "magnitude rule fails at %r, %r" % (a, b)
+            assert abs(n) == self.rs.chain_p(a, b) + 1, "magnitude rule fails at %r, %r" % (a, b)
 
 
 def _mixed_n(rs, npp, xi, rho):
@@ -257,14 +220,6 @@ def build_chevalley(c: CartanMatrix) -> StructureTable:
     posset = set(pos)
     order = {a: k for k, a in enumerate(pos)}
 
-    def chain_p(alpha, beta):
-        p = 0
-        cur = _vsub(beta, alpha)
-        while cur in rs._all:
-            p += 1
-            cur = _vsub(cur, alpha)
-        return p
-
     npp = {}
     for gamma in pos:
         if height(gamma) < 2:
@@ -276,7 +231,7 @@ def build_chevalley(c: CartanMatrix) -> StructureTable:
             key=lambda pair: order[pair[0]],
         )
         xi, eta = decomps[0]
-        n0 = chain_p(xi, eta) + 1
+        n0 = rs.chain_p(xi, eta) + 1
         npp[(xi, eta)] = n0
         npp[(eta, xi)] = -n0
         denom = _mixed_n(rs, npp, xi, gamma)
@@ -293,7 +248,7 @@ def build_chevalley(c: CartanMatrix) -> StructureTable:
             val = (t1 + t2) / denom
             assert val.denominator == 1, "non-integer structure constant at %r+%r" % (alpha, beta)
             val = int(val)
-            assert abs(val) == chain_p(alpha, beta) + 1
+            assert abs(val) == rs.chain_p(alpha, beta) + 1
             npp[(alpha, beta)] = val
             npp[(beta, alpha)] = -val
 
@@ -330,22 +285,6 @@ def build_chevalley(c: CartanMatrix) -> StructureTable:
                 assert val.denominator == 1
                 full[(x, y)] = int(val)
     return StructureTable(rs, full)
-
-
-def bracket_g(t: StructureTable, x, y):
-    return t.bracket(x, y)
-
-
-def omega(t: StructureTable, x):
-    return t.omega(x)
-
-
-def y_basis(t: StructureTable, alpha):
-    return t.y_basis(alpha)
-
-
-def invariant_form(t: StructureTable, x, y):
-    return t.invariant_form(x, y)
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,7 @@ from .exact_math import GaussianRational
 from .freelie import ParseError, parse_bracket
 from .loop import YIndex, k_bracket_expand, onsager_basis, bracket_loop
 from .onsager import psi_eval, realization_for
-from .roots import AffineData, RootSystem, height
+from .roots import AffineData, AffineRoot, RootSystem, height, root_str
 from .serre_coeffs import coeff_table
 from .verify import verification_suite
 
@@ -54,38 +54,6 @@ def frac_str(x):
     if isinstance(x, GaussianRational):
         return str(x)
     return str(Fraction(x))
-
-
-def root_str(root):
-    bits = []
-    for i, c in enumerate(root):
-        if not c:
-            continue
-        label = "a%d" % (i + 1)
-        if c == 1:
-            bits.append("+%s" % label)
-        elif c == -1:
-            bits.append("-%s" % label)
-        else:
-            bits.append("%+d%s" % (c, label))
-    s = "".join(bits) or "0"
-    return s[1:] if s.startswith("+") else s
-
-
-def affine_root_str(gamma):
-    if gamma.is_imaginary:
-        return "%dd" % gamma.level if gamma.level != 1 else "d"
-    fin = root_str(gamma.finite)
-    if gamma.level == 0:
-        return fin
-    lv = "%+dd" % gamma.level if abs(gamma.level) != 1 else ("+d" if gamma.level > 0 else "-d")
-    return fin + lv
-
-
-def yindex_str(idx):
-    if idx.gamma.is_imaginary:
-        return "y(%s)^(%d)" % (affine_root_str(idx.gamma), idx.i)
-    return "y(%s)" % affine_root_str(idx.gamma)
 
 
 def yindex_json(idx):
@@ -192,11 +160,9 @@ def print_roots(report):
         for row in report["roots"]:
             print("ht %2d  %s" % (row["height"], root_str(row["coords"])))
     else:
-        from .roots import AffineRoot
-
         for row in report["roots"]:
             gamma = AffineRoot(tuple(row["finite"]), row["level"])
-            print("ht %2d  %-18s mult %d" % (row["height"], affine_root_str(gamma), row["mult"]))
+            print("ht %2d  %-18s mult %d" % (row["height"], gamma, row["mult"]))
 
 
 def structconst_report(c, H):
@@ -275,14 +241,13 @@ def print_structconst(report):
         for row in report["brackets"]:
             print("[%s, %s] = %s" % (row["lhs"][0], row["lhs"][1], row["rhs"]))
     else:
-        from .roots import AffineRoot
 
         def from_json(d):
             return YIndex(AffineRoot(tuple(d["finite"]), d["level"]), d["i"])
 
         for row in report["brackets"]:
-            lhs = "[%s, %s]" % tuple(yindex_str(from_json(d)) for d in row["lhs"])
-            rhs = _combo_str([(t["coeff"], yindex_str(from_json(t["idx"]))) for t in row["rhs"]])
+            lhs = "[%s, %s]" % tuple(from_json(d) for d in row["lhs"])
+            rhs = _combo_str([(t["coeff"], str(from_json(t["idx"]))) for t in row["rhs"]])
             print("%s = %s" % (lhs, rhs))
 
 
@@ -347,7 +312,7 @@ def chars_report(c, H=None):
         for idx in space.keys:
             values.append(
                 {
-                    "basis": yindex_str(idx),
+                    "basis": str(idx),
                     "value": frac_str(func.get(idx, 0)),
                     "closed_form": frac_str(chi_affine(r, s, t, idx.gamma, idx.i)),
                 }
@@ -359,7 +324,7 @@ def chars_report(c, H=None):
                 if v:
                     values.append(
                         {
-                            "basis": root_str(key) if c.kind == FINITE else yindex_str(key),
+                            "basis": root_str(key) if c.kind == FINITE else str(key),
                             "functional": b,
                             "value": frac_str(v),
                         }
@@ -386,8 +351,11 @@ def print_chars(report):
 
 
 def eval_report(c, text):
-    rz = realization_for(c)
     expr = parse_bracket(text)
+    unknown = sorted(expr.labels() - set(c.labels))
+    if unknown:
+        raise UsageFault("generator labels %s outside %s" % (unknown, list(c.labels)))
+    rz = realization_for(c)
     val = psi_eval(rz, expr)
     coords = rz.y_coordinates(val)
     if c.kind == FINITE:
@@ -397,7 +365,7 @@ def eval_report(c, text):
         ]
     else:
         rhs = [
-            {"basis": yindex_str(k), "idx": yindex_json(k), "coeff": str(Fraction(v))}
+            {"basis": str(k), "idx": yindex_json(k), "coeff": str(Fraction(v))}
             for k, v in sorted(coords.items())
         ]
     return {"schema": SCHEMA, "kind": "eval", "expr": text, "terms": rhs}

@@ -1,9 +1,10 @@
 """Exact scalars and exact sparse linear algebra over the Gaussian rationals.
 
-Everything in this module is immutable after construction and every operation
-is a pure function, so values can be shared freely across threads.  No
-floating point appears anywhere; all downstream identities are checked as
-bit-exact equalities.
+Scalars and matrices are immutable after construction.  Sparse vectors are
+plain dicts mapping coordinate keys to nonzero scalars; `add_into` and
+`add_term` are the one place where they are summed, and `IncrementalSpan` is
+the one eliminator.  No floating point appears anywhere; all downstream
+identities are checked as bit-exact equalities.
 """
 
 from __future__ import annotations
@@ -123,6 +124,31 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
+# ---------------------------------------------------------------------------
+# sparse vectors: dicts mapping coordinate keys to nonzero exact scalars
+# ---------------------------------------------------------------------------
+
+def add_term(acc, key, c):
+    """acc[key] += c in place, dropping the key when the sum is zero."""
+    s = acc.get(key, 0) + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def add_into(acc, vec, scale=1):
+    """acc += scale * vec in place, dropping keys whose sum is zero; returns acc."""
+    terms = vec.items() if scale == 1 else ((k, scale * c) for k, c in vec.items())
+    for k, c in terms:
+        s = acc.get(k, 0) + c
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 class ExactMatrix:
     """Sparse matrix over the Gaussian rationals; zero entries are never stored."""
 
@@ -186,14 +212,7 @@ class ExactMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return ExactMatrix(self.rows, self.cols, out)
+        return ExactMatrix(self.rows, self.cols, add_into(dict(self.entries), other.entries))
 
     def __sub__(self, other):
         return self + (-other)
@@ -223,12 +242,7 @@ class ExactMatrix:
         for i, left in by_row.items():
             for k, v in left:
                 for j, w in by_col.get(k, ()):
-                    key = (i, j)
-                    s = out.get(key, ZERO) + v * w
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    add_term(out, (i, j), v * w)
         return ExactMatrix(self.rows, other.cols, out)
 
     def transpose(self):
@@ -250,15 +264,6 @@ class ExactMatrix:
             out[i][j] = v
         return out
 
-    def rank(self):
-        return rank(self)
-
-    def nullspace_basis(self):
-        return nullspace_basis(self)
-
-    def to_dense(self):
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
     def __repr__(self):
         return "ExactMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
 
@@ -267,6 +272,9 @@ class IncrementalSpan:
     """Echelon basis of a growing span of sparse vectors, over any exact field.
 
     Vectors are dicts mapping comparable coordinate keys to nonzero scalars.
+    Each basis row has its minimum key (the pivot) with coefficient 1.  This
+    is the package's only eliminator: rank, nullspace, determinant and the
+    character solve are all read off it.
     """
 
     def __init__(self):
@@ -277,7 +285,8 @@ class IncrementalSpan:
         return len(self._pivot_rows)
 
     def reduce(self, vec):
-        """Residue of vec after elimination against the current basis."""
+        """Residue of vec after elimination against the current basis; it
+        holds no pivot key.  vec itself is not modified."""
         v = {k: c for k, c in vec.items() if c}
         # Eliminating the smallest pivot key can only introduce larger keys
         # (pivot rows have their minimum at the pivot), so this terminates.
@@ -286,14 +295,7 @@ class IncrementalSpan:
             if not hits:
                 return v
             key = min(hits)
-            row = self._pivot_rows[key]
-            factor = v[key]
-            for k, c in row.items():
-                s = v.get(k, 0) - factor * c
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
+            add_into(v, self._pivot_rows[key], -v[key])
 
     def add(self, vec):
         """Add vec to the span; returns True iff the rank grew."""
@@ -302,9 +304,28 @@ class IncrementalSpan:
             return False
         pivot = min(v)
         inv = v[pivot]
+        if isinstance(inv, int):
+            inv = Fraction(inv)  # int / int would be a float
         row = {k: c / inv for k, c in v.items()}
         self._pivot_rows[pivot] = row
         return True
+
+    def reduced_rows(self):
+        """The basis in reduced echelon form, as {pivot key: row}.
+
+        Back-substitutes in place, so afterwards each pivot key appears only
+        in its own row; the span and later add/reduce calls are unaffected.
+        """
+        rows = self._pivot_rows
+        # a row holds no key below its pivot, so only rows with a smaller
+        # pivot can hold p, and clearing the largest pivot first never brings
+        # a cleared pivot back
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            for q, other in rows.items():
+                if q < p and p in other:
+                    add_into(other, row, -other[p])
+        return rows
 
 
 def span_rank(vectors):
@@ -329,46 +350,18 @@ def rank(m):
 def nullspace_basis(m):
     """Basis of the right kernel of an ExactMatrix, as dense tuples.
 
-    Empty list iff rank = cols.
+    One vector per free column f of the reduced echelon form: 1 at f, minus
+    the f-entry of each pivot row at that row's pivot.  Empty list iff
+    rank = cols.
     """
-    rows = [r for r in m.row_dicts() if r]
-    pivots = {}  # pivot col -> reduced row (pivot entry 1)
-    for v in rows:
-        while True:
-            hits = [k for k in v if k in pivots]
-            if not hits:
-                break
-            col = min(hits)
-            row = pivots[col]
-            factor = v[col]
-            for k, c in row.items():
-                s = v.get(k, ZERO) - factor * c
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
-        if v:
-            pivot = min(v)
-            inv = v[pivot]
-            pivots[pivot] = {k: c / inv for k, c in v.items()}
-    # back substitution: make each pivot column appear only in its own row
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        for q, other in pivots.items():
-            if q == p:
-                continue
-            factor = other.get(p)
-            if not factor:
-                continue
-            for k, c in row.items():
-                s = other.get(k, ZERO) - factor * c
-                if s:
-                    other[k] = s
-                else:
-                    other.pop(k, None)
-    free = [j for j in range(m.cols) if j not in pivots]
+    span = IncrementalSpan()
+    for row in m.row_dicts():
+        span.add(row)
+    pivots = span.reduced_rows()
     basis = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivots:
+            continue
         vec = [ZERO] * m.cols
         vec[f] = ONE
         for p, row in pivots.items():

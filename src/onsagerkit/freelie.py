@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exact_math import add_into, add_term
+
 
 class ParseError(ValueError):
     """Bracket-expression syntax error; `pos` is the byte offset."""
@@ -202,24 +204,12 @@ def _concat_product(p, q):
     out = {}
     for w1, c1 in p.items():
         for w2, c2 in q.items():
-            key = w1 + w2
-            s = out.get(key, 0) + c1 * c2
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            add_term(out, w1 + w2, c1 * c2)
     return out
 
 
 def _commutator(p, q):
-    out = _concat_product(p, q)
-    for key, c in _concat_product(q, p).items():
-        s = out.get(key, 0) - c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+    return add_into(_concat_product(p, q), _concat_product(q, p), -1)
 
 
 def _extract_lyndon(assoc):
@@ -234,12 +224,7 @@ def _extract_lyndon(assoc):
         w = min(assoc, key=lambda t: (len(t), t))
         assert is_lyndon(w), "leading word %r is not Lyndon: not a Lie element" % (w,)
         c = assoc[w]
-        for word, k in _expand_lyndon(w).items():
-            s = assoc.get(word, Fraction(0)) - c * k
-            if s:
-                assoc[word] = s
-            else:
-                assoc.pop(word, None)
+        add_into(assoc, _expand_lyndon(w), -c)
         out[w] = c
     return out
 
@@ -269,26 +254,13 @@ class FreeLieElement:
     def is_zero(self):
         return not self.terms
 
-    def degrees(self):
-        return sorted({len(w) for w in self.terms})
-
-    def degree_component(self, d):
-        return FreeLieElement({w: c for w, c in self.terms.items() if len(w) == d})
-
     def __eq__(self, other):
         if not isinstance(other, FreeLieElement):
             return NotImplemented
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return FreeLieElement(out)
+        return FreeLieElement(add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -307,12 +279,7 @@ class FreeLieElement:
     def _assoc(self):
         out = {}
         for w, c in self.terms.items():
-            for word, k in _expand_lyndon(w).items():
-                s = out.get(word, Fraction(0)) + c * k
-                if s:
-                    out[word] = s
-                else:
-                    out.pop(word, None)
+            add_into(out, _expand_lyndon(w), c)
         return out
 
     def __str__(self):

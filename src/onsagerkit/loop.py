@@ -16,15 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .chevalley import ChevElement, StructureTable, _vneg, preset_table
+from .chevalley import ChevElement, StructureTable, _vneg
+from .exact_math import add_into, add_term
 from .roots import AffineRoot
 
 
-class NotExpandable(ValueError):
-    """The element does not lie in the span of the fixed basis (a bug signal;
-    brackets of fixed elements always do)."""
+class NotExpandable(Exception):
+    """The element does not lie in the span of the fixed basis.
+
+    A bug signal, not bad input: brackets of fixed elements always expand.
+    So it is deliberately not a ValueError, which the CLI reports as a usage
+    error.
+    """
 
 
 class LoopElement:
@@ -54,14 +58,7 @@ class LoopElement:
         return self.terms == other.terms and self.c == other.c and self.d == other.d
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LoopElement(out, self.c + other.c, self.d + other.d)
+        return LoopElement(add_into(dict(self.terms), other.terms), self.c + other.c, self.d + other.d)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -80,9 +77,6 @@ class LoopElement:
         )
 
     __mul__ = __rmul__
-
-    def levels(self):
-        return sorted({k for (_, k) in self.terms})
 
     def __repr__(self):
         if self.is_zero():
@@ -132,14 +126,6 @@ def _basis_form(table: StructureTable, k1, k2):
 def bracket_loop(t: StructureTable, x: LoopElement, y: LoopElement) -> LoopElement:
     out_terms = {}
     out_c = Fraction(0)
-
-    def bump(key, v):
-        s = out_terms.get(key, Fraction(0)) + v
-        if s:
-            out_terms[key] = s
-        else:
-            out_terms.pop(key, None)
-
     for (k1, lv1), c1 in x.terms.items():
         x1 = t.element_for_key(k1)
         for (k2, lv2), c2 in y.terms.items():
@@ -147,20 +133,20 @@ def bracket_loop(t: StructureTable, x: LoopElement, y: LoopElement) -> LoopEleme
             z = t.bracket(x1, t.element_for_key(k2))
             lv = lv1 + lv2
             for i, ch in z.h.items():
-                bump((("h", i), lv), coeff * ch)
+                add_term(out_terms, (("h", i), lv), coeff * ch)
             for a, ce in z.e.items():
-                bump((("e", a), lv), coeff * ce)
+                add_term(out_terms, (("e", a), lv), coeff * ce)
             if lv1 == -lv2 and lv1 != 0:
                 out_c += coeff * lv1 * _basis_form(t, k1, k2)
     # derivation action: [d, x[m]] = m x[m]
     if x.d:
         for (k2, lv2), c2 in y.terms.items():
             if lv2:
-                bump((k2, lv2), x.d * c2 * lv2)
+                add_term(out_terms, (k2, lv2), x.d * c2 * lv2)
     if y.d:
         for (k1, lv1), c1 in x.terms.items():
             if lv1:
-                bump((k1, lv1), -y.d * c1 * lv1)
+                add_term(out_terms, (k1, lv1), -y.d * c1 * lv1)
     return LoopElement(out_terms, out_c, 0)
 
 
@@ -265,11 +251,6 @@ def k_bracket_expand(t: StructureTable, idx1: YIndex, idx2: YIndex):
 # ---------------------------------------------------------------------------
 # the rank-1 example: the classical basis A_m, G_m
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _sl2_table():
-    return preset_table("A1")
-
 
 def onsager_basis(m: int):
     """(A_m, G_m) over the rank-1 loop algebra: A_m = y_{alpha_1 + m delta},

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _closure
-from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, NotAffine, NotFinite
+from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, NotAffine, NotFinite, _coroot_coords_raw
 
 
 class NotARoot(ValueError):
@@ -21,6 +21,23 @@ class NotARoot(ValueError):
 
 def height(root):
     return sum(root)
+
+
+def root_str(root):
+    """Root coordinates as a signed sum of simple roots, e.g. "a1+2a2"."""
+    bits = []
+    for i, c in enumerate(root):
+        if not c:
+            continue
+        label = "a%d" % (i + 1)
+        if c == 1:
+            bits.append("+%s" % label)
+        elif c == -1:
+            bits.append("-%s" % label)
+        else:
+            bits.append("%+d%s" % (c, label))
+    s = "".join(bits) or "0"
+    return s[1:] if s.startswith("+") else s
 
 
 class RootSystem:
@@ -57,9 +74,6 @@ class RootSystem:
         v = tuple(v)
         return v in self._all and all(c >= 0 for c in v)
 
-    def roots_of_height(self, h):
-        return [v for v in self.positive_roots if height(v) == h]
-
     @property
     def max_height(self):
         return height(self.theta)
@@ -89,21 +103,16 @@ class RootSystem:
         alpha = tuple(alpha)
         if alpha not in self._all:
             raise NotARoot("%r is not a root" % (alpha,))
-        norm = self.norm2(alpha)
-        coords = []
-        for i in range(self.rank):
-            k = Fraction(alpha[i]) * self.form[i][i] / norm
-            assert k.denominator == 1, "coroot coordinate %s is not an integer" % k
-            coords.append(int(k))
-        return tuple(coords)
+        return _coroot_coords_raw(self.cartan.a, self.cartan.d, alpha)
 
-
-def enumerate_positive_roots(c: CartanMatrix) -> RootSystem:
-    return RootSystem(c)
-
-
-def coroot_coords(rs: RootSystem, alpha):
-    return rs.coroot_coords(alpha)
+    def chain_p(self, alpha, beta):
+        """Largest p with beta - p*alpha a root."""
+        p = 0
+        cur = tuple(b - a for a, b in zip(alpha, beta))
+        while cur in self._all:
+            p += 1
+            cur = tuple(c - a for a, c in zip(alpha, cur))
+        return p
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +140,12 @@ class AffineRoot:
 
     def __str__(self):
         if self.is_imaginary:
-            return "%dd" % self.level
-        bits = []
-        for i, c in enumerate(self.finite):
-            if not c:
-                continue
-            if c == 1:
-                bits.append("+a%d" % (i + 1))
-            elif c == -1:
-                bits.append("-a%d" % (i + 1))
-            else:
-                bits.append("%+da%d" % (c, i + 1))
-        fin = "".join(bits).lstrip("+")
+            return "%dd" % self.level if self.level != 1 else "d"
+        fin = root_str(self.finite)
         if self.level == 0:
             return fin
-        return "%s%+dd" % (fin, self.level)
+        lv = "%+dd" % self.level if abs(self.level) != 1 else ("+d" if self.level > 0 else "-d")
+        return fin + lv
 
 
 class AffineData:

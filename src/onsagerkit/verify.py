@@ -7,14 +7,13 @@ the identity that broke.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix
 from .characters import character_space, even_column_set
-from .chevalley import sl_realization, sp_sign_reconciliation, sp_realization, verify_gl_presentation
-from .loop import YIndex, bracket_loop, k_bracket_expand, onsager_basis, _sl2_table
+from .chevalley import preset_table, sl_realization, sp_sign_reconciliation, sp_realization, verify_gl_presentation
+from .exact_math import add_into
+from .loop import YIndex, bracket_loop, k_bracket_expand, onsager_basis
 from .onsager import (
     Realization,
     filtration_dims,
@@ -27,15 +26,12 @@ from .serre_coeffs import serre_relation
 
 
 def thread_count():
-    """ONSAGER_KIT_THREADS environment override; 0 or unset means auto."""
-    raw = os.environ.get("ONSAGER_KIT_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError:
-        val = 0
-    if val <= 0:
-        return min(8, os.cpu_count() or 1)
-    return val
+    """Always 1: the checks run serially, in order.
+
+    The work is GIL-bound pure Python, so a thread pool did not pay.  Kept
+    only because the benchmark harness records this value for every case.
+    """
+    return 1
 
 
 def check_relations_killed(c: CartanMatrix, rz: Realization):
@@ -79,7 +75,7 @@ def check_character_dimension(c: CartanMatrix, rz: Realization, H):
 
 def check_onsager_structure(bound=4):
     """[A_k,A_l] = G_{l-k}, [G_m,G_n] = 0, [G_m,A_k] = 2(A_{k+m} - A_{k-m})."""
-    t = _sl2_table()
+    t = preset_table("A1")
     for k in range(-bound, bound + 1):
         for l in range(-bound, bound + 1):
             if bracket_loop(t, onsager_basis(k)[0], onsager_basis(l)[0]) != onsager_basis(l - k)[1]:
@@ -124,12 +120,7 @@ def _expected_y_bracket(rz, idx1, idx2):
     def merge(*dicts):
         out = {}
         for d in dicts:
-            for k, v in d.items():
-                s = out.get(k, Fraction(0)) + v
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+            add_into(out, d)
         return out
 
     g1, g2 = idx1.gamma, idx2.gamma
@@ -223,40 +214,35 @@ def verification_suite(c: CartanMatrix, jmax=None, height=None):
             "this one classifies as %s" % c.kind
         )
     rz = realization_for(c)
-    checks = []
+    rows = []
     if c.kind == FINITE:
         maxht = rz.table.rs.max_height
         jmax = jmax or maxht
         height = height or maxht
-        checks.append(lambda: check_relations_killed(c, rz))
-        checks.append(lambda: check_filtration(c, rz, jmax))
-        checks.append(lambda: check_generation(c, rz, height))
-        checks.append(lambda: check_character_dimension(c, rz, maxht))
+        rows.append(check_relations_killed(c, rz))
+        rows.append(check_filtration(c, rz, jmax))
+        rows.append(check_generation(c, rz, height))
+        rows.append(check_character_dimension(c, rz, maxht))
         name = c.typename or ""
         if name.startswith("C") and c.n <= 4 and c.a == tuple(tuple(row) for row in _c_preset(c.n)):
             if c.n >= 2:
-                checks.append(lambda: check_gl_presentation(c.n))
-            checks.append(lambda: check_sp_reconciliation(c.n))
+                rows.append(check_gl_presentation(c.n))
+            rows.append(check_sp_reconciliation(c.n))
         if name.startswith("A") and c.n <= 4:
-            checks.append(lambda: check_sl_homomorphism(c.n))
+            rows.append(check_sl_homomorphism(c.n))
     elif c.kind == UNTWISTED_AFFINE:
         jmax = jmax or 6
-        checks.append(lambda: check_relations_killed(c, rz))
-        checks.append(lambda: check_filtration(c, rz, jmax))
-        checks.append(lambda: check_generation(c, rz, height or jmax))
+        rows.append(check_relations_killed(c, rz))
+        rows.append(check_filtration(c, rz, jmax))
+        rows.append(check_generation(c, rz, height or jmax))
         delta = rz.affine.delta_height
         if 2 * delta + 2 <= 20:
-            checks.append(lambda: check_character_dimension(c, rz, 2 * delta + 2))
+            rows.append(check_character_dimension(c, rz, 2 * delta + 2))
         if rz.affine.rank <= 3:
-            checks.append(lambda: check_affine_structure_constants(rz))
+            rows.append(check_affine_structure_constants(rz))
         if c.typename == "A1~":
-            checks.append(lambda: check_onsager_structure())
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return [f.result() for f in [pool.submit(ch) for ch in checks]]
-    return [ch() for ch in checks]
+            rows.append(check_onsager_structure())
+    return rows
 
 
 def _c_preset(r):

@@ -298,5 +298,5 @@ def test_criterion_10_property_suites():
         for (a, b), n in tt.N.items():
             assert tt.N[(b, a)] == -n
             assert tt.N[(tuple(-c for c in a), tuple(-c for c in b))] == -n
-            assert abs(n) == tt.chain_p(a, b) + 1
+            assert abs(n) == tt.rs.chain_p(a, b) + 1
     _report(10, "property suites (fixed seeds) all exact", t0)

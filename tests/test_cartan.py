@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onsagerkit.cartan import (
     FINITE,
@@ -169,3 +173,25 @@ def test_random_gcm_classification_consistency():
             assert c.affine_node is not None
             fin = c.finite_part()
             assert fin.kind == FINITE
+
+
+def _leibniz_det(a):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i) if perm[j] > perm[i])
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_det_matches_leibniz_expansion(a):
+    from onsagerkit.cartan import _det
+
+    assert _det(a) == _leibniz_det(a)

@@ -82,10 +82,10 @@ def test_chi_finite_matches_solved_character(r):
     rz = finite_character_realization(r)
     space = character_space(rz, rz.table.rs.max_height)
     assert space.dimension == 1
-    t = Fraction(9, 4)
-    func = character_from_values(space, {lab: (t if lab == r else 0) for lab in rz.cartan.labels})
-    for alpha in rz.table.rs.positive_roots:
-        assert func.get(alpha, 0) == chi_finite(r, t, alpha), alpha
+    for t in (Fraction(9, 4), GaussianRational(Fraction(1, 3), -2)):
+        func = character_from_values(space, {lab: (t if lab == r else 0) for lab in rz.cartan.labels})
+        for alpha in rz.table.rs.positive_roots:
+            assert func.get(alpha, 0) == chi_finite(r, t, alpha), (t, alpha)
 
 
 def test_chi_affine_values():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from onsagerkit import cli
+from onsagerkit import cli, onsager
+from onsagerkit.loop import NotExpandable
 
 
 def run_cli(capsys, *argv):
@@ -71,10 +72,11 @@ def test_eval_json_content(capsys):
 
 
 def test_verify_pass_exit_zero(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--preset", "A1~")
-    assert code == 0
-    assert "FAIL" not in out
-    assert "PASS" in out
+    for name, checks in (("A1~", 1), ("C2", 6)):
+        code, out, _ = run_cli(capsys, "verify", "--preset", name)
+        assert code == 0
+        assert "FAIL" not in out
+        assert out.count("PASS") >= checks
 
 
 def test_verify_fail_exit_one(capsys, monkeypatch):
@@ -115,11 +117,21 @@ def test_verify_other_kind_rejected(tmp_path, capsys):
     assert "classifies" in err
 
 
-def test_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("ONSAGER_KIT_THREADS", "2")
-    code, out, _ = run_cli(capsys, "verify", "--preset", "C2")
-    assert code == 0
-    assert out.count("PASS") >= 4
+def test_eval_unknown_label_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "--preset", "A2", "[B1,B7]")
+    assert code == 2
+    assert out == "" and "7" in err
+
+
+def test_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(x, rank):
+        raise NotExpandable("forced")
+
+    monkeypatch.setattr(onsager, "y_coordinates", broken)
+    # main does not turn the fault into a return code, so it never returns 2;
+    # as a process, the uncaught exception exits 1
+    with pytest.raises(NotExpandable):
+        cli.main(["eval", "--preset", "A1~", "[B0,B1]"])
 
 
 def test_chars_closed_form_columns(capsys):

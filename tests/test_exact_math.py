@@ -8,6 +8,8 @@ from onsagerkit.exact_math import (
     GaussianRational,
     I,
     IncrementalSpan,
+    add_into,
+    add_term,
     nullspace_basis,
     rank,
     span_rank,
@@ -126,3 +128,36 @@ def test_incremental_span_chained_pivots():
     assert span.rank == 2
     assert span.add({1: 1})
     assert span.rank == 3
+
+
+def test_add_into_drops_cancelled_keys_in_place():
+    acc = {"a": Fraction(1, 2), "b": 3}
+    out = add_into(acc, {"a": Fraction(-1, 4), "b": 1, "c": I}, scale=-2)
+    assert out is acc
+    assert acc == {"a": Fraction(1), "b": 1, "c": -2 * I}
+    add_into(acc, {"a": 1, "b": -1})
+    assert acc == {"a": Fraction(2), "c": -2 * I}
+    add_term(acc, "c", 2 * I)
+    add_term(acc, "d", 0)
+    assert acc == {"a": 2}
+
+
+def test_reduced_rows_clear_other_pivots():
+    span = IncrementalSpan()
+    for v in ({0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}, {2: 5, 3: 1}):
+        span.add({k: Fraction(c) for k, c in v.items()})
+    rows = span.reduced_rows()
+    assert sorted(rows) == [0, 1, 2]
+    for p, row in rows.items():
+        assert row[p] == 1
+        assert all(q == p or q not in row for q in rows)
+    # the span still reduces against the cleared rows
+    assert not span.add({0: 1, 1: 2, 2: 3})
+
+
+def test_integer_vectors_are_eliminated_exactly():
+    # with float division the second row left a rounding residue: rank 2
+    assert span_rank([[11, 11, 9], [77, 77, 63]]) == 1
+    span = IncrementalSpan()
+    span.add({0: 3, 1: 1})
+    assert span.reduced_rows()[0][1] == Fraction(1, 3)
