@@ -62,9 +62,6 @@ class CartanMatrix:
         """Cartan entry by generator label."""
         return self.a[self.labels.index(i)][self.labels.index(j)]
 
-    def position(self, label):
-        return self.labels.index(label)
-
     def finite_part(self):
         """The finite-type matrix left after deleting the affine node (labels 1..r)."""
         if self.kind != UNTWISTED_AFFINE:
@@ -72,14 +69,6 @@ class CartanMatrix:
         keep = [i for i in range(self.n) if i != self.affine_node]
         sub = tuple(tuple(self.a[i][j] for j in keep) for i in keep)
         return validate(sub, labels=tuple(range(1, len(keep) + 1)))
-
-    def is_symmetric_after_d(self):
-        n = self.n
-        return all(
-            self.d[i] * self.a[i][j] == self.d[j] * self.a[j][i]
-            for i in range(n)
-            for j in range(n)
-        )
 
     def __str__(self):
         name = self.typename or self.kind

@@ -9,6 +9,11 @@ from the Jacobi identity and the cyclic identity of the invariant form.  The
 resulting table automatically satisfies N[-a,-b] = -N[a,b], which makes
 h -> -h, e_alpha -> -e_{-alpha} an involutive automorphism.
 
+Elements are sparse combinations of basis keys ('h', i) and ('e', root);
+`StructureTable.bracket_keys` and `form_keys` give the bracket and the
+invariant form on a pair of keys, and every element-level bracket, form and
+matrix image is their bilinear extension.
+
 Also here: explicit matrix realizations (special linear and symplectic), the
 fixed-subalgebra basis y_alpha = e_alpha - e_{-alpha}, and the isomorphism of
 the symplectic fixed subalgebra with gl_r.
@@ -21,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import CartanMatrix, preset
-from .exact_math import ExactMatrix, I, add_into, add_term
+from .exact_math import ExactMatrix, I, SparseElement, bilinear
 from .roots import RootSystem, height
 
 
@@ -45,54 +50,29 @@ def _vneg(x):
     return tuple(-a for a in x)
 
 
-class ChevElement:
-    """h-part over h_1..h_r plus e-part over root vectors, exact coefficients."""
+def _omega_key(key):
+    """The basis key that omega sends key to, with coefficient -1."""
+    kind, val = key
+    return key if kind == "h" else ("e", _vneg(val))
 
-    __slots__ = ("h", "e")
 
-    def __init__(self, h=None, e=None):
-        self.h = {i: Fraction(c) for i, c in (h or {}).items() if c}
-        self.e = {tuple(a): Fraction(c) for a, c in (e or {}).items() if c}
+class ChevElement(SparseElement):
+    """Exact combination of Chevalley basis keys ('h', i) and ('e', root)."""
 
-    def is_zero(self):
-        return not self.h and not self.e
-
-    def __eq__(self, other):
-        if not isinstance(other, ChevElement):
-            return NotImplemented
-        return self.h == other.h and self.e == other.e
-
-    def __add__(self, other):
-        out = ChevElement()
-        out.h = add_into(dict(self.h), other.h)
-        out.e = add_into(dict(self.e), other.e)
-        return out
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        out = ChevElement()
-        if scalar:
-            out.h = {i: scalar * c for i, c in self.h.items()}
-            out.e = {a: scalar * c for a, c in self.e.items()}
-        return out
-
-    __mul__ = __rmul__
+    __slots__ = ()
 
     def __repr__(self):
-        if self.is_zero():
+        if not self.terms:
             return "0"
-        bits = []
-        for i in sorted(self.h):
-            bits.append("%s*h%d" % (self.h[i], i + 1))
-        for a in sorted(self.e, key=lambda t: (height(t), t)):
-            bits.append("%s*e%s" % (self.e[a], list(a)))
-        return " + ".join(bits)
+
+        def order(item):
+            kind, val = item[0]
+            return (0, val) if kind == "h" else (1, height(val), val)
+
+        return " + ".join(
+            "%s*h%d" % (c, val + 1) if kind == "h" else "%s*e%s" % (c, list(val))
+            for (kind, val), c in sorted(self.terms.items(), key=order)
+        )
 
 
 class StructureTable:
@@ -108,24 +88,24 @@ class StructureTable:
         alpha = tuple(alpha)
         if not self.rs.is_root(alpha):
             raise ValueError("%r is not a root" % (alpha,))
-        return ChevElement(e={alpha: 1})
+        return ChevElement({("e", alpha): 1})
 
     def h(self, i):
-        return ChevElement(h={i: 1})
+        return ChevElement({("h", i): 1})
 
     def h_alpha(self, alpha):
-        return ChevElement(h=dict(enumerate(self.rs.coroot_coords(alpha))))
+        return ChevElement({("h", i): k for i, k in enumerate(self.rs.coroot_coords(alpha))})
 
     def y_basis(self, alpha):
         """y_alpha = e_alpha - e_{-alpha}; requires alpha positive."""
         alpha = tuple(alpha)
         if not self.rs.is_positive(alpha):
             raise NotAPositiveRoot("%r is not a positive root" % (alpha,))
-        return ChevElement(e={alpha: 1, _vneg(alpha): -1})
+        return self.y_any(alpha)
 
     def y_any(self, alpha):
         """y_alpha for alpha of either sign (y_{-a} = -y_a)."""
-        return ChevElement(e={tuple(alpha): 1, _vneg(alpha): -1})
+        return ChevElement({("e", tuple(alpha)): 1, ("e", _vneg(alpha)): -1})
 
     def basis_keys(self):
         keys = [("h", i) for i in range(self.rs.rank)]
@@ -133,56 +113,53 @@ class StructureTable:
         return keys
 
     def element_for_key(self, key):
-        kind, val = key
-        return self.h(val) if kind == "h" else self.e(val)
+        return ChevElement({key: 1})
 
     # -- structure ------------------------------------------------------------
     def n_value(self, alpha, beta):
         return self.N.get((tuple(alpha), tuple(beta)), 0)
 
+    def bracket_keys(self, k1, k2):
+        """[k1, k2] of two basis keys, as a sparse vector over basis keys:
+        [h_i, e_b] = b(h_i) e_b, [e_a, e_{-a}] = h_a, [e_a, e_b] = N e_{a+b}."""
+        (kind1, v1), (kind2, v2) = k1, k2
+        if kind1 == "h":
+            if kind2 == "h":
+                return {}
+            p = self.rs.pairing(v2, v1)
+            return {k2: p} if p else {}
+        if kind2 == "h":
+            p = self.rs.pairing(v1, v2)
+            return {k1: -p} if p else {}
+        s = _vadd(v1, v2)
+        if not any(s):
+            return {("h", i): k for i, k in enumerate(self.rs.coroot_coords(v1)) if k}
+        n = self.N.get((v1, v2))
+        return {("e", s): n} if n else {}
+
+    def form_keys(self, k1, k2):
+        """Normalized invariant form of two basis keys: (e_a, e_{-a}) = 2/(a,a),
+        h-block from the symmetrized Cartan data, (h, e) = 0."""
+        (kind1, v1), (kind2, v2) = k1, k2
+        form = self.rs.form
+        if kind1 != kind2:
+            return 0
+        if kind1 == "h":
+            return 4 * form[v1][v2] / (form[v1][v1] * form[v2][v2])
+        if any(_vadd(v1, v2)):
+            return 0
+        return 2 / self.rs.norm2(v1)
+
     def bracket(self, x: ChevElement, y: ChevElement) -> ChevElement:
-        rs = self.rs
-        h_out = {}
-        e_out = {}
-        for i, ci in x.h.items():
-            for beta, cb in y.e.items():
-                add_term(e_out, beta, ci * cb * rs.pairing(beta, i))
-        for i, ci in y.h.items():
-            for beta, cb in x.e.items():
-                add_term(e_out, beta, -ci * cb * rs.pairing(beta, i))
-        for al, ca in x.e.items():
-            for be, cb in y.e.items():
-                coeff = ca * cb
-                s = _vadd(al, be)
-                if not any(s):
-                    for i, k in enumerate(rs.coroot_coords(al)):
-                        if k:
-                            add_term(h_out, i, coeff * k)
-                elif rs.is_root(s):
-                    add_term(e_out, s, coeff * self.N[(al, be)])
-        out = ChevElement()
-        out.h, out.e = h_out, e_out
-        return out
+        return ChevElement(bilinear(self.bracket_keys, x.terms, y.terms))
 
     def omega(self, x: ChevElement) -> ChevElement:
-        out = ChevElement()
-        out.h = {i: -c for i, c in x.h.items()}
-        out.e = {_vneg(a): -c for a, c in x.e.items()}
-        return out
+        return ChevElement({_omega_key(k): -c for k, c in x.terms.items()})
 
     def invariant_form(self, x: ChevElement, y: ChevElement):
-        """Normalized invariant form: (e_a, e_{-a}) = 2/(a,a), h-block from
-        the symmetrized Cartan data, (h, e) = 0."""
-        rs = self.rs
-        total = Fraction(0)
-        for i, ci in x.h.items():
-            for j, cj in y.h.items():
-                total += ci * cj * 4 * rs.form[i][j] / (rs.form[i][i] * rs.form[j][j])
-        for a, ca in x.e.items():
-            cb = y.e.get(_vneg(a))
-            if cb:
-                total += ca * cb * 2 / rs.norm2(a)
-        return total
+        """Normalized invariant form, extended bilinearly from form_keys."""
+        return sum((c1 * c2 * self.form_keys(k1, k2)
+                    for k1, c1 in x.terms.items() for k2, c2 in y.terms.items()), Fraction(0))
 
     def decomposition(self, gamma):
         """Some pair of positive roots (xi, eta) with xi + eta = gamma and
@@ -306,10 +283,8 @@ class MatrixRealization:
 
     def matrix_of(self, x: ChevElement) -> ExactMatrix:
         out = ExactMatrix.zeros(self.dim, self.dim)
-        for i, c in x.h.items():
-            out = out + c * self.images[("h", i)]
-        for a, c in x.e.items():
-            out = out + c * self.images[("e", a)]
+        for k, c in x.terms.items():
+            out = out + c * self.images[k]
         return out
 
     def homomorphism_failures(self):
@@ -317,12 +292,9 @@ class MatrixRealization:
         bad = []
         keys = self.table.basis_keys()
         for k1 in keys:
-            m1 = self.images[k1]
-            x1 = self.table.element_for_key(k1)
             for k2 in keys:
-                m2 = self.images[k2]
-                x2 = self.table.element_for_key(k2)
-                if m1.commutator(m2) != self.matrix_of(self.table.bracket(x1, x2)):
+                z = ChevElement(self.table.bracket_keys(k1, k2))
+                if self.images[k1].commutator(self.images[k2]) != self.matrix_of(z):
                     bad.append((k1, k2))
         return bad
 

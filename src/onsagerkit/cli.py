@@ -25,11 +25,13 @@ from .cartan import (
 )
 from .characters import (
     WindowTooSmall,
+    affine_character_realization,
     character_from_values,
     character_space,
     chi_affine,
     chi_finite,
     even_column_set,
+    finite_character_realization,
 )
 from .exact_math import GaussianRational
 from .freelie import ParseError, parse_bracket
@@ -276,12 +278,8 @@ def chars_report(c, H=None):
     c_finite = c.kind == FINITE and c.n >= 2 and c.a == preset("C%d" % c.n).a
     c_affine = c.kind == UNTWISTED_AFFINE and c.n >= 2 and c.a == preset("C%d~" % (c.n - 1)).a
     if c_finite:
-        from .characters import finite_character_realization
-
         rz = finite_character_realization(c.n)
     elif c_affine:
-        from .characters import affine_character_realization
-
         rz = affine_character_realization(c.n - 1)
     else:
         rz = realization_for(c)

@@ -2,19 +2,16 @@
 
 Scalars and matrices are immutable after construction.  Sparse vectors are
 plain dicts mapping coordinate keys to nonzero scalars; `add_into` and
-`add_term` are the one place where they are summed, and `IncrementalSpan` is
-the one eliminator.  No floating point appears anywhere; all downstream
-identities are checked as bit-exact equalities.
+`add_term` are the one place where they are summed, `bilinear` extends a
+bracket or product on basis-key pairs to vectors, `SparseElement` is the one
+implementation of element arithmetic, and `IncrementalSpan` is the one
+eliminator.  No floating point appears anywhere; all downstream identities
+are checked as bit-exact equalities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-# Plain rationals are stdlib fractions: arbitrary precision, always in lowest
-# terms, denominator > 0, canonical zero 0/1.
-Rational = Fraction
-
 
 class GaussianRational:
     """a + b*i with rational a, b.  Field arithmetic, hashable, immutable."""
@@ -147,6 +144,57 @@ def add_into(acc, vec, scale=1):
         else:
             acc.pop(k, None)
     return acc
+
+
+def bilinear(pair, x, y):
+    """sum of x[k1] * y[k2] * pair(k1, k2) over both supports, as a new
+    sparse vector; pair returns a sparse vector, empty (or None) to skip."""
+    out = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            v = pair(k1, k2)
+            if v:
+                add_into(out, v, c1 * c2)
+    return out
+
+
+class SparseElement:
+    """Exact rational combination of basis keys: terms maps key -> nonzero
+    Fraction.
+
+    The one implementation of element arithmetic.  Subclasses fix the key
+    format and keep only their constructors and printers; elements of
+    different subclasses never compare equal.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: c if type(c) is Fraction else Fraction(c)
+                      for k, c in (terms or {}).items() if c}
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        return type(self)(add_into(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        return type(self)(add_into(dict(self.terms), other.terms, -1))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        scalar = Fraction(scalar)
+        return type(self)({k: scalar * c for k, c in self.terms.items()})
+
+    __mul__ = __rmul__
 
 
 class ExactMatrix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_math import add_into, add_term
+from .exact_math import SparseElement, add_into, add_term
 
 
 class ParseError(ValueError):
@@ -229,52 +229,14 @@ def _extract_lyndon(assoc):
     return out
 
 
-class FreeLieElement:
-    """Exact-rational combination of Lyndon basis words."""
+class FreeLieElement(SparseElement):
+    """Exact-rational combination of Lyndon basis words (label tuples)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        store = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    store[tuple(w)] = c
-        self.terms = store
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def generator(cls, label):
-        return cls({(int(label),): Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeLieElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        return FreeLieElement(add_into(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return FreeLieElement()
-        return FreeLieElement({w: scalar * c for w, c in self.terms.items()})
-
-    __mul__ = __rmul__
+        return cls({(int(label),): 1})
 
     def _assoc(self):
         out = {}

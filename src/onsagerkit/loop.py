@@ -1,7 +1,9 @@
 """Untwisted affine algebras in the loop realization.
 
 Elements are finite exact combinations of x[k] = x (x) t^k over the Chevalley
-basis of a finite-type table, plus central c and derivation d.  The bracket is
+basis of a finite-type table, plus central c and derivation d.  One key format
+covers all of them: (basis key, k) for x[k], with the finite table's basis keys
+('h', i) and ('e', root), and the keys "c" and "d".  The bracket is
 
     [x[k], y[m]] = [x, y][k+m] + k delta_{k,-m} (x, y) c,
     [d, x[m]] = m x[m],      [c, anything] = 0,
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .chevalley import ChevElement, StructureTable, _vneg
-from .exact_math import add_into, add_term
+from .chevalley import ChevElement, StructureTable, _omega_key, _vneg
+from .exact_math import SparseElement, add_term, bilinear
 from .roots import AffineRoot
 
 
@@ -31,75 +34,32 @@ class NotExpandable(Exception):
     """
 
 
-class LoopElement:
-    """terms: (basis key, level) -> coefficient, plus c and d coefficients.
+# the keys of the central element and the derivation
+CD = ("c", "d")
 
-    Basis keys are ('h', i) and ('e', root) over the finite table.
-    """
 
-    __slots__ = ("terms", "c", "d")
+class LoopElement(SparseElement):
+    """Exact combination of loop basis keys: (basis key, level) for x[level]
+    over the finite table's keys ('h', i) and ('e', root), and the keys "c"
+    and "d" for the central element and the derivation."""
 
-    def __init__(self, terms=None, c=0, d=0):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                v = Fraction(v)
-                if v:
-                    self.terms[k] = v
-        self.c = Fraction(c)
-        self.d = Fraction(d)
-
-    def is_zero(self):
-        return not self.terms and not self.c and not self.d
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopElement):
-            return NotImplemented
-        return self.terms == other.terms and self.c == other.c and self.d == other.d
-
-    def __add__(self, other):
-        return LoopElement(add_into(dict(self.terms), other.terms), self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return LoopElement()
-        return LoopElement(
-            {k: scalar * v for k, v in self.terms.items()},
-            scalar * self.c,
-            scalar * self.d,
-        )
-
-    __mul__ = __rmul__
+    __slots__ = ()
 
     def __repr__(self):
-        if self.is_zero():
+        if not self.terms:
             return "0"
         bits = []
-        for (key, k), v in sorted(self.terms.items(), key=lambda t: (t[0][1], str(t[0][0]))):
+        loop_terms = [(k, v) for k, v in self.terms.items() if k not in CD]
+        for (key, k), v in sorted(loop_terms, key=lambda t: (t[0][1], str(t[0][0]))):
             kind, val = key
             base = "h%d" % (val + 1) if kind == "h" else "e%s" % (list(val),)
             bits.append("%s*%s[%d]" % (v, base, k))
-        if self.c:
-            bits.append("%s*c" % self.c)
-        if self.d:
-            bits.append("%s*d" % self.d)
+        bits += ["%s*%s" % (self.terms[k], k) for k in CD if k in self.terms]
         return " + ".join(bits)
 
 
 def from_finite(x: ChevElement, k: int) -> LoopElement:
-    terms = {}
-    for i, c in x.h.items():
-        terms[(("h", i), k)] = c
-    for a, c in x.e.items():
-        terms[(("e", a), k)] = c
-    return LoopElement(terms)
+    return LoopElement({(key, k): c for key, c in x.terms.items()})
 
 
 def e_at(alpha, k):
@@ -111,65 +71,52 @@ def h_at(i, k):
 
 
 def central():
-    return LoopElement(c=1)
+    return LoopElement({"c": 1})
 
 
 def derivation():
-    return LoopElement(d=1)
+    return LoopElement({"d": 1})
 
 
-def _basis_form(table: StructureTable, k1, k2):
-    """Invariant form on finite basis keys."""
-    return table.invariant_form(table.element_for_key(k1), table.element_for_key(k2))
+def _pair_bracket(t: StructureTable, k1, k2):
+    """Bracket of two loop basis keys, as a sparse vector over loop keys."""
+    if k1 == "c" or k2 == "c":
+        return None
+    if k1 == "d":
+        # [d, x[m]] = m x[m]
+        return {k2: k2[1]} if k2 != "d" and k2[1] else None
+    if k2 == "d":
+        return {k1: -k1[1]} if k1[1] else None
+    (a, l), (b, m) = k1, k2
+    out = {(key, l + m): c for key, c in t.bracket_keys(a, b).items()}
+    if l == -m and l:
+        form = t.form_keys(a, b)
+        if form:
+            out["c"] = l * form
+    return out
+
+
+def _pair_form(t: StructureTable, k1, k2):
+    """Invariant form of two loop basis keys."""
+    if k1 in CD or k2 in CD:
+        return int(k1 in CD and k2 in CD and k1 != k2)
+    (a, l), (b, m) = k1, k2
+    return t.form_keys(a, b) if l == -m else 0
 
 
 def bracket_loop(t: StructureTable, x: LoopElement, y: LoopElement) -> LoopElement:
-    out_terms = {}
-    out_c = Fraction(0)
-    for (k1, lv1), c1 in x.terms.items():
-        x1 = t.element_for_key(k1)
-        for (k2, lv2), c2 in y.terms.items():
-            coeff = c1 * c2
-            z = t.bracket(x1, t.element_for_key(k2))
-            lv = lv1 + lv2
-            for i, ch in z.h.items():
-                add_term(out_terms, (("h", i), lv), coeff * ch)
-            for a, ce in z.e.items():
-                add_term(out_terms, (("e", a), lv), coeff * ce)
-            if lv1 == -lv2 and lv1 != 0:
-                out_c += coeff * lv1 * _basis_form(t, k1, k2)
-    # derivation action: [d, x[m]] = m x[m]
-    if x.d:
-        for (k2, lv2), c2 in y.terms.items():
-            if lv2:
-                add_term(out_terms, (k2, lv2), x.d * c2 * lv2)
-    if y.d:
-        for (k1, lv1), c1 in x.terms.items():
-            if lv1:
-                add_term(out_terms, (k1, lv1), -y.d * c1 * lv1)
-    return LoopElement(out_terms, out_c, 0)
+    return LoopElement(bilinear(partial(_pair_bracket, t), x.terms, y.terms))
 
 
 def loop_form(t: StructureTable, x: LoopElement, y: LoopElement):
     """(x[k], y[m]) = delta_{k,-m}(x, y); (c, d) = 1; everything else 0."""
-    total = Fraction(0)
-    for (k1, lv1), c1 in x.terms.items():
-        for (k2, lv2), c2 in y.terms.items():
-            if lv1 == -lv2:
-                total += c1 * c2 * _basis_form(t, k1, k2)
-    total += x.c * y.d + x.d * y.c
-    return total
+    return sum((c1 * c2 * _pair_form(t, k1, k2)
+                for k1, c1 in x.terms.items() for k2, c2 in y.terms.items()), Fraction(0))
 
 
 def omega_tilde(x: LoopElement) -> LoopElement:
     """x[k] -> omega(x)[-k], c -> -c, d -> -d."""
-    terms = {}
-    for ((kind, val), k), v in x.terms.items():
-        if kind == "h":
-            terms[(("h", val), -k)] = -v
-        else:
-            terms[(("e", _vneg(val)), -k)] = -v
-    return LoopElement(terms, -x.c, -x.d)
+    return LoopElement({k if k in CD else (_omega_key(k[0]), -k[1]): -v for k, v in x.terms.items()})
 
 
 @dataclass(frozen=True, order=True)
@@ -191,8 +138,12 @@ def y_affine(idx: YIndex) -> LoopElement:
     root; y_{-gamma} = -y_gamma comes out automatically)."""
     gamma = idx.gamma
     if gamma.is_imaginary:
-        return h_at(idx.i - 1, gamma.level) - h_at(idx.i - 1, -gamma.level)
-    return e_at(gamma.finite, gamma.level) - e_at(_vneg(gamma.finite), -gamma.level)
+        key = neg = ("h", idx.i - 1)
+    else:
+        key, neg = ("e", gamma.finite), ("e", _vneg(gamma.finite))
+    terms = {(key, gamma.level): 1}
+    add_term(terms, (neg, -gamma.level), -1)  # an imaginary root at level 0 cancels
+    return LoopElement(terms)
 
 
 def y_real(alpha, k):
@@ -210,7 +161,7 @@ def y_coordinates(x: LoopElement, rank):
     Raises NotExpandable when the element is not in that span (nonzero c or d
     coefficient, a level-0 Cartan term, or mismatched opposite coefficients).
     """
-    if x.c or x.d:
+    if "c" in x.terms or "d" in x.terms:
         raise NotExpandable("nonzero central/derivation coefficient")
     zero = (0,) * rank
     out = {}

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, NotAffine
-from .chevalley import StructureTable, build_chevalley
+from .chevalley import StructureTable, _vneg, build_chevalley
 from .exact_math import IncrementalSpan
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
-from .loop import bracket_loop, e_at, from_finite, omega_tilde, y_coordinates
+from .loop import NotExpandable, bracket_loop, e_at, from_finite, omega_tilde, y_coordinates
 from .roots import AffineData, height
 from .serre_coeffs import serre_relation
 
@@ -51,13 +51,16 @@ class Realization:
             raise IndexError("generator label %r outside %r" % (label, self.labels))
 
     def y_coordinates(self, x):
-        """Coordinates over the fixed basis (positive roots / affine indices)."""
+        """Coordinates over the fixed basis (positive roots / affine indices);
+        raises NotExpandable for an element outside the fixed subalgebra."""
         if self.kind == "finite":
-            assert not x.h, "element has a Cartan part: not in the fixed subalgebra"
             out = {}
-            for a, c in x.e.items():
+            for (kind, a), c in x.terms.items():
+                if kind == "h":
+                    raise NotExpandable("element has a Cartan part: not in the fixed subalgebra")
+                if x.terms.get(("e", _vneg(a))) != -c:
+                    raise NotExpandable("element is not involution-fixed")
                 if all(v >= 0 for v in a):
-                    assert x.e.get(tuple(-v for v in a)) == -c
                     out[a] = c
             return out
         return y_coordinates(x, self.affine.rank)

@@ -196,16 +196,13 @@ class AffineData:
         while k * self.delta_height - rs.max_height <= H:
             if k * self.delta_height <= H:
                 out.append((AffineRoot(zero, k), self.rank))
-            for alpha in self._all_finite_roots():
+            for alpha in sorted(rs._all):
                 ht = k * self.delta_height + height(alpha)
                 if 1 <= ht <= H:
                     out.append((AffineRoot(alpha, k), 1))
             k += 1
         out.sort(key=lambda pair: (self.height(pair[0]), pair[0]))
         return out
-
-    def _all_finite_roots(self):
-        return sorted(self.rootsystem._all)
 
     def mult_by_height(self, H):
         """dict height -> total multiplicity of positive roots at that height."""

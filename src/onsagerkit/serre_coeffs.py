@@ -71,7 +71,7 @@ def serre_relation(c: CartanMatrix, i, j) -> FreeLieElement:
         raise IndexError("generator label outside %r" % (c.labels,))
     a = c.entry(i, j)
     row = coeff_row(a, 1 - a)
-    out = FreeLieElement.zero()
+    out = FreeLieElement()
     for s, coeff in enumerate(row.c):
         if coeff:
             out = out + coeff * to_lyndon(ad_power(i, j, s))

@@ -69,6 +69,21 @@ def test_bracket_alternating_random():
         assert t.bracket(x, x).is_zero()
 
 
+def test_bracket_keys_antisymmetric():
+    t = preset_table("G2")
+    keys = t.basis_keys()
+    kinds = set()
+    for k1 in keys:
+        for k2 in keys:
+            z = t.bracket_keys(k1, k2)
+            assert z == {k: -c for k, c in t.bracket_keys(k2, k1).items()}, (k1, k2)
+            assert t.bracket(t.element_for_key(k1), t.element_for_key(k2)) == ChevElement(z)
+            kinds.add((k1[0], k2[0], "".join(sorted({k[0] for k in z}))))
+    # every branch: h-h, h-e, e-h, then e-e with e_{-a}, a root sum, no root sum
+    assert {("h", "h", ""), ("h", "e", "e"), ("e", "h", "e"),
+            ("e", "e", "h"), ("e", "e", "e"), ("e", "e", "")} <= kinds
+
+
 @pytest.mark.parametrize("name", TEST_PRESETS + ["E6"])
 def test_sign_laws(name):
     t = preset_table(name)

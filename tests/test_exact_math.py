@@ -8,12 +8,16 @@ from onsagerkit.exact_math import (
     GaussianRational,
     I,
     IncrementalSpan,
+    SparseElement,
     add_into,
     add_term,
+    bilinear,
     nullspace_basis,
     rank,
     span_rank,
 )
+from onsagerkit.chevalley import ChevElement
+from onsagerkit.loop import LoopElement
 
 
 def test_gaussian_field_ops():
@@ -161,3 +165,35 @@ def test_integer_vectors_are_eliminated_exactly():
     span = IncrementalSpan()
     span.add({0: 3, 1: 1})
     assert span.reduced_rows()[0][1] == Fraction(1, 3)
+
+
+def test_sparse_element_drops_cancelled_keys():
+    x = SparseElement({"a": 1, "b": Fraction(-1, 2), "c": 0})
+    assert x.terms == {"a": 1, "b": Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in x.terms.values())
+    assert (x - x).terms == {}
+    assert (0 * x).terms == {} and (x * 0).is_zero()
+    y = SparseElement({"b": Fraction(1, 2), "d": 3})
+    assert (x + y).terms == {"a": 1, "d": 3}
+    assert -x + x == SparseElement()
+    assert 2 * x == x + x
+
+
+def test_elements_of_different_kinds_are_unequal():
+    assert (ChevElement() == LoopElement()) is False
+    assert ChevElement() != LoopElement()
+    assert ChevElement({("h", 0): 1}) != SparseElement({("h", 0): 1})
+
+
+def test_bilinear_skips_empty_pairs():
+    def pair(k1, k2):
+        if k1 == k2:
+            return None  # None and {} both mean a zero bracket
+        if k1 > k2:
+            return {}
+        return {k1 + k2: 1}
+
+    x = {"a": Fraction(2), "b": Fraction(3)}
+    y = {"a": Fraction(5), "b": Fraction(7), "c": Fraction(1, 2)}
+    assert bilinear(pair, x, y) == {"ab": 14, "ac": 1, "bc": Fraction(3, 2)}
+    assert bilinear(pair, x, {"a": 1}) == {}

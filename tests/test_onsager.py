@@ -1,7 +1,9 @@
 import pytest
 
 from onsagerkit.cartan import preset, validate
+from onsagerkit.chevalley import preset_table
 from onsagerkit.freelie import parse_bracket, to_lyndon
+from onsagerkit.loop import NotExpandable
 from onsagerkit.onsager import (
     affine_realization,
     all_bracket_words,
@@ -128,3 +130,15 @@ def test_affine_realization_nonstandard_node_order():
     rz = affine_realization(c)
     for rel in relations(c):
         assert psi_eval(rz, rel).is_zero()
+
+
+def test_finite_coordinates_reject_unfixed_elements():
+    # raised, not asserted, so the check survives python -O
+    rz = finite_realization(preset("A2"))
+    t = preset_table("A2")
+    assert rz.y_coordinates(t.y_basis((1, 1))) == {(1, 1): 1}
+    with pytest.raises(NotExpandable):
+        rz.y_coordinates(t.h(0))
+    for alpha in ((1, 0), (-1, -1)):
+        with pytest.raises(NotExpandable):
+            rz.y_coordinates(t.e(alpha))
