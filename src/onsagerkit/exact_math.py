@@ -1,12 +1,13 @@
 """Exact scalars and exact sparse linear algebra over the Gaussian rationals.
 
 Scalars and matrices are immutable after construction.  Sparse vectors are
-plain dicts mapping coordinate keys to nonzero scalars; `add_into` and
-`add_term` are the one place where they are summed, `bilinear` extends a
-bracket or product on basis-key pairs to vectors, `SparseElement` is the one
-implementation of element arithmetic, and `IncrementalSpan` is the one
-eliminator.  No floating point appears anywhere; all downstream identities
-are checked as bit-exact equalities.
+plain dicts mapping coordinate keys to nonzero exact scalars: `int` while the
+arithmetic is integral, `Fraction` or `GaussianRational` once something
+divides.  `add_into` and `add_term` are the one place where they are summed,
+`bilinear` extends a bracket or product on basis-key pairs to vectors,
+`SparseElement` is the one implementation of element arithmetic, and
+`IncrementalSpan` is the one eliminator.  No floating point appears
+anywhere; all downstream identities are checked as bit-exact equalities.
 """
 
 from __future__ import annotations
@@ -160,7 +161,8 @@ def bilinear(pair, x, y):
 
 class SparseElement:
     """Exact rational combination of basis keys: terms maps key -> nonzero
-    Fraction.
+    int or Fraction.  Integer coefficients stay ints, so integral brackets
+    run in int arithmetic; any other scalar becomes an exact Fraction.
 
     The one implementation of element arithmetic.  Subclasses fix the key
     format and keep only their constructors and printers; elements of
@@ -170,7 +172,7 @@ class SparseElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: c if type(c) is Fraction else Fraction(c)
+        self.terms = {k: c if type(c) is int or type(c) is Fraction else Fraction(c)
                       for k, c in (terms or {}).items() if c}
 
     def is_zero(self):
@@ -191,7 +193,8 @@ class SparseElement:
         return type(self)({k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        if type(scalar) is not int:
+            scalar = Fraction(scalar)
         return type(self)({k: scalar * c for k, c in self.terms.items()})
 
     __mul__ = __rmul__

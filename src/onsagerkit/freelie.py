@@ -6,12 +6,15 @@ it is strictly smaller than each of its proper suffixes.  Normal forms are
 computed by expanding bracketings in the free associative algebra and peeling
 off Lyndon leading terms: the expansion of the standard bracketing of a
 Lyndon word w is w plus lexicographically larger words of the same length,
-which makes the extraction triangular and canonical.
+which makes the extraction triangular and canonical.  Expansion and
+extraction run on integer coefficients; `lie_bracket` clears the operands'
+denominators first and divides once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .exact_math import SparseElement, add_into, add_term
 
@@ -26,6 +29,15 @@ class ParseError(ValueError):
 
 class UnbalancedBracketError(ParseError):
     pass
+
+
+class NotALieElement(Exception):
+    """An associative element met in Lyndon extraction is not a Lie element.
+
+    A bug signal, not bad input: every bracketing expands to a Lie element.
+    So it is deliberately not a ValueError, which the CLI reports as a usage
+    error.
+    """
 
 
 class BracketExpr:
@@ -165,7 +177,8 @@ def lyndon_words(labels, length):
 
 def standard_factorization(word):
     """(u, v) with word = u + v and v the longest proper Lyndon suffix."""
-    assert len(word) >= 2
+    if len(word) < 2:
+        raise ValueError("a word of length %d has no standard factorization" % len(word))
     for i in range(1, len(word)):
         if is_lyndon(word[i:]):
             return word[:i], word[i:]
@@ -180,8 +193,7 @@ def lyndon_bracketing(word) -> BracketExpr:
     return BracketExpr.node(lyndon_bracketing(u), lyndon_bracketing(v))
 
 
-# Memo of word expansions.  Entries are never mutated after insertion and
-# recomputation is deterministic, so concurrent readers are safe.
+# Memo of word expansions; callers only read the entries, never mutate them.
 _EXPAND_CACHE = {}
 
 
@@ -216,13 +228,15 @@ def _extract_lyndon(assoc):
     """Write an associative-algebra Lie element in the Lyndon basis.
 
     Repeatedly peels the (length, lex)-smallest word, which must be Lyndon
-    for a genuine Lie element.
+    for a genuine Lie element.  Its expansion has coefficient 1 on the word
+    itself, so peeling never divides: integer input gives integer output.
     """
-    assoc = {w: Fraction(c) for w, c in assoc.items() if c}
+    assoc = {w: c for w, c in assoc.items() if c}
     out = {}
     while assoc:
         w = min(assoc, key=lambda t: (len(t), t))
-        assert is_lyndon(w), "leading word %r is not Lyndon: not a Lie element" % (w,)
+        if not is_lyndon(w):
+            raise NotALieElement("leading word %r is not Lyndon: not a Lie element" % (w,))
         c = assoc[w]
         add_into(assoc, _expand_lyndon(w), -c)
         out[w] = c
@@ -237,12 +251,6 @@ class FreeLieElement(SparseElement):
     @classmethod
     def generator(cls, label):
         return cls({(int(label),): 1})
-
-    def _assoc(self):
-        out = {}
-        for w, c in self.terms.items():
-            add_into(out, _expand_lyndon(w), c)
-        return out
 
     def __str__(self):
         if not self.terms:
@@ -275,9 +283,26 @@ def to_lyndon(expr: BracketExpr) -> FreeLieElement:
     return FreeLieElement(_extract_lyndon(expand(expr)))
 
 
+def _cleared_assoc(terms):
+    """(m, expansion of m * terms) with m the least common denominator of
+    the coefficients, so the expansion has integer coefficients."""
+    m = lcm(*(c.denominator for c in terms.values()))
+    out = {}
+    for w, c in terms.items():
+        add_into(out, _expand_lyndon(w), c.numerator * (m // c.denominator))
+    return m, out
+
+
 def lie_bracket(x: FreeLieElement, y: FreeLieElement) -> FreeLieElement:
-    """Bilinear bracket, result in Lyndon normal form."""
-    return FreeLieElement(_extract_lyndon(_commutator(x._assoc(), y._assoc())))
+    """Bilinear bracket, result in Lyndon normal form.  The commutator and
+    the extraction run on integers; the one division is at the end."""
+    mx, px = _cleared_assoc(x.terms)
+    my, py = _cleared_assoc(y.terms)
+    out = _extract_lyndon(_commutator(px, py))
+    m = mx * my
+    if m != 1:
+        out = {w: Fraction(c, m) for w, c in out.items()}
+    return FreeLieElement(out)
 
 
 def _mobius(n):

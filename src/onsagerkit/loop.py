@@ -173,7 +173,7 @@ def y_coordinates(x: LoopElement, rank):
             if k == 0:
                 raise NotExpandable("level-0 Cartan term")
             partner = (("h", val), -k)
-            if x.terms.get(partner, Fraction(0)) != -v:
+            if x.terms.get(partner, 0) != -v:
                 raise NotExpandable("element is not involution-fixed")
             seen.add((kind, val, k))
             seen.add((kind, val, -k))
@@ -181,7 +181,7 @@ def y_coordinates(x: LoopElement, rank):
             out[YIndex(AffineRoot(zero, lv), val + 1)] = coeff
         else:
             partner = (("e", _vneg(val)), -k)
-            if x.terms.get(partner, Fraction(0)) != -v:
+            if x.terms.get(partner, 0) != -v:
                 raise NotExpandable("element is not involution-fixed")
             seen.add((kind, val, k))
             seen.add(("e", _vneg(val), -k))

@@ -170,7 +170,11 @@ def test_integer_vectors_are_eliminated_exactly():
 def test_sparse_element_drops_cancelled_keys():
     x = SparseElement({"a": 1, "b": Fraction(-1, 2), "c": 0})
     assert x.terms == {"a": 1, "b": Fraction(-1, 2)}
-    assert all(type(c) is Fraction for c in x.terms.values())
+    # coefficients stay exact: an int or a Fraction, never a float
+    assert all(type(c) in (int, Fraction) for c in x.terms.values())
+    assert type(x.terms["a"]) is int and type((3 * x).terms["a"]) is int
+    assert (0.5 * x).terms == {"a": Fraction(1, 2), "b": Fraction(-1, 4)}
+    assert all(type(c) is Fraction for c in (0.5 * x).terms.values())
     assert (x - x).terms == {}
     assert (0 * x).terms == {} and (x * 0).is_zero()
     y = SparseElement({"b": Fraction(1, 2), "d": 3})

@@ -1,14 +1,24 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import onsagerkit
 from onsagerkit.exact_math import span_rank
 from onsagerkit.freelie import (
     BracketExpr,
     FreeLieElement,
+    NotALieElement,
     ParseError,
     UnbalancedBracketError,
+    _expand_lyndon,
+    _extract_lyndon,
     ad_power,
     is_lyndon,
     lie_bracket,
@@ -155,3 +165,72 @@ def test_ad_power():
     e = ad_power(1, 2, 2)
     assert e == parse_bracket("[B1,[B1,B2]]")
     assert ad_power(1, 2, 0) == BracketExpr.leaf(2)
+
+
+WORDS = [w for n in (1, 2, 3) for w in lyndon_words((1, 2, 3), n)]
+COEFFS = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6))
+ELEMENTS = st.dictionaries(st.sampled_from(WORDS), COEFFS, max_size=4).map(FreeLieElement)
+
+
+def _reference_bracket(x, y):
+    """All-Fraction bracket: associative commutator, then peel leading words."""
+    def assoc(e):
+        out = {}
+        for w, c in e.terms.items():
+            for v, k in _expand_lyndon(w).items():
+                out[v] = out.get(v, 0) + Fraction(c) * k
+        return out
+
+    px, py = assoc(x), assoc(y)
+    comm = {}
+    for p, q, sign in ((px, py, 1), (py, px, -1)):
+        for u, a in p.items():
+            for v, b in q.items():
+                comm[u + v] = comm.get(u + v, 0) + sign * a * b
+    out = {}
+    while any(comm.values()):
+        w = min((t for t, c in comm.items() if c), key=lambda t: (len(t), t))
+        out[w] = c = comm[w]
+        for v, k in _expand_lyndon(w).items():
+            comm[v] = comm.get(v, 0) - c * k
+    return FreeLieElement(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ELEMENTS, ELEMENTS)
+def test_lie_bracket_matches_fraction_reference(x, y):
+    z = lie_bracket(x, y)
+    assert z == _reference_bracket(x, y)
+    assert z == -lie_bracket(y, x)
+    assert all(type(c) in (int, Fraction) for c in z.terms.values())
+
+
+def test_lie_bracket_of_integer_elements_stays_integer():
+    x = FreeLieElement({(1,): 2, (1, 2): -3})
+    y = FreeLieElement({(2,): 1, (1, 3): 5})
+    assert all(type(c) is int for c in lie_bracket(x, y).terms.values())
+
+
+def test_standard_factorization_rejects_short_words():
+    with pytest.raises(ValueError):
+        standard_factorization((1,))
+
+
+def test_non_lie_leading_word_raises_under_optimize():
+    # an internal fault: raised explicitly (so it survives python -O) and not
+    # a ValueError, which the CLI would report as bad input
+    assert not issubclass(NotALieElement, ValueError)
+    with pytest.raises(NotALieElement):
+        _extract_lyndon({(2, 1): 1})
+    code = (
+        "from onsagerkit.freelie import NotALieElement, _extract_lyndon\n"
+        "try:\n"
+        "    _extract_lyndon({(2, 1): 1})\n"
+        "except NotALieElement:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(onsagerkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

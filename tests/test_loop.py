@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from onsagerkit.cartan import preset
 from onsagerkit.chevalley import preset_table
 from onsagerkit.loop import (
     LoopElement,
@@ -22,7 +23,7 @@ from onsagerkit.loop import (
     y_real,
     y_imag,
 )
-from onsagerkit.roots import AffineRoot
+from onsagerkit.roots import AffineData, AffineRoot
 
 
 def test_central_extension_bracket():
@@ -174,3 +175,16 @@ def test_onsager_structure_small():
             assert lhs == 2 * onsager_basis(k + m)[0] - 2 * onsager_basis(k - m)[0]
         for n in range(1, 4):
             assert bracket_loop(t, onsager_basis(m)[1], onsager_basis(n)[1]).is_zero()
+
+
+def test_k_bracket_expand_keeps_exact_coefficients():
+    # C2~ fixed-basis pairs up to height 5: integral brackets and expansions
+    # stay ints, never a float or a Fraction
+    t = preset_table("C2")
+    indices = [YIndex(g, i) for g, m in AffineData(preset("C2~")).positive_up_to(5)
+               for i in range(1, m + 1)]
+    for a in indices:
+        for b in indices:
+            z = bracket_loop(t, y_affine(a), y_affine(b))
+            for c in list(z.terms.values()) + list(k_bracket_expand(t, a, b).values()):
+                assert type(c) is int, (a, b, c)

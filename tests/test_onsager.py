@@ -119,6 +119,23 @@ def test_word_order_independence(name):
     assert a.dims == b.dims
 
 
+def test_all_words_filtration_g2_known_dims():
+    # G2 has positive roots of heights 1..5 with multiplicities 2,1,1,1,1
+    rep = filtration_dims_all_words(realization_for(preset("G2")), 6)
+    assert rep.dims == rep.expected == [2, 1, 1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("name", ["G2", "A1~"])
+def test_psi_images_have_exact_integer_coefficients(name):
+    # integral structure constants: every psi image of a bracket word keeps
+    # int coefficients: never a float, and no Fraction round trip
+    rz = realization_for(preset(name))
+    for j in range(1, 6):
+        for expr in all_bracket_words(rz.labels, j):
+            for c in psi_eval(rz, expr).terms.values():
+                assert type(c) is int, (expr, c)
+
+
 def test_all_bracket_words_count():
     # Catalan(2) * 2^3 = 2 * 8 trees of degree 3 on 2 letters
     assert len(all_bracket_words((1, 2), 3)) == 16

@@ -1,7 +1,8 @@
 import pytest
 
-from onsagerkit.cartan import validate
-from onsagerkit.freelie import parse_bracket, to_lyndon
+from onsagerkit.cartan import preset, validate
+from onsagerkit.exact_math import IncrementalSpan
+from onsagerkit.freelie import FreeLieElement, lie_bracket, parse_bracket, to_lyndon
 from onsagerkit.serre_coeffs import (
     SameIndexError,
     c0_closed_form,
@@ -105,9 +106,30 @@ def test_relation_errors():
 
 
 def test_dolan_grady_from_affine_matrix():
-    from onsagerkit.cartan import preset
-
     c = preset("A1~")
     rel = serre_relation(c, 0, 1)
     want = to_lyndon(parse_bracket("[B0,[B0,[B0,B1]]]")) + 4 * to_lyndon(parse_bracket("[B0,B1]"))
     assert rel == want
+
+
+def _serre_span_ranks(name, depth):
+    """Ranks of the spans of ad-words [B_i1,[...,[B_ik, R]]], k <= depth, over
+    the Serre relations R; only words that grew the span are bracketed on."""
+    c = preset(name)
+    gens = [FreeLieElement.generator(lab) for lab in c.labels]
+    span = IncrementalSpan()
+    fresh = [r for r in (serre_relation(c, i, j) for i in c.labels for j in c.labels if i != j)
+             if span.add(r.terms)]
+    ranks = [span.rank]
+    for _ in range(depth):
+        fresh = [x for x in (lie_bracket(g, w) for g in gens for w in fresh) if span.add(x.terms)]
+        ranks.append(span.rank)
+    return ranks
+
+
+@pytest.mark.parametrize("name, depth, ranks", [
+    ("A3", 3, [5, 18, 56, 154]),
+    ("A1~", 4, [2, 6, 14, 30, 59]),
+])
+def test_serre_ad_word_span_ranks(name, depth, ranks):
+    assert _serre_span_ranks(name, depth) == ranks
