@@ -6,15 +6,11 @@ it is strictly smaller than each of its proper suffixes.  Normal forms are
 computed by expanding bracketings in the free associative algebra and peeling
 off Lyndon leading terms: the expansion of the standard bracketing of a
 Lyndon word w is w plus lexicographically larger words of the same length,
-which makes the extraction triangular and canonical.  Expansion and
-extraction run on integer coefficients; `lie_bracket` clears the operands'
-denominators first and divides once at the end.
+which makes the extraction triangular and canonical.  Extraction never
+divides, so integer coefficients stay ints and rational ones stay exact.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 from .exact_math import SparseElement, add_into, add_term
 
@@ -252,6 +248,12 @@ class FreeLieElement(SparseElement):
     def generator(cls, label):
         return cls({(int(label),): 1})
 
+    def _assoc(self):
+        out = {}
+        for w, c in self.terms.items():
+            add_into(out, _expand_lyndon(w), c)
+        return out
+
     def __str__(self):
         if not self.terms:
             return "0"
@@ -283,26 +285,9 @@ def to_lyndon(expr: BracketExpr) -> FreeLieElement:
     return FreeLieElement(_extract_lyndon(expand(expr)))
 
 
-def _cleared_assoc(terms):
-    """(m, expansion of m * terms) with m the least common denominator of
-    the coefficients, so the expansion has integer coefficients."""
-    m = lcm(*(c.denominator for c in terms.values()))
-    out = {}
-    for w, c in terms.items():
-        add_into(out, _expand_lyndon(w), c.numerator * (m // c.denominator))
-    return m, out
-
-
 def lie_bracket(x: FreeLieElement, y: FreeLieElement) -> FreeLieElement:
-    """Bilinear bracket, result in Lyndon normal form.  The commutator and
-    the extraction run on integers; the one division is at the end."""
-    mx, px = _cleared_assoc(x.terms)
-    my, py = _cleared_assoc(y.terms)
-    out = _extract_lyndon(_commutator(px, py))
-    m = mx * my
-    if m != 1:
-        out = {w: Fraction(c, m) for w, c in out.items()}
-    return FreeLieElement(out)
+    """Bilinear bracket, result in Lyndon normal form."""
+    return FreeLieElement(_extract_lyndon(_commutator(x._assoc(), y._assoc())))
 
 
 def _mobius(n):
