@@ -32,10 +32,10 @@ from .freelie import (
 )
 from .loop import LoopElement, YIndex, bracket_loop, k_bracket_expand, omega_tilde, onsager_basis, y_affine
 from .onsager import (
+    AffineRealization,
+    FiniteRealization,
     Realization,
-    affine_realization,
     filtration_dims,
-    finite_realization,
     generation_check,
     psi_eval,
     realization_for,

@@ -184,29 +184,16 @@ def _coroot_coords_raw(a, d, root):
 
 
 def _affine_node_matches(a, node):
-    """Whether row/column `node` follows the extended-matrix pattern.
-
-    Deleting the node must leave a finite-type matrix whose highest root theta
-    satisfies a[node][j] = -alpha_j(h_theta) and a[j][node] = -theta(h_j).
-    """
-    n = len(a)
-    keep = [i for i in range(n) if i != node]
-    sub = _submatrix(a, keep)
+    """Whether `a`, with `node` moved first, is the affine extension of the
+    finite-type matrix left after deleting the node."""
+    order = [node] + [i for i in range(len(a)) if i != node]
+    sub = _submatrix(a, order[1:])
     if not _leading_minors_positive(sub):
         return False
     try:
-        theta = _closure.highest_root(sub)
-        d_sub = symmetrizer(sub)
-        ktheta = _coroot_coords_raw(sub, d_sub, theta)
+        return _submatrix(a, order) == _affine_extension(sub)
     except (ValueError, RuntimeError, NotSymmetrizable):
         return False
-    r = len(keep)
-    for jj, j in enumerate(keep):
-        want_row = -sum(ktheta[m] * sub[m][jj] for m in range(r))
-        want_col = -sum(theta[m] * sub[jj][m] for m in range(r))
-        if a[node][j] != want_row or a[j][node] != want_col:
-            return False
-    return True
 
 
 def validate(a, labels=None):
@@ -320,11 +307,7 @@ def preset(name):
         c = validate(fin, labels=tuple(range(1, rank + 1)))
         assert c.kind == FINITE
         return c
-    if family == "A" and rank == 1:
-        ext = ((2, -2), (-2, 2))
-    else:
-        ext = _affine_extension(fin)
-    c = validate(ext, labels=tuple(range(rank + 1)))
+    c = validate(_affine_extension(fin), labels=tuple(range(rank + 1)))
     assert c.kind == UNTWISTED_AFFINE and c.affine_node == 0
     return c
 

@@ -5,7 +5,8 @@ linear system chi([u, v]) = 0 over all basis pairs whose bracket stays inside
 a height window.  The solution space has one free parameter per generator
 whose Cartan column is even; for the symplectic types the solved functional
 has closed-form values, reproduced here and cross-checked against the linear
-solve.
+solve.  The fixed basis, its window and its bracket come from the
+realization, so the solve does not branch on the kind of matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from itertools import combinations
 from .cartan import CartanMatrix, preset
 from .chevalley import sp_structure_table
 from .exact_math import ExactMatrix, IncrementalSpan, add_into, nullspace_basis
-from .loop import YIndex, k_bracket_expand
-from .onsager import Realization, affine_realization, finite_realization
-from .roots import AffineRoot, RootSystem, height
+from .onsager import AffineRealization, FiniteRealization, Realization
+from .roots import AffineRoot, RootSystem
 
 
 class WindowTooSmall(ValueError):
@@ -58,51 +58,19 @@ class CharacterSpace:
         return len(self.basis)
 
 
-def _window_keys(rz: Realization, H):
-    """Fixed-basis indices of height <= H, with their heights."""
-    if rz.kind == "finite":
-        rs = rz.table.rs
-        return [(a, height(a)) for a in rs.positive_roots if height(a) <= H]
-    out = []
-    for gamma, mult in rz.affine.positive_up_to(H):
-        for i in range(1, mult + 1):
-            out.append((YIndex(gamma, i), rz.affine.height(gamma)))
-    return out
-
-
-def _bracket_coords(rz: Realization, u, v):
-    if rz.kind == "finite":
-        x = rz.table.y_basis(u)
-        y = rz.table.y_basis(v)
-        return rz.y_coordinates(rz.table.bracket(x, y))
-    return k_bracket_expand(rz.table, u, v)
-
-
-def _generator_keys(rz: Realization):
-    out = {}
-    if rz.kind == "finite":
-        n = rz.cartan.n
-        for pos, label in enumerate(rz.cartan.labels):
-            out[label] = tuple(1 if k == pos else 0 for k in range(n))
-        return out
-    for label in rz.cartan.labels:
-        out[label] = YIndex(rz.affine.simple_root(label))
-    return out
-
-
 def character_space(rz: Realization, H: int) -> CharacterSpace:
     """Solve chi([u, v]) = 0 over all window pairs; return the solution basis.
 
     Raises WindowTooSmall unless every basis vector of height <= H-1 appears
     in the expansion of some in-window bracket.
     """
-    keyed = _window_keys(rz, H)
+    keyed = rz.basis(H)
     keys = [k for k, _ in keyed]
     col = {k: j for j, k in enumerate(keys)}
     rows = []
     touched = set()
-    for (u, hu), (v, hv) in combinations(keyed, 2):
-        coords = _bracket_coords(rz, u, v)
+    for u, v in combinations(keys, 2):
+        coords = rz.basis_bracket(u, v)
         if not coords:
             continue
         if any(k not in col for k in coords):
@@ -127,7 +95,7 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
                 assert vec[j].is_rational
                 func[k] = vec[j].re
         basis.append(func)
-    return CharacterSpace(H, keys, basis, _generator_keys(rz))
+    return CharacterSpace(H, keys, basis, {lab: rz.generator_key(lab) for lab in rz.labels})
 
 
 @dataclass
@@ -230,8 +198,8 @@ def chi_affine(r, s, t, gamma: AffineRoot, i=1):
 def finite_character_realization(r):
     """Type-C realization on the displayed symplectic table (the basis the
     closed form refers to)."""
-    return finite_realization(preset("C%d" % r), sp_structure_table(r))
+    return FiniteRealization(preset("C%d" % r), sp_structure_table(r))
 
 
 def affine_character_realization(r):
-    return affine_realization(preset("C%d~" % r), sp_structure_table(r))
+    return AffineRealization(preset("C%d~" % r), sp_structure_table(r))

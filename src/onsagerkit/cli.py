@@ -35,7 +35,7 @@ from .characters import (
 )
 from .exact_math import GaussianRational
 from .freelie import ParseError, parse_bracket
-from .loop import YIndex, k_bracket_expand, onsager_basis, bracket_loop
+from .loop import YIndex, onsager_basis, bracket_loop
 from .onsager import psi_eval, realization_for
 from .roots import AffineData, AffineRoot, RootSystem, height, root_str
 from .serre_coeffs import coeff_table
@@ -170,16 +170,15 @@ def print_roots(report):
 def structconst_report(c, H):
     rz = realization_for(c)
     if c.kind == FINITE:
-        rs = rz.table.rs
         entries = []
         for a in sorted(rz.table.N):
             alpha, beta = a
             entries.append({"alpha": list(alpha), "beta": list(beta), "N": rz.table.N[a]})
+        keys = [k for k, _ in rz.basis(rz.table.rs.max_height)]
         pairs = []
-        for i, alpha in enumerate(rs.positive_roots):
-            for beta in rs.positive_roots[i + 1 :]:
-                x = rz.table.bracket(rz.table.y_basis(alpha), rz.table.y_basis(beta))
-                coords = rz.y_coordinates(x)
+        for i, alpha in enumerate(keys):
+            for beta in keys[i + 1 :]:
+                coords = rz.basis_bracket(alpha, beta)
                 pairs.append(
                     {
                         "lhs": [list(alpha), list(beta)],
@@ -206,13 +205,13 @@ def structconst_report(c, H):
                 assert val == onsager_basis(l - k)[1]
                 table.append({"lhs": ["A%d" % k, "A%d" % l], "rhs": "G%d" % (l - k)})
         return {"schema": SCHEMA, "kind": "structconst", "type": "onsager", "brackets": table}
-    indices = [YIndex(g, i) for g, m in ad.positive_up_to(H) for i in range(1, m + 1)]
+    indices = [k for k, _ in rz.basis(H)]
     pairs = []
     for a1 in indices:
         for a2 in indices:
             if a2 <= a1:
                 continue
-            coords = k_bracket_expand(rz.table, a1, a2)
+            coords = rz.basis_bracket(a1, a2)
             pairs.append(
                 {
                     "lhs": [yindex_json(a1), yindex_json(a2)],

@@ -158,38 +158,25 @@ def y_imag(i, k, rank):
 def y_coordinates(x: LoopElement, rank):
     """Coordinates of a fixed element over the positive-index fixed basis.
 
-    Raises NotExpandable when the element is not in that span (nonzero c or d
-    coefficient, a level-0 Cartan term, or mismatched opposite coefficients).
+    Each term is checked against its omega-tilde partner key, which must
+    carry the opposite coefficient.  Raises NotExpandable when the element is
+    not in that span (nonzero c or d coefficient, a level-0 Cartan term, or
+    mismatched opposite coefficients).
     """
     if "c" in x.terms or "d" in x.terms:
         raise NotExpandable("nonzero central/derivation coefficient")
     zero = (0,) * rank
     out = {}
-    seen = set()
-    for ((kind, val), k), v in x.terms.items():
-        if (kind, val, k) in seen:
-            continue
+    for (key, k), v in x.terms.items():
+        # a level-0 Cartan term is its own partner, so it fails here too
+        if x.terms.get((_omega_key(key), -k), 0) != -v:
+            raise NotExpandable("element is not involution-fixed")
+        kind, val = key
         if kind == "h":
-            if k == 0:
-                raise NotExpandable("level-0 Cartan term")
-            partner = (("h", val), -k)
-            if x.terms.get(partner, 0) != -v:
-                raise NotExpandable("element is not involution-fixed")
-            seen.add((kind, val, k))
-            seen.add((kind, val, -k))
-            lv, coeff = (k, v) if k > 0 else (-k, -v)
-            out[YIndex(AffineRoot(zero, lv), val + 1)] = coeff
-        else:
-            partner = (("e", _vneg(val)), -k)
-            if x.terms.get(partner, 0) != -v:
-                raise NotExpandable("element is not involution-fixed")
-            seen.add((kind, val, k))
-            seen.add(("e", _vneg(val), -k))
-            positive = k > 0 or (k == 0 and all(c >= 0 for c in val))
-            if positive:
-                out[YIndex(AffineRoot(val, k))] = v
-            else:
-                out[YIndex(AffineRoot(_vneg(val), -k))] = -v
+            if k > 0:
+                out[YIndex(AffineRoot(zero, k), val + 1)] = v
+        elif k > 0 or (k == 0 and all(c >= 0 for c in val)):
+            out[YIndex(AffineRoot(val, k))] = v
     return out
 
 

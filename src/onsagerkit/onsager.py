@@ -2,7 +2,9 @@
 
 The quotient algebra itself is never materialized; the evaluation map onto
 the fixed subalgebra (finite Chevalley or affine loop realization) together
-with exact rank computations carries all verification.  Bracket words are
+with exact rank computations carries all verification.  The realization
+classes are the one place that knows how the fixed basis is indexed for each
+kind of matrix; `realization_for` picks the class.  Bracket words are
 right-nested by default, which suffices to span every filtration level; an
 all-bracketings mode exists for cross-validation.
 """
@@ -11,38 +13,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, NotAffine
-from .chevalley import StructureTable, _vneg, build_chevalley
+from .cartan import FINITE, CartanMatrix
+from .chevalley import StructureTable, _omega_key, _vneg, build_chevalley
 from .exact_math import IncrementalSpan
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
-from .loop import NotExpandable, bracket_loop, e_at, from_finite, omega_tilde, y_coordinates
+from .loop import (
+    NotExpandable,
+    YIndex,
+    bracket_loop,
+    e_at,
+    from_finite,
+    k_bracket_expand,
+    omega_tilde,
+    y_coordinates,
+)
 from .roots import AffineData, height
 from .serre_coeffs import serre_relation
 
 
 class Realization:
-    """Images of the generators inside the fixed subalgebra.
+    """Images of the generators inside the fixed subalgebra, and the fixed
+    basis their brackets expand over.
 
-    Finite kind: Y_i = e_i - f_i in the Chevalley realization (labels 1..n).
-    Affine kind: Y_0 = E_0[1] - F_0[-1] with E_0 = e_{-theta}, F_0 = e_theta,
-    and Y_i = (e_i - f_i)[0] (labels 0..r).
+    A subclass fixes the basis: `bracket`, `y_coordinates` (coordinates of a
+    fixed element; raises NotExpandable for any other element), `basis(H)`
+    (the basis keys of height <= H with their heights, in (height, key)
+    order) and `basis_bracket(u, v)` (the bracket of two basis vectors,
+    expanded over the basis).
     """
 
-    def __init__(self, kind, cartan, table, affine=None, generators=None):
-        self.kind = kind
+    def __init__(self, cartan, table, generators):
         self.cartan = cartan
         self.table = table
-        self.affine = affine
         self.generators = generators
 
     @property
     def labels(self):
         return self.cartan.labels
-
-    def bracket(self, x, y):
-        if self.kind == "finite":
-            return self.table.bracket(x, y)
-        return bracket_loop(self.table, x, y)
 
     def generator(self, label):
         try:
@@ -50,59 +57,94 @@ class Realization:
         except KeyError:
             raise IndexError("generator label %r outside %r" % (label, self.labels))
 
+    def generator_key(self, label):
+        """The basis key of a generator: each Y_i is a single basis vector."""
+        (key,) = self.y_coordinates(self.generator(label))
+        return key
+
+    def height_mults(self, jmax):
+        """Number of basis vectors at each height 1..jmax."""
+        mults = [0] * jmax
+        for _, h in self.basis(jmax):
+            mults[h - 1] += 1
+        return mults
+
+
+class FiniteRealization(Realization):
+    """Y_i = e_i - f_i in the Chevalley realization (labels 1..n), over the
+    fixed basis y_alpha = e_alpha - e_{-alpha}, keyed by positive roots."""
+
+    def __init__(self, c: CartanMatrix, table: StructureTable = None):
+        if table is None:
+            table = build_chevalley(c)
+        gens = {}
+        for pos, label in enumerate(c.labels):
+            simple = tuple(1 if k == pos else 0 for k in range(c.n))
+            gens[label] = table.y_basis(simple)
+            assert table.omega(gens[label]) == gens[label]
+        super().__init__(c, table, gens)
+
+    def bracket(self, x, y):
+        return self.table.bracket(x, y)
+
     def y_coordinates(self, x):
-        """Coordinates over the fixed basis (positive roots / affine indices);
-        raises NotExpandable for an element outside the fixed subalgebra."""
-        if self.kind == "finite":
-            out = {}
-            for (kind, a), c in x.terms.items():
-                if kind == "h":
-                    raise NotExpandable("element has a Cartan part: not in the fixed subalgebra")
-                if x.terms.get(("e", _vneg(a))) != -c:
-                    raise NotExpandable("element is not involution-fixed")
-                if all(v >= 0 for v in a):
-                    out[a] = c
-            return out
+        out = {}
+        for key, c in x.terms.items():
+            # omega sends key to -_omega_key(key), and fixes no Cartan term
+            if x.terms.get(_omega_key(key)) != -c:
+                raise NotExpandable("element is not involution-fixed")
+            if all(v >= 0 for v in key[1]):
+                out[key[1]] = c
+        return out
+
+    def basis(self, H):
+        return [(a, height(a)) for a in self.table.rs.positive_roots if height(a) <= H]
+
+    def basis_bracket(self, u, v):
+        t = self.table
+        return self.y_coordinates(t.bracket(t.y_basis(u), t.y_basis(v)))
+
+
+class AffineRealization(Realization):
+    """Y_0 = E_0[1] - F_0[-1] with E_0 = e_{-theta}, F_0 = e_theta, and
+    Y_i = (e_i - f_i)[0], over the loop fixed basis keyed by YIndex."""
+
+    def __init__(self, c: CartanMatrix, table: StructureTable = None):
+        self.affine = aff = AffineData(c)
+        if table is None:
+            table = build_chevalley(aff.finite_cartan)
+        theta = aff.theta
+        gens = {}
+        finite_pos = 0
+        for pos, label in enumerate(c.labels):
+            if pos == c.affine_node:
+                # e_0 = e_{-theta}[1], f_0 = e_theta[-1]
+                gens[label] = e_at(_vneg(theta), 1) - e_at(theta, -1)
+            else:
+                simple = tuple(1 if k == finite_pos else 0 for k in range(aff.rank))
+                gens[label] = from_finite(table.y_basis(simple), 0)
+                finite_pos += 1
+        assert all(omega_tilde(g) == g for g in gens.values())
+        super().__init__(c, table, gens)
+
+    def bracket(self, x, y):
+        return bracket_loop(self.table, x, y)
+
+    def y_coordinates(self, x):
         return y_coordinates(x, self.affine.rank)
 
+    def basis(self, H):
+        aff = self.affine
+        return [(YIndex(g, i), aff.height(g)) for g, m in aff.positive_up_to(H) for i in range(1, m + 1)]
 
-def finite_realization(c: CartanMatrix, table: StructureTable = None) -> Realization:
-    if table is None:
-        table = build_chevalley(c)
-    gens = {}
-    for pos, label in enumerate(c.labels):
-        simple = tuple(1 if k == pos else 0 for k in range(c.n))
-        gens[label] = table.y_basis(simple)
-        assert table.omega(gens[label]) == gens[label]
-    return Realization("finite", c, table, generators=gens)
-
-
-def affine_realization(c: CartanMatrix, table: StructureTable = None) -> Realization:
-    if c.kind != UNTWISTED_AFFINE:
-        raise NotAffine("affine realization needs an untwisted affine matrix")
-    aff = AffineData(c)
-    if table is None:
-        table = build_chevalley(aff.finite_cartan)
-    theta = aff.theta
-    gens = {}
-    finite_pos = 0
-    for pos, label in enumerate(c.labels):
-        if pos == c.affine_node:
-            # e_0 = e_{-theta}[1], f_0 = e_theta[-1]
-            neg_theta = tuple(-v for v in theta)
-            gens[label] = e_at(neg_theta, 1) - e_at(theta, -1)
-        else:
-            simple = tuple(1 if k == finite_pos else 0 for k in range(aff.rank))
-            gens[label] = from_finite(table.y_basis(simple), 0)
-            finite_pos += 1
-    assert all(omega_tilde(g) == g for g in gens.values())
-    return Realization("affine", c, table, affine=aff, generators=gens)
+    def basis_bracket(self, u, v):
+        return k_bracket_expand(self.table, u, v)
 
 
 def realization_for(c: CartanMatrix, table=None) -> Realization:
     if c.kind == FINITE:
-        return finite_realization(c, table)
-    return affine_realization(c, table)
+        return FiniteRealization(c, table)
+    return AffineRealization(c, table)
 
 
 def relations(c: CartanMatrix):
@@ -159,16 +201,10 @@ class GenerationReport:
         return self.rank == self.expected
 
 
-def _expected_height_mults(rz: Realization, jmax):
-    if rz.kind == "finite":
-        rs = rz.table.rs
-        return [sum(1 for a in rs.positive_roots if height(a) == j) for j in range(1, jmax + 1)]
-    mults = rz.affine.mult_by_height(jmax)
-    return [mults.get(j, 0) for j in range(1, jmax + 1)]
-
-
-def _span_ranks(rz: Realization, jmax):
-    """Ranks of the spans L_1 <= L_2 <= ... of evaluated right-nested words.
+def filtration_dims(rz: Realization, jmax: int) -> FiltrationReport:
+    """dims[j] = dim L_j - dim L_{j-1} for the spans L_1 <= L_2 <= ... of
+    evaluated right-nested words, compared with the graded multiplicities of
+    the fixed basis.
 
     Word images of length j+1 are [Y_i, w] over length-j words, and
     L_{j+1} = L_j + sum_i [Y_i, L_j], so it suffices to bracket generators
@@ -177,13 +213,10 @@ def _span_ranks(rz: Realization, jmax):
     """
     gens = [rz.generators[lab] for lab in rz.labels]
     span = IncrementalSpan()
-    ranks = []
-    fresh = []
-    for x in gens:
-        if span.add(rz.y_coordinates(x)):
-            fresh.append(x)
-    ranks.append(span.rank)
+    fresh = [x for x in gens if span.add(rz.y_coordinates(x))]
+    dims = [span.rank]
     for _ in range(2, jmax + 1):
+        prev = span.rank
         nxt = []
         for g in gens:
             for w in fresh:
@@ -191,24 +224,15 @@ def _span_ranks(rz: Realization, jmax):
                 if span.add(rz.y_coordinates(x)):
                     nxt.append(x)
         fresh = nxt
-        ranks.append(span.rank)
-    return ranks
-
-
-def filtration_dims(rz: Realization, jmax: int) -> FiltrationReport:
-    """dims[j] = dim L_j - dim L_{j-1} from evaluated right-nested words,
-    compared with the graded multiplicities of the root system."""
-    ranks = _span_ranks(rz, jmax)
-    dims = [ranks[0]] + [ranks[j] - ranks[j - 1] for j in range(1, jmax)]
-    return FiltrationReport(jmax, dims, _expected_height_mults(rz, jmax))
+        dims.append(span.rank - prev)
+    return FiltrationReport(jmax, dims, rz.height_mults(jmax))
 
 
 def generation_check(rz: Realization, H: int) -> GenerationReport:
     """Rank of words of length <= H against the count of fixed-basis vectors
     of height <= H (surjectivity of evaluation onto each level)."""
-    ranks = _span_ranks(rz, H)
-    expected = sum(_expected_height_mults(rz, H))
-    return GenerationReport(H, ranks[-1], expected)
+    rep = filtration_dims(rz, H)
+    return GenerationReport(H, sum(rep.dims), sum(rep.expected))
 
 
 def all_bracket_words(labels, length):
@@ -234,4 +258,4 @@ def filtration_dims_all_words(rz: Realization, jmax: int) -> FiltrationReport:
             span.add(rz.y_coordinates(psi_eval(rz, expr)))
         dims.append(span.rank - prev)
         prev = span.rank
-    return FiltrationReport(jmax, dims, _expected_height_mults(rz, jmax))
+    return FiltrationReport(jmax, dims, rz.height_mults(jmax))

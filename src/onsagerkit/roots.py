@@ -54,6 +54,7 @@ class RootSystem:
             key=lambda v: (height(v), v),
         )
         self._all = frozenset(all_roots)
+        self._coroot = {a: _coroot_coords_raw(cartan.a, cartan.d, a) for a in self._all}
         dmax = max(cartan.d)
         self.form = tuple(
             tuple(Fraction(cartan.d[i] * cartan.a[i][j], dmax) for j in range(n))
@@ -100,10 +101,10 @@ class RootSystem:
 
     def coroot_coords(self, alpha):
         """Integer coordinates k_i with h_alpha = sum_i k_i(alpha) h_i."""
-        alpha = tuple(alpha)
-        if alpha not in self._all:
-            raise NotARoot("%r is not a root" % (alpha,))
-        return _coroot_coords_raw(self.cartan.a, self.cartan.d, alpha)
+        try:
+            return self._coroot[tuple(alpha)]
+        except KeyError:
+            raise NotARoot("%r is not a root" % (alpha,)) from None
 
     def chain_p(self, alpha, beta):
         """Largest p with beta - p*alpha a root."""
@@ -130,10 +131,6 @@ class AffineRoot:
     @property
     def is_imaginary(self):
         return not any(self.finite)
-
-    @property
-    def is_real(self):
-        return any(self.finite)
 
     def __neg__(self):
         return AffineRoot(tuple(-c for c in self.finite), -self.level)
@@ -202,14 +199,6 @@ class AffineData:
                     out.append((AffineRoot(alpha, k), 1))
             k += 1
         out.sort(key=lambda pair: (self.height(pair[0]), pair[0]))
-        return out
-
-    def mult_by_height(self, H):
-        """dict height -> total multiplicity of positive roots at that height."""
-        out = {}
-        for gamma, m in self.positive_up_to(H):
-            h = self.height(gamma)
-            out[h] = out.get(h, 0) + m
         return out
 
 

@@ -13,14 +13,8 @@ from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, preset
 from .characters import character_space, even_column_set
 from .chevalley import preset_table, sl_realization, sp_sign_reconciliation, sp_realization, verify_gl_presentation
 from .exact_math import add_into
-from .loop import YIndex, bracket_loop, k_bracket_expand, onsager_basis
-from .onsager import (
-    Realization,
-    filtration_dims,
-    generation_check,
-    psi_eval,
-    realization_for,
-)
+from .loop import YIndex, bracket_loop, onsager_basis
+from .onsager import Realization, filtration_dims, psi_eval, realization_for
 from .roots import AffineRoot
 from .serre_coeffs import serre_relation
 
@@ -49,17 +43,18 @@ def check_relations_killed(c: CartanMatrix, rz: Realization):
     return name, True, "%d relations" % (len(labels) * (len(labels) - 1))
 
 
-def check_filtration(c: CartanMatrix, rz: Realization, jmax):
-    rep = filtration_dims(rz, jmax)
-    name = "graded dimensions match root multiplicities (jmax=%d)" % jmax
-    detail = "dims %s expected %s" % (rep.dims, rep.expected)
-    return name, rep.matches, detail
-
-
-def check_generation(c: CartanMatrix, rz: Realization, H):
-    rep = generation_check(rz, H)
-    name = "evaluated bracket words span every level up to height %d" % H
-    return name, rep.matches, "rank %d expected %d" % (rep.rank, rep.expected)
+def check_word_span(rz: Realization, jmax, height):
+    """Two rows read off one span of evaluated words up to max(jmax, height):
+    the graded dimensions up to jmax, and the total rank up to height."""
+    rep = filtration_dims(rz, max(jmax, height))
+    dims, expected = rep.dims[:jmax], rep.expected[:jmax]
+    rank, want = sum(rep.dims[:height]), sum(rep.expected[:height])
+    return [
+        ("graded dimensions match root multiplicities (jmax=%d)" % jmax,
+         dims == expected, "dims %s expected %s" % (dims, expected)),
+        ("evaluated bracket words span every level up to height %d" % height,
+         rank == want, "rank %d expected %d" % (rank, want)),
+    ]
 
 
 def check_character_dimension(c: CartanMatrix, rz: Realization, H):
@@ -160,8 +155,7 @@ def _expected_y_bracket(rz, idx1, idx2):
 def check_affine_structure_constants(rz: Realization, level_bound=2):
     """Fixed-basis bracket expansions against their closed forms, with
     integrality of every coefficient."""
-    t = rz.table
-    rs = t.rs
+    rs = rz.table.rs
     r = rs.rank
     zero = (0,) * r
     name = "fixed-basis bracket expansions match closed forms"
@@ -175,7 +169,7 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
                 indices.append(YIndex(AffineRoot(zero, l), i))
     for idx1 in indices:
         for idx2 in indices:
-            got = k_bracket_expand(t, idx1, idx2)
+            got = rz.basis_bracket(idx1, idx2)
             want = _expected_y_bracket(rz, idx1, idx2)
             if got != want:
                 return name, False, "[%s, %s] expansion differs" % (idx1, idx2)
@@ -220,8 +214,7 @@ def verification_suite(c: CartanMatrix, jmax=None, height=None):
         jmax = jmax or maxht
         height = height or maxht
         rows.append(check_relations_killed(c, rz))
-        rows.append(check_filtration(c, rz, jmax))
-        rows.append(check_generation(c, rz, height))
+        rows += check_word_span(rz, jmax, height)
         rows.append(check_character_dimension(c, rz, maxht))
         name = c.typename or ""
         if name.startswith("C") and c.n <= 4 and c.a == preset("C%d" % c.n).a:
@@ -233,8 +226,7 @@ def verification_suite(c: CartanMatrix, jmax=None, height=None):
     elif c.kind == UNTWISTED_AFFINE:
         jmax = jmax or 6
         rows.append(check_relations_killed(c, rz))
-        rows.append(check_filtration(c, rz, jmax))
-        rows.append(check_generation(c, rz, height or jmax))
+        rows += check_word_span(rz, jmax, height or jmax)
         delta = rz.affine.delta_height
         if 2 * delta + 2 <= 20:
             rows.append(check_character_dimension(c, rz, 2 * delta + 2))

@@ -195,3 +195,40 @@ def test_det_matches_leibniz_expansion(a):
     from onsagerkit.cartan import _det
 
     assert _det(a) == _leibniz_det(a)
+
+
+def test_affine_precheck_rejects_extended_g2_plus_a1():
+    # G2~ (+) A1: deleting node 3 leaves G2 (+) A1, and row/column 3 extend
+    # its G2 part, so the node test alone would call this affine at node 3;
+    # the pre-check (det 0, every proper principal submatrix finite) rejects
+    # it, because deleting node 2 leaves G2~
+    assert validate([[2, -1, 0, -1], [-3, 2, 0, 0], [0, 0, 2, 0], [-1, 0, 0, 2]]).kind == OTHER
+
+
+# the node validate reports for each affine preset with its extra node moved to
+# position 0, 1, ...: a diagram symmetry can make an earlier node match first
+AFFINE_NODE = {
+    "A1~": "00", "A2~": "000", "A3~": "0000", "A4~": "00000", "A5~": "000000", "A6~": "0000000",
+    "A7~": "00000000", "A8~": "000000000", "B2~": "000", "B3~": "0000", "B4~": "00000",
+    "B5~": "000000", "B6~": "0000000", "B7~": "00000000", "B8~": "000000000", "C1~": "00",
+    "C2~": "011", "C3~": "0122", "C4~": "01233", "C5~": "012344", "C6~": "0123455",
+    "C7~": "01234566", "C8~": "012345677", "D4~": "00000", "D5~": "000000", "D6~": "0000000",
+    "D7~": "00000000", "D8~": "000000000", "G2~": "012", "F4~": "01234", "E6~": "0000000",
+    "E7~": "01234566", "E8~": "012345678",
+}
+# typenames that differ from the preset name (C1 is A1; B2 and C2 share a diagram)
+RENAMED = {("C1~", 0): "A1~", ("C1~", 1): "A1~", ("B2~", 2): "C2~"}
+
+
+@pytest.mark.parametrize("name", [n for n in preset_names(8) if n.endswith("~")])
+def test_affine_node_found_at_every_position(name):
+    a = preset(name).a
+    n = len(a)
+    assert len(AFFINE_NODE[name]) == n
+    for pos in range(n):
+        order = list(range(1, n))
+        order.insert(pos, 0)
+        c = validate([[a[i][j] for j in order] for i in order])
+        assert c.kind == UNTWISTED_AFFINE
+        assert c.typename == RENAMED.get((name, pos), name)
+        assert c.affine_node == int(AFFINE_NODE[name][pos])

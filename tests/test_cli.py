@@ -139,3 +139,78 @@ def test_chars_closed_form_columns(capsys):
     assert code == 0
     assert "DIFFERS" not in out
     assert "dimension: 2" in out
+
+
+# verify rows with jmax != height, in both directions (bench/golden.json only
+# pins jmax == height)
+VERIFY_ROWS = {
+    ("A2~", 3, 5): [
+        "PASS  inhomogeneous Serre relations evaluate to zero (6 relations)",
+        "PASS  graded dimensions match root multiplicities (jmax=3) (dims [3, 3, 2] expected [3, 3, 2])",
+        "PASS  evaluated bracket words span every level up to height 5 (rank 14 expected 14)",
+        "PASS  character space dimension equals the even-column count (dim 0 expected 0 (window 8))",
+        "PASS  fixed-basis bracket expansions match closed forms (1444 index pairs, levels |l| <= 2)",
+    ],
+    ("A2~", 5, 3): [
+        "PASS  inhomogeneous Serre relations evaluate to zero (6 relations)",
+        "PASS  graded dimensions match root multiplicities (jmax=5) (dims [3, 3, 2, 3, 3] expected [3, 3, 2, 3, 3])",
+        "PASS  evaluated bracket words span every level up to height 3 (rank 8 expected 8)",
+        "PASS  character space dimension equals the even-column count (dim 0 expected 0 (window 8))",
+        "PASS  fixed-basis bracket expansions match closed forms (1444 index pairs, levels |l| <= 2)",
+    ],
+    ("C2", 2, 4): [
+        "PASS  inhomogeneous Serre relations evaluate to zero (2 relations)",
+        "PASS  graded dimensions match root multiplicities (jmax=2) (dims [2, 1] expected [2, 1])",
+        "PASS  evaluated bracket words span every level up to height 4 (rank 4 expected 4)",
+        "PASS  character space dimension equals the even-column count (dim 1 expected 1 (window 3))",
+        "PASS  gl_2 presentation through the fixed-subalgebra isomorphism (all 4 relation checks)",
+        "PASS  symplectic realization matches its table and reconciles with the generic one (rank 2)",
+    ],
+    ("C2", 4, 2): [
+        "PASS  inhomogeneous Serre relations evaluate to zero (2 relations)",
+        "PASS  graded dimensions match root multiplicities (jmax=4) (dims [2, 1, 1, 0] expected [2, 1, 1, 0])",
+        "PASS  evaluated bracket words span every level up to height 2 (rank 3 expected 3)",
+        "PASS  character space dimension equals the even-column count (dim 1 expected 1 (window 3))",
+        "PASS  gl_2 presentation through the fixed-subalgebra isomorphism (all 4 relation checks)",
+        "PASS  symplectic realization matches its table and reconciles with the generic one (rank 2)",
+    ],
+}
+
+
+@pytest.mark.parametrize("name,jmax,height", sorted(VERIFY_ROWS))
+def test_verify_rows_with_jmax_and_height_apart(capsys, name, jmax, height):
+    code, out, _ = run_cli(capsys, "verify", "--preset", name, "--jmax", str(jmax), "--height", str(height))
+    assert code == 0
+    assert out.splitlines() == VERIFY_ROWS[name, jmax, height]
+
+
+@pytest.mark.parametrize(
+    "name,expr,text,terms",
+    [
+        ("A2", "[B1,B2]", "[B1,B2] -> -y(a1+a2)",
+         [{"basis": "y(a1+a2)", "coeff": "-1", "coords": [1, 1]}]),
+        ("C2~", "[B1,[B0,B2]]", "[B1,[B0,B2]] -> 0", []),
+    ],
+)
+def test_eval_outputs_pinned(capsys, name, expr, text, terms):
+    code, out, _ = run_cli(capsys, "eval", "--preset", name, expr)
+    assert code == 0 and out == text + "\n"
+    code, out, _ = run_cli(capsys, "eval", "--json", "--preset", name, expr)
+    assert code == 0
+    assert json.loads(out) == {"expr": expr, "kind": "eval", "schema": 1, "terms": terms}
+
+
+def test_verify_builds_one_word_span(capsys, monkeypatch):
+    # the graded-dimension and generation rows are read off one span
+    built = []
+
+    class CountingSpan(onsager.IncrementalSpan):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(onsager, "IncrementalSpan", CountingSpan)
+    for name, jmax, height in (("A2~", "3", "5"), ("C2", "4", "2")):
+        built.clear()
+        code, _, _ = run_cli(capsys, "verify", "--preset", name, "--jmax", jmax, "--height", height)
+        assert code == 0 and len(built) == 1, name

@@ -1,15 +1,15 @@
 import pytest
 
-from onsagerkit.cartan import preset, validate
+from onsagerkit.cartan import FINITE, preset, validate
 from onsagerkit.chevalley import preset_table
 from onsagerkit.freelie import parse_bracket, to_lyndon
-from onsagerkit.loop import NotExpandable
+from onsagerkit.loop import NotExpandable, y_affine
 from onsagerkit.onsager import (
-    affine_realization,
+    AffineRealization,
+    FiniteRealization,
     all_bracket_words,
     filtration_dims,
     filtration_dims_all_words,
-    finite_realization,
     generation_check,
     psi_eval,
     realization_for,
@@ -34,7 +34,7 @@ def test_relations_examples():
 
 
 def test_psi_generator_images():
-    rz = finite_realization(preset("A2"))
+    rz = FiniteRealization(preset("A2"))
     t = rz.table
     y1 = psi_eval(rz, parse_bracket("B1"))
     assert y1 == t.e((1, 0)) - t.e((-1, 0))
@@ -43,7 +43,7 @@ def test_psi_generator_images():
 def test_psi_single_term_example():
     # [B1, B2] evaluates onto a single fixed-basis vector because
     # alpha_1 - alpha_2 is not a root
-    rz = finite_realization(preset("A2"))
+    rz = FiniteRealization(preset("A2"))
     val = psi_eval(rz, parse_bracket("[B1,B2]"))
     coords = rz.y_coordinates(val)
     n = rz.table.n_value((1, 0), (0, 1))
@@ -53,7 +53,7 @@ def test_psi_single_term_example():
 
 def test_psi_short_relation_image():
     # a_12 = -1, so [B1,[B1,B2]] = -B2 in the quotient; the images agree
-    rz = finite_realization(preset("A2"))
+    rz = FiniteRealization(preset("A2"))
     val = psi_eval(rz, parse_bracket("[B1,[B1,B2]]"))
     y2 = rz.generator(2)
     assert val == -1 * y2
@@ -71,11 +71,11 @@ def test_psi_kills_relations(name):
 
 
 def test_psi_index_error():
-    rz = finite_realization(preset("A2"))
+    rz = FiniteRealization(preset("A2"))
     with pytest.raises(IndexError):
         psi_eval(rz, parse_bracket("B3"))
     # affine labels start at 0
-    rza = affine_realization(preset("A1~"))
+    rza = AffineRealization(preset("A1~"))
     psi_eval(rza, parse_bracket("B0"))
     with pytest.raises(IndexError):
         psi_eval(rza, parse_bracket("B2"))
@@ -101,10 +101,10 @@ def test_filtration_dims(name, jmax, dims):
 
 
 def test_generation_check_examples():
-    rz = finite_realization(preset("C2"))
+    rz = FiniteRealization(preset("C2"))
     rep = generation_check(rz, rz.table.rs.max_height)
     assert rep.matches and rep.rank == len(rz.table.rs.positive_roots)
-    rza = affine_realization(preset("A1~"))
+    rza = AffineRealization(preset("A1~"))
     rep4 = generation_check(rza, 4)
     assert rep4.rank == 6 and rep4.matches
     rep1 = generation_check(rza, 1)
@@ -144,14 +144,14 @@ def test_all_bracket_words_count():
 def test_affine_realization_nonstandard_node_order():
     # same A1 affine matrix but with the affine node listed second
     c = validate([[2, -2], [-2, 2]], labels=(1, 0))
-    rz = affine_realization(c)
+    rz = AffineRealization(c)
     for rel in relations(c):
         assert psi_eval(rz, rel).is_zero()
 
 
 def test_finite_coordinates_reject_unfixed_elements():
     # raised, not asserted, so the check survives python -O
-    rz = finite_realization(preset("A2"))
+    rz = FiniteRealization(preset("A2"))
     t = preset_table("A2")
     assert rz.y_coordinates(t.y_basis((1, 1))) == {(1, 1): 1}
     with pytest.raises(NotExpandable):
@@ -159,3 +159,46 @@ def test_finite_coordinates_reject_unfixed_elements():
     for alpha in ((1, 0), (-1, -1)):
         with pytest.raises(NotExpandable):
             rz.y_coordinates(t.e(alpha))
+
+
+@pytest.mark.parametrize("name", ["C2", "G2~"])
+def test_basis_bracket_is_antisymmetric_over_the_chars_window(name):
+    c = preset(name)
+    rz = realization_for(c)
+    H = rz.table.rs.max_height if c.kind == FINITE else 2 * rz.affine.delta_height + 2
+    keys = [k for k, _ in rz.basis(H)]
+    for i, u in enumerate(keys):
+        for v in keys[i:]:
+            uv = rz.basis_bracket(u, v)
+            assert uv == {k: -x for k, x in rz.basis_bracket(v, u).items()}, (u, v)
+            if u == v:
+                assert uv == {}
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "A1~", "C2~", "G2~"])
+def test_basis_is_ordered_by_height_then_key(name):
+    rz = realization_for(preset(name))
+    basis = rz.basis(9)
+    assert basis == sorted(basis, key=lambda kh: (kh[1], kh[0]))
+    assert all(1 <= h <= 9 for _, h in basis)
+
+
+@pytest.mark.parametrize(
+    "a,labels",
+    [
+        (preset("A2").a, (1, 2)),
+        (preset("A1~").a, (0, 1)),
+        (preset("A1~").a, (1, 0)),
+        (preset("C2~").a, (1, 2, 3)),  # as read from a matrix file: node 0 labelled 1
+        (((2, -3, 0), (-1, 2, -1), (0, -1, 2)), (1, 2, 3)),  # G2~ with its extra node last
+    ],
+)
+def test_generator_key_is_the_generators_basis_vector(a, labels):
+    c = validate(a, labels=labels)
+    rz = realization_for(c)
+    for lab in c.labels:
+        key = rz.generator_key(lab)
+        if c.kind == FINITE:
+            assert rz.table.y_basis(key) == rz.generator(lab)
+        else:
+            assert y_affine(key) == rz.generator(lab)

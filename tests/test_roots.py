@@ -1,6 +1,7 @@
 import pytest
 
 from onsagerkit.cartan import NotFinite, preset
+from onsagerkit.onsager import realization_for
 from onsagerkit.roots import (
     AffineData,
     AffineRoot,
@@ -103,20 +104,20 @@ def test_affine_height_one_is_simples():
 
 
 def test_affine_multiplicities():
-    ad = AffineData(preset("C2~"))
-    mults = ad.mult_by_height(8)
-    assert mults[ad.delta_height] == 2  # imaginary delta has multiplicity r
+    rz = realization_for(preset("C2~"))
+    mults = rz.height_mults(8)
+    assert mults[rz.affine.delta_height - 1] == 2  # imaginary delta has multiplicity r
 
 
 @pytest.mark.parametrize("name", ["A1~", "C2~"])
 def test_affine_window_symmetry(name):
     # loop periodicity: total multiplicity at height j equals that at
     # ht(delta)*m - j, with height 0 reading as the rank (level-0 Cartan)
-    ad = AffineData(preset(name))
+    rz = realization_for(preset(name))
     H = 8
-    mult = ad.mult_by_height(H)
-    mult[0] = ad.rank
-    hd = ad.delta_height
+    mult = dict(enumerate(rz.height_mults(H), 1))
+    mult[0] = rz.affine.rank
+    hd = rz.affine.delta_height
     m = 1
     while m * hd <= H:
         lo = (m - 1) * hd + 1
