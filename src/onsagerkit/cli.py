@@ -289,9 +289,11 @@ def chars_report(c, H=None):
         H = H or 2 * rz.affine.delta_height + 2
     space = character_space(rz, H)
     values = []
+    # the generator values are keyed by the realization's labels, which are
+    # the preset's: a --matrix-file with the same rows is labelled 1..n
     if c_finite:
         r = c.n
-        func = character_from_values(space, {lab: (Fraction(1) if lab == r else 0) for lab in c.labels})
+        func = character_from_values(space, {lab: (Fraction(1) if lab == r else 0) for lab in rz.labels})
         for alpha in space.keys:
             values.append(
                 {
@@ -304,7 +306,7 @@ def chars_report(c, H=None):
         r = c.n - 1
         s, t = Fraction(1), Fraction(1, 2)
         func = character_from_values(
-            space, {lab: (s if lab == 0 else t if lab == r else 0) for lab in c.labels}
+            space, {lab: (s if lab == 0 else t if lab == r else 0) for lab in rz.labels}
         )
         for idx in space.keys:
             values.append(

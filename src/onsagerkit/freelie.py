@@ -2,17 +2,20 @@
 
 Generators carry integer labels (any distinct integers; finite realizations
 use 1..n, affine ones 0..r).  Words are label tuples; a word is Lyndon when
-it is strictly smaller than each of its proper suffixes.  Normal forms are
-computed by expanding bracketings in the free associative algebra and peeling
-off Lyndon leading terms: the expansion of the standard bracketing of a
-Lyndon word w is w plus lexicographically larger words of the same length,
-which makes the extraction triangular and canonical.  Extraction never
-divides, so integer coefficients stay ints and rational ones stay exact.
+it is strictly smaller than each of its proper suffixes.  Elements are
+combinations of the standard bracketings P_w of Lyndon words w, and the
+bracket is computed on the words themselves: [P_u, P_v] is P_uv when (u, v)
+is the standard factorization of uv, and otherwise is rewritten by Jacobi
+through u's standard factorization, memoized per word pair.  Bracket
+expressions fold through that bracket.  Nothing divides, so integer
+coefficients stay ints and rational ones stay exact.
 """
 
 from __future__ import annotations
 
-from .exact_math import SparseElement, add_into, add_term
+import functools
+
+from .exact_math import SparseElement, add_into, bilinear
 
 
 class ParseError(ValueError):
@@ -28,11 +31,12 @@ class UnbalancedBracketError(ParseError):
 
 
 class NotALieElement(Exception):
-    """An associative element met in Lyndon extraction is not a Lie element.
+    """A word met by the Lyndon-word bracket is not Lyndon, so the operand
+    is not written in the Lyndon basis.
 
-    A bug signal, not bad input: every bracketing expands to a Lie element.
-    So it is deliberately not a ValueError, which the CLI reports as a usage
-    error.
+    A bug signal, not bad input: every element the program builds is in the
+    Lyndon basis.  So it is deliberately not a ValueError, which the CLI
+    reports as a usage error.
     """
 
 
@@ -175,10 +179,9 @@ def standard_factorization(word):
     """(u, v) with word = u + v and v the longest proper Lyndon suffix."""
     if len(word) < 2:
         raise ValueError("a word of length %d has no standard factorization" % len(word))
-    for i in range(1, len(word)):
-        if is_lyndon(word[i:]):
-            return word[:i], word[i:]
-    raise ValueError("not factorizable; %r is not Lyndon" % (word,))
+    # every one-letter suffix is Lyndon, so the search always succeeds
+    i = next(i for i in range(1, len(word)) if is_lyndon(word[i:]))
+    return word[:i], word[i:]
 
 
 def lyndon_bracketing(word) -> BracketExpr:
@@ -189,53 +192,31 @@ def lyndon_bracketing(word) -> BracketExpr:
     return BracketExpr.node(lyndon_bracketing(u), lyndon_bracketing(v))
 
 
-# Memo of word expansions; callers only read the entries, never mutate them.
-_EXPAND_CACHE = {}
+# Memoized; callers only read the returned dicts, never mutate them.
+@functools.lru_cache(maxsize=None)
+def _word_bracket(u, v):
+    """[P_u, P_v] in the Lyndon basis (dict word -> int), for Lyndon words u
+    and v with standard bracketings P_u and P_v.
 
-
-def _expand_lyndon(word):
-    """Associative expansion (dict word -> int coeff) of the standard
-    bracketing of a Lyndon word; memoized."""
-    cached = _EXPAND_CACHE.get(word)
-    if cached is not None:
-        return cached
-    if len(word) == 1:
-        out = {word: 1}
-    else:
-        u, v = standard_factorization(word)
-        out = _commutator(_expand_lyndon(u), _expand_lyndon(v))
-    _EXPAND_CACHE[word] = out
-    return out
-
-
-def _concat_product(p, q):
-    out = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            add_term(out, w1 + w2, c1 * c2)
-    return out
-
-
-def _commutator(p, q):
-    return add_into(_concat_product(p, q), _concat_product(q, p), -1)
-
-
-def _extract_lyndon(assoc):
-    """Write an associative-algebra Lie element in the Lyndon basis.
-
-    Repeatedly peels the (length, lex)-smallest word, which must be Lyndon
-    for a genuine Lie element.  Its expansion has coefficient 1 on the word
-    itself, so peeling never divides: integer input gives integer output.
+    For u < v, uv is Lyndon with standard factorization (u, v) when u is a
+    letter or u = u1 u2 (standard factorization) has u2 >= v; then the
+    bracket is P_uv.  Otherwise P_u = [P_u1, P_u2] and Jacobi gives
+    [P_u1, [P_u2, P_v]] - [P_u2, [P_u1, P_v]] (Reutenauer, Free Lie
+    Algebras, 1993, ch. 5).  Never divides, so coefficients are ints.
     """
-    assoc = {w: c for w, c in assoc.items() if c}
-    out = {}
-    while assoc:
-        w = min(assoc, key=lambda t: (len(t), t))
+    for w in (u, v):
         if not is_lyndon(w):
-            raise NotALieElement("leading word %r is not Lyndon: not a Lie element" % (w,))
-        c = assoc[w]
-        add_into(assoc, _expand_lyndon(w), -c)
-        out[w] = c
+            raise NotALieElement("word %r is not Lyndon: not a Lie basis element" % (w,))
+    if u == v:
+        out = {}
+    elif u > v:
+        out = {w: -c for w, c in _word_bracket(v, u).items()}
+    elif len(u) == 1 or standard_factorization(u)[1] >= v:
+        out = {u + v: 1}
+    else:
+        u1, u2 = standard_factorization(u)
+        out = add_into(bilinear(_word_bracket, {u1: 1}, _word_bracket(u2, v)),
+                       bilinear(_word_bracket, {u2: 1}, _word_bracket(u1, v)), -1)
     return out
 
 
@@ -247,12 +228,6 @@ class FreeLieElement(SparseElement):
     @classmethod
     def generator(cls, label):
         return cls({(int(label),): 1})
-
-    def _assoc(self):
-        out = {}
-        for w, c in self.terms.items():
-            add_into(out, _expand_lyndon(w), c)
-        return out
 
     def __str__(self):
         if not self.terms:
@@ -277,17 +252,17 @@ class FreeLieElement(SparseElement):
 def to_lyndon(expr: BracketExpr) -> FreeLieElement:
     """Image of a bracket expression in the Lyndon basis."""
 
-    def expand(e):
+    def fold(e):
         if e.is_leaf:
-            return {(e.label,): 1}
-        return _commutator(expand(e.left), expand(e.right))
+            return FreeLieElement.generator(e.label)
+        return lie_bracket(fold(e.left), fold(e.right))
 
-    return FreeLieElement(_extract_lyndon(expand(expr)))
+    return fold(expr)
 
 
 def lie_bracket(x: FreeLieElement, y: FreeLieElement) -> FreeLieElement:
     """Bilinear bracket, result in Lyndon normal form."""
-    return FreeLieElement(_extract_lyndon(_commutator(x._assoc(), y._assoc())))
+    return FreeLieElement(bilinear(_word_bracket, x.terms, y.terms))
 
 
 def _mobius(n):

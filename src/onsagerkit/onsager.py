@@ -249,13 +249,27 @@ def all_bracket_words(labels, length):
 
 def filtration_dims_all_words(rz: Realization, jmax: int) -> FiltrationReport:
     """Cross-validation mode: spans from all bracketings, not only the
-    right-nested generating family."""
+    right-nested generating family.
+
+    The span receives psi_eval of each entry of all_bracket_words(rz.labels, j)
+    for j = 1..jmax, in that order, but no tree is evaluated from its leaves:
+    a bracketing of length j brackets one of length k with one of length j-k,
+    so the images of every bracketing shorter than jmax are kept, in
+    all_bracket_words order, and each image costs one bracket of two stored
+    halves.
+    """
     span = IncrementalSpan()
+    images = {}
     dims = []
-    prev = 0
     for j in range(1, jmax + 1):
-        for expr in all_bracket_words(rz.labels, j):
-            span.add(rz.y_coordinates(psi_eval(rz, expr)))
-        dims.append(span.rank - prev)
         prev = span.rank
+        if j == 1:
+            level = (rz.generator(lab) for lab in rz.labels)
+        else:
+            level = (rz.bracket(x, y) for k in range(1, j) for x in images[k] for y in images[j - k])
+        if j < jmax:
+            level = images[j] = list(level)
+        for x in level:
+            span.add(rz.y_coordinates(x))
+        dims.append(span.rank - prev)
     return FiltrationReport(jmax, dims, rz.height_mults(jmax))

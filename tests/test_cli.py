@@ -109,6 +109,23 @@ def test_matrix_file_source(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["C2~", "A1~"])
+def test_chars_closed_form_from_matrix_file(tmp_path, capsys, name):
+    # the file's labels are 1..n, the closed-form realization's those of the
+    # preset (0..r); the closed-form rows must not depend on the labelling
+    from onsagerkit.cartan import preset
+
+    path = tmp_path / "m.txt"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in preset(name).a))
+    code, want, _ = run_cli(capsys, "chars", "--preset", name)
+    assert code == 0
+    code, got, err = run_cli(capsys, "chars", "--matrix-file", str(path))
+    assert code == 0, err
+    rows = [line for line in want.splitlines() if "closed form" in line]
+    assert rows and all(line.endswith("[ok]") for line in rows)
+    assert [line for line in got.splitlines() if "closed form" in line] == rows
+
+
 def test_verify_other_kind_rejected(tmp_path, capsys):
     path = tmp_path / "hyper.txt"
     path.write_text("2 -3\n-3 2\n")

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -17,8 +18,6 @@ from onsagerkit.freelie import (
     NotALieElement,
     ParseError,
     UnbalancedBracketError,
-    _expand_lyndon,
-    _extract_lyndon,
     ad_power,
     is_lyndon,
     lie_bracket,
@@ -172,28 +171,65 @@ COEFFS = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6))
 ELEMENTS = st.dictionaries(st.sampled_from(WORDS), COEFFS, max_size=4).map(FreeLieElement)
 
 
-def _reference_bracket(x, y):
-    """All-Fraction bracket: associative commutator, then peel leading words."""
-    def assoc(e):
-        out = {}
-        for w, c in e.terms.items():
-            for v, k in _expand_lyndon(w).items():
-                out[v] = out.get(v, 0) + Fraction(c) * k
-        return out
+@functools.lru_cache(maxsize=None)
+def _expand(word):
+    """Associative expansion of the standard bracketing of a Lyndon word, as
+    {word: Fraction}; an independent reference for the Lyndon-word bracket."""
+    if len(word) == 1:
+        return {word: Fraction(1)}
+    u, v = standard_factorization(word)
+    return _commutator(_expand(u), _expand(v))
 
-    px, py = assoc(x), assoc(y)
-    comm = {}
-    for p, q, sign in ((px, py, 1), (py, px, -1)):
-        for u, a in p.items():
-            for v, b in q.items():
-                comm[u + v] = comm.get(u + v, 0) + sign * a * b
+
+def _commutator(p, q):
+    out = {}
+    for a, b, sign in ((p, q, 1), (q, p, -1)):
+        for u, x in a.items():
+            for v, y in b.items():
+                out[u + v] = out.get(u + v, 0) + sign * x * y
+    return out
+
+
+def _peel(comm):
+    """Lyndon coordinates of an associative Lie element: repeatedly peel the
+    (length, lex)-smallest word, whose expansion has coefficient 1 on itself."""
+    comm = dict(comm)
     out = {}
     while any(comm.values()):
         w = min((t for t, c in comm.items() if c), key=lambda t: (len(t), t))
         out[w] = c = comm[w]
-        for v, k in _expand_lyndon(w).items():
+        for v, k in _expand(w).items():
             comm[v] = comm.get(v, 0) - c * k
     return FreeLieElement(out)
+
+
+def _assoc(e):
+    out = {}
+    for w, c in e.terms.items():
+        for v, k in _expand(w).items():
+            out[v] = out.get(v, 0) + Fraction(c) * k
+    return out
+
+
+def _reference_bracket(x, y):
+    """All-Fraction bracket: associative commutator, then peel leading words."""
+    return _peel(_commutator(_assoc(x), _assoc(y)))
+
+
+def _reference_tree(e):
+    """All-Fraction associative expansion of a bracket expression."""
+    if e.is_leaf:
+        return {(e.label,): Fraction(1)}
+    return _commutator(_reference_tree(e.left), _reference_tree(e.right))
+
+
+@pytest.mark.parametrize("labels, length", [((1, 2), n) for n in range(1, 6)]
+                         + [((1, 2, 3), n) for n in range(1, 5)])
+def test_to_lyndon_matches_fraction_reference(labels, length):
+    from onsagerkit.onsager import all_bracket_words
+
+    for expr in all_bracket_words(labels, length):
+        assert to_lyndon(expr) == _peel(_reference_tree(expr)), expr
 
 
 @settings(max_examples=150, deadline=None)
@@ -218,14 +254,17 @@ def test_standard_factorization_rejects_short_words():
 
 def test_non_lie_leading_word_raises_under_optimize():
     # an internal fault: raised explicitly (so it survives python -O) and not
-    # a ValueError, which the CLI would report as bad input
+    # a ValueError, which the CLI would report as bad input; (2, 1) is not
+    # Lyndon, and standard_factorization alone would split it silently
     assert not issubclass(NotALieElement, ValueError)
     with pytest.raises(NotALieElement):
-        _extract_lyndon({(2, 1): 1})
+        lie_bracket(FreeLieElement({(2, 1): 1}), FreeLieElement.generator(1))
+    with pytest.raises(NotALieElement):
+        lie_bracket(FreeLieElement.generator(3), FreeLieElement({(2, 1): 1}))
     code = (
-        "from onsagerkit.freelie import NotALieElement, _extract_lyndon\n"
+        "from onsagerkit.freelie import FreeLieElement, NotALieElement, lie_bracket\n"
         "try:\n"
-        "    _extract_lyndon({(2, 1): 1})\n"
+        "    lie_bracket(FreeLieElement({(2, 1): 1}), FreeLieElement.generator(1))\n"
         "except NotALieElement:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"

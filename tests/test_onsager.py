@@ -136,6 +136,31 @@ def test_psi_images_have_exact_integer_coefficients(name):
                 assert type(c) is int, (expr, c)
 
 
+@pytest.mark.parametrize("name", ["G2", "A1~"])
+def test_all_words_spans_the_psi_image_of_every_bracketing(name, monkeypatch):
+    # no tree is evaluated from its leaves, yet the span receives exactly the
+    # psi image of each all_bracket_words entry, in that order
+    rz = realization_for(preset(name))
+    seen = []
+    coordinates = rz.y_coordinates
+    monkeypatch.setattr(rz, "y_coordinates", lambda x: seen.append(x) or coordinates(x))
+    filtration_dims_all_words(rz, 5)
+    assert seen == [psi_eval(rz, e) for j in range(1, 6) for e in all_bracket_words(rz.labels, j)]
+
+
+def test_all_words_makes_one_bracket_per_bracketing(monkeypatch):
+    # A1~ up to j = 6 has 4 + 16 + 80 + 448 + 2688 = 3,236 bracketings of
+    # length >= 2; evaluating each from its leaves (j - 1 brackets per tree)
+    # took 15,508
+    rz = realization_for(preset("A1~"))
+    calls = []
+    bracket = rz.bracket
+    monkeypatch.setattr(rz, "bracket", lambda x, y: calls.append(1) or bracket(x, y))
+    rep = filtration_dims_all_words(rz, 6)
+    assert len(calls) == sum(len(all_bracket_words(rz.labels, j)) for j in range(2, 7)) == 3236
+    assert rep.dims == rep.expected
+
+
 def test_all_bracket_words_count():
     # Catalan(2) * 2^3 = 2 * 8 trees of degree 3 on 2 letters
     assert len(all_bracket_words((1, 2), 3)) == 16

@@ -127,6 +127,8 @@ def _bench_library(name):
 @pytest.mark.parametrize("name, depth, ranks", [
     ("A3", 3, [5, 18, 56, 154]),
     ("A1~", 4, [2, 6, 14, 30, 59]),
+    ("A1~", 6, [2, 6, 14, 30, 59, 113, 211]),
+    ("A2~", 4, [6, 21, 66, 180, 489]),
 ])
 def test_serre_ad_word_span_ranks(name, depth, ranks):
     assert _bench_library("serre-span")(name, depth) == {"ranks": ranks}
