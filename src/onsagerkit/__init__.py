@@ -20,7 +20,7 @@ from .chevalley import (
     sp_structure_table,
     verify_gl_presentation,
 )
-from .exact_math import ExactMatrix, GaussianRational, nullspace_basis, rank, span_rank
+from .exact_math import ExactMatrix, GaussianRational, IdentityViolation, nullspace_basis, rank, span_rank
 from .freelie import (
     BracketExpr,
     FreeLieElement,

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .cartan import CartanMatrix, preset
 from .chevalley import sp_structure_table
-from .exact_math import ExactMatrix, IncrementalSpan, add_into, nullspace_basis
+from .exact_math import ExactMatrix, IdentityViolation, IncrementalSpan, add_into, nullspace_basis
 from .onsager import AffineRealization, FiniteRealization, Realization
 from .roots import AffineRoot, RootSystem
 
@@ -92,7 +92,8 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
         func = {}
         for k, j in col.items():
             if vec[j]:
-                assert vec[j].is_rational
+                if not vec[j].is_rational:
+                    raise IdentityViolation("non-real character value at %s" % (k,))
                 func[k] = vec[j].re
         basis.append(func)
     return CharacterSpace(H, keys, basis, {lab: rz.generator_key(lab) for lab in rz.labels})

@@ -11,8 +11,9 @@ h -> -h, e_alpha -> -e_{-alpha} an involutive automorphism.
 
 Elements are sparse combinations of basis keys ('h', i) and ('e', root);
 `StructureTable.bracket_keys` and `form_keys` give the bracket and the
-invariant form on a pair of keys, and every element-level bracket, form and
-matrix image is their bilinear extension.
+invariant form on a pair of keys, tabulated per pair on first use, and every
+element-level bracket, form and matrix image is their bilinear extension.
+The N table is read-only, so a tabulated bracket never goes stale.
 
 Also here: explicit matrix realizations (special linear and symplectic), the
 fixed-subalgebra basis y_alpha = e_alpha - e_{-alpha}, and the isomorphism of
@@ -24,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .cartan import CartanMatrix, preset
-from .exact_math import ExactMatrix, I, SparseElement, bilinear
+from .exact_math import ExactMatrix, I, IdentityViolation, SparseElement, bilinear
 from .roots import RootSystem, height
 
 
@@ -48,6 +50,10 @@ def _vsub(x, y):
 
 def _vneg(x):
     return tuple(-a for a in x)
+
+
+# the shared result of every vanishing key bracket
+_NO_TERMS = {}
 
 
 def _omega_key(key):
@@ -80,8 +86,15 @@ class StructureTable:
 
     def __init__(self, rootsystem: RootSystem, n_table):
         self.rs = rootsystem
-        self.N = dict(n_table)
+        self.N = MappingProxyType(dict(n_table))
         self._check_sign_laws()
+        # Tabulated brackets are kept in rows by first key, with shared key
+        # objects and one shared empty result: the finite-type character
+        # solve looks most of its pairs up once, and this keeps their memory
+        # low.
+        self._brackets = {}  # k1 -> {k2: bracket_keys(k1, k2)}
+        self._forms = {}  # (k1, k2) -> form_keys(k1, k2)
+        self._e_keys = {a: ("e", a) for a in rootsystem._all}
 
     # -- constructors for basis elements ------------------------------------
     def e(self, alpha):
@@ -105,7 +118,8 @@ class StructureTable:
 
     def y_any(self, alpha):
         """y_alpha for alpha of either sign (y_{-a} = -y_a)."""
-        return ChevElement({("e", tuple(alpha)): 1, ("e", _vneg(alpha)): -1})
+        alpha = tuple(alpha)
+        return ChevElement({self._e_keys[alpha]: 1, self._e_keys[_vneg(alpha)]: -1})
 
     def basis_keys(self):
         keys = [("h", i) for i in range(self.rs.rank)]
@@ -121,7 +135,20 @@ class StructureTable:
 
     def bracket_keys(self, k1, k2):
         """[k1, k2] of two basis keys, as a sparse vector over basis keys:
-        [h_i, e_b] = b(h_i) e_b, [e_a, e_{-a}] = h_a, [e_a, e_b] = N e_{a+b}."""
+        [h_i, e_b] = b(h_i) e_b, [e_a, e_{-a}] = h_a, [e_a, e_b] = N e_{a+b}.
+
+        Tabulated per key pair on first use; the returned dict is shared, so
+        callers must not modify it.
+        """
+        row = self._brackets.get(k1)
+        if row is None:
+            row = self._brackets[k1] = {}
+        out = row.get(k2)
+        if out is None:
+            out = row[k2] = self._bracket_keys(k1, k2) or _NO_TERMS
+        return out
+
+    def _bracket_keys(self, k1, k2):
         (kind1, v1), (kind2, v2) = k1, k2
         if kind1 == "h":
             if kind2 == "h":
@@ -135,11 +162,18 @@ class StructureTable:
         if not any(s):
             return {("h", i): k for i, k in enumerate(self.rs.coroot_coords(v1)) if k}
         n = self.N.get((v1, v2))
-        return {("e", s): n} if n else {}
+        return {self._e_keys[s]: n} if n else {}
 
     def form_keys(self, k1, k2):
         """Normalized invariant form of two basis keys: (e_a, e_{-a}) = 2/(a,a),
-        h-block from the symmetrized Cartan data, (h, e) = 0."""
+        h-block from the symmetrized Cartan data, (h, e) = 0.  Tabulated per
+        key pair on first use."""
+        out = self._forms.get((k1, k2))
+        if out is None:
+            out = self._forms[k1, k2] = self._form_keys(k1, k2)
+        return out
+
+    def _form_keys(self, k1, k2):
         (kind1, v1), (kind2, v2) = k1, k2
         form = self.rs.form
         if kind1 != kind2:
@@ -172,9 +206,12 @@ class StructureTable:
 
     def _check_sign_laws(self):
         for (a, b), n in self.N.items():
-            assert self.N[(b, a)] == -n, "antisymmetry fails at %r, %r" % (a, b)
-            assert self.N[(_vneg(a), _vneg(b))] == -n, "negation law fails at %r, %r" % (a, b)
-            assert abs(n) == self.rs.chain_p(a, b) + 1, "magnitude rule fails at %r, %r" % (a, b)
+            if self.N.get((b, a)) != -n:
+                raise IdentityViolation("antisymmetry fails at %r, %r" % (a, b))
+            if self.N.get((_vneg(a), _vneg(b))) != -n:
+                raise IdentityViolation("negation law fails at %r, %r" % (a, b))
+            if abs(n) != self.rs.chain_p(a, b) + 1:
+                raise IdentityViolation("magnitude rule fails at %r, %r" % (a, b))
 
 
 def _mixed_n(rs, npp, xi, rho):

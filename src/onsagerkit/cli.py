@@ -33,7 +33,7 @@ from .characters import (
     even_column_set,
     finite_character_realization,
 )
-from .exact_math import GaussianRational
+from .exact_math import GaussianRational, IdentityViolation
 from .freelie import ParseError, parse_bracket
 from .loop import YIndex, onsager_basis, bracket_loop
 from .onsager import psi_eval, realization_for
@@ -202,7 +202,8 @@ def structconst_report(c, H):
         for k in range(-2, 3):
             for l in range(-2, 3):
                 val = bracket_loop(rz.table, onsager_basis(k)[0], onsager_basis(l)[0])
-                assert val == onsager_basis(l - k)[1]
+                if val != onsager_basis(l - k)[1]:
+                    raise IdentityViolation("[A%d,A%d] != G%d" % (k, l, l - k))
                 table.append({"lhs": ["A%d" % k, "A%d" % l], "rhs": "G%d" % (l - k)})
         return {"schema": SCHEMA, "kind": "structconst", "type": "onsager", "brackets": table}
     indices = [k for k, _ in rz.basis(H)]

@@ -14,6 +14,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+
+class IdentityViolation(Exception):
+    """A mathematical identity the package checks does not hold.
+
+    Raised explicitly, so the check survives python -O, and deliberately not
+    a ValueError, which the CLI reports as bad input.
+    """
+
+
 class GaussianRational:
     """a + b*i with rational a, b.  Field arithmetic, hashable, immutable."""
 
@@ -310,8 +319,13 @@ class ExactMatrix:
         return self @ other - other @ self
 
     def row_dicts(self):
+        """The rows as sparse vectors.  Real entries are narrowed to int or
+        Fraction, so a rational matrix is eliminated over Q; only non-real
+        entries stay GaussianRational."""
         out = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
+            if not v.im:
+                v = v.re.numerator if v.re.denominator == 1 else v.re
             out[i][j] = v
         return out
 
@@ -418,6 +432,6 @@ def nullspace_basis(m):
         for p, row in pivots.items():
             coeff = row.get(f)
             if coeff:
-                vec[p] = -coeff
+                vec[p] = _coerce(-coeff)
         basis.append(tuple(vec))
     return basis

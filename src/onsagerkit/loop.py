@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .chevalley import ChevElement, StructureTable, _omega_key, _vneg
 from .exact_math import SparseElement, add_term, bilinear
@@ -133,9 +133,11 @@ class YIndex:
         return "y(%s)" % (self.gamma,)
 
 
+@lru_cache(maxsize=None)
 def y_affine(idx: YIndex) -> LoopElement:
     """The fixed-basis element for an index (works for either sign of the
-    root; y_{-gamma} = -y_gamma comes out automatically)."""
+    root; y_{-gamma} = -y_gamma comes out automatically).  Built once per
+    index; the element is shared, so callers must not modify its terms."""
     gamma = idx.gamma
     if gamma.is_imaginary:
         key = neg = ("h", idx.i - 1)

@@ -7,12 +7,10 @@ the identity that broke.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, preset
 from .characters import character_space, even_column_set
 from .chevalley import preset_table, sl_realization, sp_sign_reconciliation, sp_realization, verify_gl_presentation
-from .exact_math import add_into
+from .exact_math import add_term
 from .loop import YIndex, bracket_loop, onsager_basis
 from .onsager import Realization, filtration_dims, psi_eval, realization_for
 from .roots import AffineRoot
@@ -95,66 +93,57 @@ def _expected_y_bracket(rz, idx1, idx2):
     """Closed-form bracket of two fixed-basis vectors over the y-basis."""
     t = rz.table
     rs = t.rs
-    r = rs.rank
-    zero = (0,) * r
+    out = {}
+    sign = 1
+    if idx2.gamma.is_imaginary and not idx1.gamma.is_imaginary:
+        idx1, idx2, sign = idx2, idx1, -1
 
-    def canon(gamma, i, coeff):
-        if gamma.is_imaginary:
-            if gamma.level == 0:
-                return {}
-            if gamma.level < 0:
-                return {YIndex(AffineRoot(zero, -gamma.level), i): -coeff}
-            return {YIndex(gamma, i): coeff}
-        pos = gamma.level > 0 or (
-            gamma.level == 0 and all(x >= 0 for x in gamma.finite)
-        )
-        if pos:
-            return {YIndex(gamma): coeff}
-        return {YIndex(-gamma): -coeff}
-
-    def merge(*dicts):
-        out = {}
-        for d in dicts:
-            add_into(out, d)
-        return out
+    def put(finite, level, i, coeff):
+        # coeff * y_{finite + level*delta}, with y_{-gamma} = -y_gamma; an
+        # imaginary root at level 0 is no basis vector
+        if not coeff:
+            return
+        if not any(finite):
+            if level == 0:
+                return
+            if level < 0:
+                level, coeff = -level, -coeff
+        elif level < 0 or (level == 0 and not all(x >= 0 for x in finite)):
+            finite, level, coeff = tuple(-x for x in finite), -level, -coeff
+        add_term(out, YIndex(AffineRoot(finite, level), i), sign * coeff)
 
     g1, g2 = idx1.gamma, idx2.gamma
-    if not g1.is_imaginary and not g2.is_imaginary:
-        alpha, l = g1.finite, g1.level
-        beta, m = g2.finite, g2.level
-        nega = tuple(-x for x in alpha)
-        if beta == alpha:
-            k = rs.coroot_coords(alpha)
-            return merge(*[canon(AffineRoot(zero, m - l), i + 1, Fraction(k[i])) for i in range(r)])
-        if beta == nega:
-            k = rs.coroot_coords(alpha)
-            return merge(*[canon(AffineRoot(zero, m + l), i + 1, Fraction(k[i])) for i in range(r)])
-        out = {}
-        nab = t.n_value(alpha, beta)
-        if nab:
-            out = merge(out, canon(AffineRoot(tuple(a + b for a, b in zip(alpha, beta)), l + m), 1, Fraction(nab)))
-        namb = t.n_value(alpha, tuple(-x for x in beta))
-        if namb:
-            out = merge(out, canon(AffineRoot(tuple(a - b for a, b in zip(alpha, beta)), l - m), 1, Fraction(-namb)))
-        return out
-    if g1.is_imaginary and g2.is_imaginary:
-        return {}
     if g1.is_imaginary:
-        i = idx1.i - 1
-        l = g1.level
-        alpha, m = g2.finite, g2.level
-        ahi = rs.pairing(alpha, i)
-        return merge(
-            canon(AffineRoot(alpha, l + m), 1, Fraction(ahi)),
-            canon(AffineRoot(alpha, m - l), 1, Fraction(-ahi)),
-        )
-    flipped = _expected_y_bracket(rz, idx2, idx1)
-    return {k: -v for k, v in flipped.items()}
+        if not g2.is_imaginary:
+            l = g1.level
+            alpha, m = g2.finite, g2.level
+            ahi = rs.pairing(alpha, idx1.i - 1)
+            put(alpha, l + m, 1, ahi)
+            put(alpha, m - l, 1, -ahi)
+        return out
+    alpha, l = g1.finite, g1.level
+    beta, m = g2.finite, g2.level
+    if beta == alpha or beta == tuple(-x for x in alpha):
+        level = m - l if beta == alpha else m + l
+        for i, k in enumerate(rs.coroot_coords(alpha)):
+            put((0,) * rs.rank, level, i + 1, k)
+        return out
+    put(tuple(a + b for a, b in zip(alpha, beta)), l + m, 1, t.n_value(alpha, beta))
+    put(tuple(a - b for a, b in zip(alpha, beta)), l - m, 1, -t.n_value(alpha, tuple(-x for x in beta)))
+    return out
 
 
 def check_affine_structure_constants(rz: Realization, level_bound=2):
     """Fixed-basis bracket expansions against their closed forms, with
-    integrality of every coefficient."""
+    integrality of every coefficient.
+
+    Both sides read the realization's structure table: the expansion through
+    the loop bracket, the closed form through its N values.  So this checks
+    the closed form relative to the table.  A table that keeps its sign laws
+    but is wrong (say, one sign orbit of N flipped) still passes here; only a
+    check on the algebra's relations, such as the Serre-relation check, can
+    catch it.
+    """
     rs = rz.table.rs
     r = rs.rank
     zero = (0,) * r
@@ -170,12 +159,11 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     for idx1 in indices:
         for idx2 in indices:
             got = rz.basis_bracket(idx1, idx2)
-            want = _expected_y_bracket(rz, idx1, idx2)
-            if got != want:
-                return name, False, "[%s, %s] expansion differs" % (idx1, idx2)
             for coeff in got.values():
-                if Fraction(coeff).denominator != 1:
+                if type(coeff) is not int and coeff.denominator != 1:
                     return name, False, "non-integer coefficient in [%s, %s]" % (idx1, idx2)
+            if got != _expected_y_bracket(rz, idx1, idx2):
+                return name, False, "[%s, %s] expansion differs" % (idx1, idx2)
     return name, True, "%d index pairs, levels |l| <= %d" % (len(indices) ** 2, level_bound)
 
 

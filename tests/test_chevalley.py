@@ -1,12 +1,18 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import onsagerkit
 from onsagerkit.chevalley import (
     ChevElement,
     NotAPositiveRoot,
     NotFixedError,
+    StructureTable,
     eta,
     preset_table,
     sl_realization,
@@ -15,7 +21,7 @@ from onsagerkit.chevalley import (
     sp_structure_table,
     verify_gl_presentation,
 )
-from onsagerkit.exact_math import ExactMatrix, I
+from onsagerkit.exact_math import ExactMatrix, I, IdentityViolation
 from onsagerkit.roots import height
 from onsagerkit.serre_coeffs import coeff_row
 
@@ -82,6 +88,80 @@ def test_bracket_keys_antisymmetric():
     # every branch: h-h, h-e, e-h, then e-e with e_{-a}, a root sum, no root sum
     assert {("h", "h", ""), ("h", "e", "e"), ("e", "h", "e"),
             ("e", "e", "h"), ("e", "e", "e"), ("e", "e", "")} <= kinds
+
+
+def test_n_table_is_read_only():
+    t = preset_table("C2")
+    pair = min(t.N)
+    n = t.N[pair]
+    with pytest.raises(TypeError):
+        t.N[pair] = -n
+    with pytest.raises(TypeError):
+        del t.N[pair]
+    assert t.N[pair] == n
+
+
+def test_tabulated_bracket_is_per_table():
+    # the generic and the displayed symplectic C2 tables share their keys and
+    # differ in some signs; tabulating one first must not leak into the other
+    generic, display = preset_table("C2"), sp_structure_table(2)
+    keys = generic.basis_keys()
+    assert keys == display.basis_keys() and set(generic.N) == set(display.N)
+    pairs = list(itertools.product(keys, repeat=2))
+    first = {p: dict(generic.bracket_keys(*p)) for p in pairs}
+    differs = {(("e", a), ("e", b)) for (a, b), n in generic.N.items() if display.N[a, b] != n}
+    assert differs
+    for p in pairs:
+        assert (display.bracket_keys(*p) != first[p]) == (p in differs), p
+        assert generic.bracket_keys(*p) == first[p], p
+
+
+def _neg(a):
+    return tuple(-c for c in a)
+
+
+def _mutated_n(t, how):
+    """t.N with one pair (or its sign orbit) changed."""
+    n = dict(t.N)
+    a, b = min(n)
+    orbit = {"unpaired sign flip": [(a, b)],
+             "flip without the negated pair": [(a, b), (b, a)],
+             "doubled orbit": [(a, b), (b, a), (_neg(a), _neg(b)), (_neg(b), _neg(a))]}[how]
+    for pair in orbit:
+        n[pair] = 2 * n[pair] if how == "doubled orbit" else -n[pair]
+    return n
+
+
+@pytest.mark.parametrize("how, law", [
+    ("unpaired sign flip", "antisymmetry"),
+    ("flip without the negated pair", "negation law"),
+    ("doubled orbit", "magnitude rule"),
+])
+def test_broken_sign_law_raises(how, law):
+    t = preset_table("C2")
+    assert not issubclass(IdentityViolation, ValueError)
+    with pytest.raises(IdentityViolation, match=law):
+        StructureTable(t.rs, _mutated_n(t, how))
+
+
+def test_unpaired_sign_flip_raises_under_optimize():
+    # the sign laws are explicit raises, so python -O keeps them
+    code = (
+        "from onsagerkit.chevalley import StructureTable, preset_table\n"
+        "from onsagerkit.exact_math import IdentityViolation\n"
+        "t = preset_table('C2')\n"
+        "n = dict(t.N)\n"
+        "n[min(n)] = -n[min(n)]\n"
+        "try:\n"
+        "    StructureTable(t.rs, n)\n"
+        "except IdentityViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(onsagerkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", TEST_PRESETS + ["E6"])

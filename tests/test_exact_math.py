@@ -78,16 +78,25 @@ def test_span_rank_examples():
     assert span_rank([]) == 0
 
 
+# integer, rational and Gaussian-rational entries: real matrices are
+# eliminated over Q, the others over Q(i)
+ENTRY_KINDS = [
+    lambda rng: rng.randint(-3, 3),
+    lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) + rng.randint(-2, 2) * I,
+]
+
+
 def test_rank_transpose_and_nullity_random():
     rng = random.Random(5)
-    for _ in range(40):
+    for entry in [kind for kind in ENTRY_KINDS for _ in range(40)]:
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = ExactMatrix(
             rows,
             cols,
             {
-                (i, j): rng.randint(-3, 3)
+                (i, j): entry(rng)
                 for i in range(rows)
                 for j in range(cols)
                 if rng.random() < 0.6
@@ -95,9 +104,11 @@ def test_rank_transpose_and_nullity_random():
         )
         r = rank(m)
         assert r == rank(m.transpose())
-        assert r + len(nullspace_basis(m)) == cols
-        # kernel vectors really are killed
-        for v in nullspace_basis(m):
+        basis = nullspace_basis(m)
+        assert r + len(basis) == cols
+        # kernel vectors really are killed, and hold Gaussian rationals
+        for v in basis:
+            assert all(type(x) is GaussianRational for x in v)
             col = ExactMatrix(cols, 1, {(j, 0): v[j] for j in range(cols)})
             assert (m @ col).is_zero()
 
