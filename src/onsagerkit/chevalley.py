@@ -17,7 +17,8 @@ The N table is read-only, so a tabulated bracket never goes stale.
 
 Also here: explicit matrix realizations (special linear and symplectic), the
 fixed-subalgebra basis y_alpha = e_alpha - e_{-alpha}, and the isomorphism of
-the symplectic fixed subalgebra with gl_r.
+the symplectic fixed subalgebra with gl_r.  The displayed symplectic table is
+the generic type-C table under a sign vector read off the displayed matrices.
 """
 
 from __future__ import annotations
@@ -311,12 +312,18 @@ def preset_table(name) -> StructureTable:
 # ---------------------------------------------------------------------------
 
 class MatrixRealization:
-    """Images of the Chevalley basis as exact matrices."""
+    """Images of the Chevalley basis as exact matrices, checked against the
+    table on every basis pair when built (IdentityViolation names the first
+    three pairs that fail)."""
 
     def __init__(self, dim, images, table: StructureTable):
         self.dim = dim
         self.images = images
         self.table = table
+        bad = self.homomorphism_failures()
+        if bad:
+            raise IdentityViolation("bracket of images differs from image of bracket at %s"
+                                    % ", ".join("[%r, %r]" % pair for pair in bad[:3]))
 
     def matrix_of(self, x: ChevElement) -> ExactMatrix:
         out = ExactMatrix.zeros(self.dim, self.dim)
@@ -369,10 +376,7 @@ def sl_realization(r) -> MatrixRealization:
         simple = tuple(1 if k == i else 0 for k in range(r))
         images[("e", simple)] = unit(i, i + 1)
         images[("e", _vneg(simple))] = unit(i + 1, i)
-    _extend_images(table, images)
-    rz = MatrixRealization(n, images, table)
-    assert not rz.homomorphism_failures()
-    return rz
+    return MatrixRealization(n, _extend_images(table, images), table)
 
 
 def _sp_eps_coords(r, alpha):
@@ -416,8 +420,7 @@ def _sp_display_matrix(r, eps):
 
 @lru_cache(maxsize=None)
 def _sp_images(r):
-    c = preset("C%d" % r)
-    rs = RootSystem(c)
+    """The displayed symplectic matrices of the type-C basis keys."""
 
     def unit(i, j):
         return ExactMatrix(2 * r, 2 * r, {(i, j): 1})
@@ -426,75 +429,49 @@ def _sp_images(r):
     for j in range(r - 1):
         images[("h", j)] = unit(j, j) - unit(j + 1, j + 1) - unit(r + j, r + j) + unit(r + j + 1, r + j + 1)
     images[("h", r - 1)] = unit(r - 1, r - 1) - unit(2 * r - 1, 2 * r - 1)
-    for alpha in sorted(rs._all):
+    for alpha in sorted(preset_table("C%d" % r).rs._all):
         images[("e", alpha)] = _sp_display_matrix(r, _sp_eps_coords(r, alpha))
-    return rs, images
+    return images
+
+
+@lru_cache(maxsize=None)
+def sp_sign_reconciliation(r):
+    """Signs s, with s_{-a} = s_a and s = 1 on the simple roots, such that the
+    displayed symplectic matrices satisfy [D_a, D_b] = s_a s_b s_{a+b} N[a, b]
+    D_{a+b} for the generic type-C table N.  Each non-simple positive root
+    reads its sign off one commutator over its decomposition."""
+    generic = preset_table("C%d" % r)
+    images = _sp_images(r)
+    signs = {}
+    for gamma in generic.rs.positive_roots:
+        s = 1
+        if height(gamma) >= 2:
+            xi, eta = generic.decomposition(gamma)
+            comm = images[("e", xi)].commutator(images[("e", eta)])
+            want = signs[xi] * signs[eta] * generic.N[(xi, eta)] * images[("e", gamma)]
+            if comm == -want:
+                s = -1
+            elif comm != want:
+                raise IdentityViolation("[D%r, D%r] is not a signed N multiple of D%r" % (xi, eta, gamma))
+        signs[gamma] = signs[_vneg(gamma)] = s
+    return signs
 
 
 @lru_cache(maxsize=None)
 def sp_structure_table(r) -> StructureTable:
-    """Type-C table whose constants come from the displayed symplectic
-    matrices (so all downstream sign-sensitive identities match the explicit
-    realization)."""
-    rs, images = _sp_images(r)
-    n_table = {}
-    for x in sorted(rs._all):
-        mx = images[("e", x)]
-        for y in sorted(rs._all):
-            s = _vadd(x, y)
-            if not any(s):
-                # [e_a, e_{-a}] must be h_a
-                k = rs.coroot_coords(x)
-                want = ExactMatrix.zeros(2 * r, 2 * r)
-                for i, ki in enumerate(k):
-                    if ki:
-                        want = want + ki * images[("h", i)]
-                assert mx.commutator(images[("e", y)]) == want
-                continue
-            if s not in rs._all:
-                continue
-            comm = mx.commutator(images[("e", y)])
-            ms = images[("e", s)]
-            pos_entry = next(iter(ms.entries))
-            val = comm.entry(*pos_entry) / ms.entry(*pos_entry)
-            assert comm == val * ms
-            assert val.is_rational and val.re.denominator == 1
-            n_table[(x, y)] = int(val.re)
-    return StructureTable(rs, n_table)
+    """The generic type-C table twisted by the signs s of
+    sp_sign_reconciliation, N'[a, b] = s_a s_b s_{a+b} N[a, b], so every
+    sign-sensitive identity downstream matches the displayed matrices."""
+    generic = preset_table("C%d" % r)
+    s = sp_sign_reconciliation(r)
+    return StructureTable(generic.rs, {(a, b): s[a] * s[b] * s[_vadd(a, b)] * n
+                                       for (a, b), n in generic.N.items()})
 
 
 @lru_cache(maxsize=None)
 def sp_realization(r) -> MatrixRealization:
     """The displayed 2r x 2r symplectic realization, bound to its own table."""
-    rs, images = _sp_images(r)
-    rz = MatrixRealization(2 * r, images, sp_structure_table(r))
-    assert not rz.homomorphism_failures()
-    return rz
-
-
-@lru_cache(maxsize=None)
-def sp_sign_reconciliation(r):
-    """Diagonal +-1 basis change from the generic type-C table onto the
-    displayed symplectic one; asserted to exist."""
-    generic = preset_table("C%d" % r)
-    display = sp_structure_table(r)
-    rs = generic.rs
-    signs = {}
-    for alpha in rs.positive_roots:
-        if height(alpha) == 1:
-            signs[alpha] = 1
-            signs[_vneg(alpha)] = 1
-    for gamma in rs.positive_roots:
-        if height(gamma) < 2:
-            continue
-        xi, eta = generic.decomposition(gamma)
-        s = Fraction(signs[xi] * signs[eta] * display.N[(xi, eta)], generic.N[(xi, eta)])
-        assert s.denominator == 1 and abs(s) == 1
-        signs[gamma] = int(s)
-        signs[_vneg(gamma)] = int(s)
-    for (a, b), n in generic.N.items():
-        assert n * signs[_vadd(a, b)] == signs[a] * signs[b] * display.N[(a, b)]
-    return signs
+    return MatrixRealization(2 * r, _sp_images(r), sp_structure_table(r))
 
 
 def eta(r, x: ChevElement) -> ExactMatrix:
@@ -506,8 +483,10 @@ def eta(r, x: ChevElement) -> ExactMatrix:
     m = rz.matrix_of(x)
     b = m.block(0, r, 0, r)
     c = m.block(0, r, r, 2 * r)
-    assert m.block(r, 2 * r, 0, r) == -c and m.block(r, 2 * r, r, 2 * r) == b
-    assert b.transpose() == -b and c.transpose() == c
+    if m.block(r, 2 * r, 0, r) != -c or m.block(r, 2 * r, r, 2 * r) != b:
+        raise IdentityViolation("fixed image is not of block shape (B, C; -C, B)")
+    if b.transpose() != -b or c.transpose() != c:
+        raise IdentityViolation("fixed image has B not antisymmetric or C not symmetric")
     return b + I * c
 
 
@@ -529,9 +508,9 @@ def verify_gl_presentation(r) -> GlPresentationReport:
     """Check the gl_r relations satisfied by the images K_j of the fixed
     generators, plus the expression of K_r through the center and the
     diagonal elements."""
-    assert r >= 2
+    if r < 2:
+        raise ValueError("the gl_r presentation needs r >= 2, got %r" % (r,))
     table = sp_structure_table(r)
-    rs = table.rs
 
     def simple(k):
         return tuple(1 if i == k else 0 for i in range(r))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cartan import FINITE, CartanMatrix
 from .chevalley import StructureTable, _omega_key, _vneg, build_chevalley
-from .exact_math import IncrementalSpan
+from .exact_math import IdentityViolation, IncrementalSpan
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
 from .loop import (
     NotExpandable,
@@ -81,7 +81,8 @@ class FiniteRealization(Realization):
         for pos, label in enumerate(c.labels):
             simple = tuple(1 if k == pos else 0 for k in range(c.n))
             gens[label] = table.y_basis(simple)
-            assert table.omega(gens[label]) == gens[label]
+            if table.omega(gens[label]) != gens[label]:
+                raise IdentityViolation("generator %s is not involution-fixed" % (label,))
         super().__init__(c, table, gens)
 
     def bracket(self, x, y):
@@ -124,7 +125,9 @@ class AffineRealization(Realization):
                 simple = tuple(1 if k == finite_pos else 0 for k in range(aff.rank))
                 gens[label] = from_finite(table.y_basis(simple), 0)
                 finite_pos += 1
-        assert all(omega_tilde(g) == g for g in gens.values())
+        for label, g in gens.items():
+            if omega_tilde(g) != g:
+                raise IdentityViolation("generator %s is not involution-fixed" % (label,))
         super().__init__(c, table, gens)
 
     def bracket(self, x, y):

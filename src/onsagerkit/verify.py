@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, preset
 from .characters import character_space, even_column_set
-from .chevalley import preset_table, sl_realization, sp_sign_reconciliation, sp_realization, verify_gl_presentation
-from .exact_math import add_term
+from .chevalley import preset_table, sl_realization, sp_realization, verify_gl_presentation
+from .exact_math import IdentityViolation, add_term
 from .loop import YIndex, bracket_loop, onsager_basis
 from .onsager import Realization, filtration_dims, psi_eval, realization_for
 from .roots import AffineRoot
@@ -167,25 +167,24 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     return name, True, "%d index pairs, levels |l| <= %d" % (len(indices) ** 2, level_bound)
 
 
+# Building a matrix realization checks it; the IdentityViolation it raises
+# is the matrix row's FAIL detail.
+
 def check_gl_presentation(r):
-    rep = verify_gl_presentation(r)
     name = "gl_%d presentation through the fixed-subalgebra isomorphism" % r
+    try:
+        rep = verify_gl_presentation(r)
+    except IdentityViolation as exc:
+        return name, False, str(exc)
     return name, rep.passed, ("all %d relation checks" % len(rep.checks)) if rep.passed else str(rep.failures)
 
 
-def check_sl_homomorphism(r):
-    rz = sl_realization(r)
-    bad = rz.homomorphism_failures()
-    name = "special linear matrix realization is a bracket homomorphism"
-    return name, not bad, "rank %d" % r if not bad else str(bad[:3])
-
-
-def check_sp_reconciliation(r):
-    sp_sign_reconciliation(r)
-    rz = sp_realization(r)
-    bad = rz.homomorphism_failures()
-    name = "symplectic realization matches its table and reconciles with the generic one"
-    return name, not bad, "rank %d" % r
+def check_matrix_realization(name, build, r):
+    try:
+        build(r)
+    except IdentityViolation as exc:
+        return name, False, str(exc)
+    return name, True, "rank %d" % r
 
 
 def verification_suite(c: CartanMatrix, jmax=None, height=None):
@@ -208,9 +207,11 @@ def verification_suite(c: CartanMatrix, jmax=None, height=None):
         if name.startswith("C") and c.n <= 4 and c.a == preset("C%d" % c.n).a:
             if c.n >= 2:
                 rows.append(check_gl_presentation(c.n))
-            rows.append(check_sp_reconciliation(c.n))
+            rows.append(check_matrix_realization(
+                "symplectic realization matches its table and reconciles with the generic one", sp_realization, c.n))
         if name.startswith("A") and c.n <= 4:
-            rows.append(check_sl_homomorphism(c.n))
+            rows.append(check_matrix_realization(
+                "special linear matrix realization is a bracket homomorphism", sl_realization, c.n))
     elif c.kind == UNTWISTED_AFFINE:
         jmax = jmax or 6
         rows.append(check_relations_killed(c, rz))

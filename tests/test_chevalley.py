@@ -8,11 +8,14 @@ from pathlib import Path
 import pytest
 
 import onsagerkit
+from onsagerkit import chevalley
 from onsagerkit.chevalley import (
     ChevElement,
+    MatrixRealization,
     NotAPositiveRoot,
     NotFixedError,
     StructureTable,
+    _sp_images,
     eta,
     preset_table,
     sl_realization,
@@ -374,6 +377,94 @@ def test_sp_reconciliation_exists(r):
     for alpha in preset_table("C%d" % r).rs.positive_roots:
         if height(alpha) == 1:
             assert signs[alpha] == 1
+
+
+def _matrix_n(r):
+    """Reference: every N entry of the displayed type-C table read off a full
+    commutator of the displayed symplectic matrices."""
+    images = _sp_images(r)
+    rs = preset_table("C%d" % r).rs
+    n_table = {}
+    for x in sorted(rs._all):
+        mx = images[("e", x)]
+        for y in sorted(rs._all):
+            s = tuple(a + b for a, b in zip(x, y))
+            comm = mx.commutator(images[("e", y)])
+            if not any(s):
+                # [e_a, e_{-a}] must be h_a
+                want = ExactMatrix.zeros(2 * r, 2 * r)
+                for i, k in enumerate(rs.coroot_coords(x)):
+                    want = want + k * images[("h", i)]
+                assert comm == want, x
+                continue
+            if s not in rs._all:
+                assert comm.is_zero(), (x, y)
+                continue
+            ms = images[("e", s)]
+            pos_entry = next(iter(ms.entries))
+            val = comm.entry(*pos_entry) / ms.entry(*pos_entry)
+            assert comm == val * ms, (x, y)
+            assert val.is_rational and val.re.denominator == 1, (x, y)
+            n_table[(x, y)] = int(val.re)
+    return n_table
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_twisted_table_matches_matrix_reference(r):
+    # the generic table under the sign vector is the table the displayed
+    # matrices give entry by entry
+    t = sp_structure_table(r)
+    assert t.rs is preset_table("C%d" % r).rs
+    assert dict(t.N) == _matrix_n(r)
+
+
+@pytest.fixture
+def cold_matrix_caches():
+    caches = (sp_sign_reconciliation, sp_structure_table, sp_realization)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def test_cold_twisted_table_makes_one_commutator_per_nonsimple_root(cold_matrix_caches, monkeypatch):
+    calls = []
+    commutator = ExactMatrix.commutator
+
+    def counted(self, other):
+        calls.append(1)
+        return commutator(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "commutator", counted)
+    sp_structure_table(3)
+    nonsimple = [a for a in preset_table("C3").rs.positive_roots if height(a) >= 2]
+    assert len(calls) == len(nonsimple) == 6
+
+
+def test_sign_derivation_raises_on_a_wrong_display(cold_matrix_caches, monkeypatch):
+    # a displayed matrix that is no multiple of the commutator it should be
+    images = dict(_sp_images(2))
+    images[("e", (1, 1))] = 2 * images[("e", (1, 1))]
+    monkeypatch.setattr(chevalley, "_sp_images", lambda r: images)
+    with pytest.raises(IdentityViolation, match="is not a signed N multiple"):
+        sp_sign_reconciliation(2)
+
+
+def test_realization_names_failing_pairs():
+    t = preset_table("A2")
+    rz = sl_realization(2)
+    images = dict(rz.images)
+    images[("e", (1, 1))] = -images[("e", (1, 1))]
+    with pytest.raises(IdentityViolation) as exc:
+        MatrixRealization(3, images, t)
+    named = str(exc.value).split(" at ", 1)[1]
+    assert named.count("[(") == 3
+
+
+def test_gl_presentation_rejects_rank_one():
+    with pytest.raises(ValueError, match="r >= 2"):
+        verify_gl_presentation(1)
 
 
 def test_eta_generator_images():

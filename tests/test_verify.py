@@ -1,14 +1,25 @@
-"""The fixed-basis structure sweep can fail, and says where."""
+"""Verification checks can fail, and say where: the fixed-basis structure
+sweep and the matrix-realization rows."""
 
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import onsagerkit
+from onsagerkit import chevalley, cli
 from onsagerkit.cartan import preset
-from onsagerkit.chevalley import StructureTable, build_chevalley
+from onsagerkit.chevalley import MatrixRealization, StructureTable, build_chevalley
+from onsagerkit.exact_math import IdentityViolation
 from onsagerkit.loop import YIndex
 from onsagerkit.onsager import AffineRealization, realization_for
-from onsagerkit.roots import AffineRoot
+from onsagerkit.roots import AffineRoot, height
 from onsagerkit.verify import check_affine_structure_constants, check_relations_killed
 
 # [y(a1), y(a2+d)] = +-y(a1+a2+d) on C2~: one term, coefficient +-1
@@ -66,3 +77,164 @@ def test_flipped_sign_orbit_passes_the_sweep_and_fails_serre(name):
     _, ok, detail = check_relations_killed(c, rz)
     assert not ok
     assert detail.startswith("nonzero image for generator pairs")
+
+
+# ---------------------------------------------------------------------------
+# matrix-realization rows
+# ---------------------------------------------------------------------------
+
+# full verify output of the matrix rows that bench/golden.json does not cover
+MATRIX_PINS = {
+    "verify --preset C2": [0, (
+        "PASS  inhomogeneous Serre relations evaluate to zero (2 relations)\n"
+        "PASS  graded dimensions match root multiplicities (jmax=3) (dims [2, 1, 1] expected [2, 1, 1])\n"
+        "PASS  evaluated bracket words span every level up to height 3 (rank 4 expected 4)\n"
+        "PASS  character space dimension equals the even-column count (dim 1 expected 1 (window 3))\n"
+        "PASS  gl_2 presentation through the fixed-subalgebra isomorphism (all 4 relation checks)\n"
+        "PASS  symplectic realization matches its table and reconciles with the generic one (rank 2)\n"
+    )],
+    "verify --preset C4": [0, (
+        "PASS  inhomogeneous Serre relations evaluate to zero (12 relations)\n"
+        "PASS  graded dimensions match root multiplicities (jmax=7) (dims [4, 3, 3, 2, 2, 1, 1] expected [4, 3, 3, 2, 2, 1, 1])\n"
+        "PASS  evaluated bracket words span every level up to height 7 (rank 16 expected 16)\n"
+        "PASS  character space dimension equals the even-column count (dim 1 expected 1 (window 7))\n"
+        "PASS  gl_4 presentation through the fixed-subalgebra isomorphism (all 11 relation checks)\n"
+        "PASS  symplectic realization matches its table and reconciles with the generic one (rank 4)\n"
+    )],
+    "verify --preset A3": [0, (
+        "PASS  inhomogeneous Serre relations evaluate to zero (6 relations)\n"
+        "PASS  graded dimensions match root multiplicities (jmax=3) (dims [3, 2, 1] expected [3, 2, 1])\n"
+        "PASS  evaluated bracket words span every level up to height 3 (rank 6 expected 6)\n"
+        "PASS  character space dimension equals the even-column count (dim 0 expected 0 (window 3))\n"
+        "PASS  special linear matrix realization is a bracket homomorphism (rank 3)\n"
+    )],
+    "verify --preset A4": [0, (
+        "PASS  inhomogeneous Serre relations evaluate to zero (12 relations)\n"
+        "PASS  graded dimensions match root multiplicities (jmax=4) (dims [4, 3, 2, 1] expected [4, 3, 2, 1])\n"
+        "PASS  evaluated bracket words span every level up to height 4 (rank 10 expected 10)\n"
+        "PASS  character space dimension equals the even-column count (dim 0 expected 0 (window 4))\n"
+        "PASS  special linear matrix realization is a bracket homomorphism (rank 4)\n"
+    )],
+}
+
+_TRUE_SIGNS = chevalley.sp_sign_reconciliation
+_TRUE_TABLE = chevalley.preset_table
+
+
+def _flipped_signs(r):
+    """The true sign vector with s_gamma = s_{-gamma} negated for the first
+    positive root of height 2; the twisted table keeps its sign laws."""
+    signs = dict(_TRUE_SIGNS(r))
+    gamma = next(a for a in _TRUE_TABLE("C%d" % r).rs.positive_roots if height(a) == 2)
+    signs[gamma] = signs[_neg(gamma)] = -signs[gamma]
+    return signs
+
+
+def _flipped_orbit_table(name):
+    """The preset table with the sign orbit of its first N pair flipped."""
+    t = _TRUE_TABLE(name)
+    n = dict(t.N)
+    a, b = min(n)
+    for pair in ((a, b), (b, a), (_neg(a), _neg(b)), (_neg(b), _neg(a))):
+        n[pair] = -n[pair]
+    return StructureTable(t.rs, n)
+
+
+# case -> (the chevalley name replaced, its replacement, the rows that must FAIL)
+MUTATED = {
+    "verify --preset C3": ("sp_sign_reconciliation", _flipped_signs, ["gl_3 presentation", "symplectic realization"]),
+    "verify --preset A3": ("preset_table", _flipped_orbit_table, ["special linear matrix realization"]),
+}
+
+
+def _clear_matrix_caches():
+    for f in (_TRUE_SIGNS, chevalley.sp_structure_table, chevalley.sp_realization, chevalley.sl_realization):
+        f.cache_clear()
+
+
+def _run(case):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(case.split())
+    return [code, out.getvalue()]
+
+
+@contextlib.contextmanager
+def _replaced(attr, fake):
+    true = getattr(chevalley, attr)
+    _clear_matrix_caches()
+    setattr(chevalley, attr, fake)
+    try:
+        yield
+    finally:
+        setattr(chevalley, attr, true)
+        _clear_matrix_caches()
+
+
+def matrix_cases():
+    """[exit code, stdout] of each pinned case, then of each mutated case."""
+    got = {case: _run(case) for case in MATRIX_PINS}
+    for case, (attr, fake, _) in MUTATED.items():
+        with _replaced(attr, fake):
+            got["mutated " + case] = _run(case)
+    return got
+
+
+def _check_matrix_cases(got):
+    assert {case: got[case] for case in MATRIX_PINS} == MATRIX_PINS
+    for case, (_, _, failing) in MUTATED.items():
+        code, out = got["mutated " + case]
+        assert code == 1, out
+        fails = [line for line in out.splitlines() if not line.startswith("PASS  ")]
+        assert len(fails) == len(failing), out
+        for line, name in zip(fails, failing):
+            assert line.startswith("FAIL  " + name), line
+            assert "(bracket of images differs from image of bracket at [(" in line, line
+
+
+def test_matrix_rows():
+    _check_matrix_cases(matrix_cases())
+
+
+def test_matrix_rows_under_optimize():
+    # the realization check is an explicit raise, so python -O still fails
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_verify\n"
+        "print(json.dumps(test_verify.matrix_cases()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(onsagerkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _check_matrix_cases(json.loads(proc.stdout))
+
+
+def test_flipped_sign_keeps_the_sign_laws_and_fails_the_realization():
+    true_n = chevalley.sp_structure_table(3).N
+    with _replaced("sp_sign_reconciliation", _flipped_signs):
+        t = chevalley.sp_structure_table(3)  # StructureTable checks the sign laws
+        assert t.N != true_n
+        with pytest.raises(IdentityViolation, match="bracket of images differs"):
+            chevalley.sp_realization(3)
+        with pytest.raises(IdentityViolation, match="bracket of images differs"):
+            chevalley.eta(3, t.y_basis((1, 0, 0)))
+
+
+@pytest.mark.parametrize("case", ["verify --preset C3", "verify --preset A3"])
+def test_each_matrix_realization_is_scanned_once(case, monkeypatch):
+    scans = []
+    scan = MatrixRealization.homomorphism_failures
+
+    def counted(self):
+        scans.append(self.dim)
+        return scan(self)
+
+    monkeypatch.setattr(MatrixRealization, "homomorphism_failures", counted)
+    _clear_matrix_caches()
+    try:
+        assert _run(case)[0] == 0
+    finally:
+        _clear_matrix_caches()
+    assert len(scans) == 1
