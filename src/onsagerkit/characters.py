@@ -61,28 +61,29 @@ class CharacterSpace:
 def character_space(rz: Realization, H: int) -> CharacterSpace:
     """Solve chi([u, v]) = 0 over all window pairs; return the solution basis.
 
+    The solve runs on basis numbers; the space is reported on basis keys.
     Raises WindowTooSmall unless every basis vector of height <= H-1 appears
     in the expansion of some in-window bracket.
     """
     keyed = rz.basis(H)
     keys = [k for k, _ in keyed]
-    col = {k: j for j, k in enumerate(keys)}
+    nums = [rz.number(k) for k in keys]
+    col = {n: j for j, n in enumerate(nums)}
     rows = []
     touched = set()
-    for u, v in combinations(keys, 2):
+    for u, v in combinations(nums, 2):
         coords = rz.basis_bracket(u, v)
         if not coords:
             continue
-        if any(k not in col for k in coords):
+        if any(n not in col for n in coords):
             continue
         touched.update(coords)
-        rows.append({col[k]: c for k, c in coords.items()})
-    required = {k for k, h in keyed if h <= H - 1}
-    missing = required - touched
+        rows.append({col[n]: c for n, c in coords.items()})
+    missing = {n for n, (_, h) in zip(nums, keyed) if h <= H - 1} - touched
     if missing:
         raise WindowTooSmall(
             "window %d leaves %d basis vectors unconstrained, e.g. %s"
-            % (H, len(missing), next(iter(sorted(missing, key=str))))
+            % (H, len(missing), min((rz.index(n) for n in missing), key=str))
         )
     matrix = ExactMatrix(len(rows), len(keys), {
         (r, j): c for r, row in enumerate(rows) for j, c in row.items()
@@ -90,7 +91,7 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
     basis = []
     for vec in nullspace_basis(matrix):
         func = {}
-        for k, j in col.items():
+        for j, k in enumerate(keys):
             if vec[j]:
                 if not vec[j].is_rational:
                     raise IdentityViolation("non-real character value at %s" % (k,))

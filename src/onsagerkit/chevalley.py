@@ -9,9 +9,12 @@ from the Jacobi identity and the cyclic identity of the invariant form.  The
 resulting table automatically satisfies N[-a,-b] = -N[a,b], which makes
 h -> -h, e_alpha -> -e_{-alpha} an involutive automorphism.
 
-Elements are sparse combinations of basis keys ('h', i) and ('e', root);
-`StructureTable.bracket_keys` and `form_keys` give the bracket and the
-invariant form on a pair of keys, tabulated per pair on first use, and every
+Elements are sparse combinations of basis keys ('h', i) and ('e', root).
+A table numbers its basis keys once, in `basis_keys()` order, and records
+each key's omega partner.  Its one bracket memo is keyed by number pairs:
+`entry(i, j)` holds [k_i, k_j] as int terms ((k, c), ...) over key numbers
+together with the invariant form (k_i, k_j), filled on first use.
+`bracket_keys` and `form_keys` read the same memo on tuple keys, and every
 element-level bracket, form and matrix image is their bilinear extension.
 The N table is read-only, so a tabulated bracket never goes stale.
 
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
+from operator import add, neg, sub
 from types import MappingProxyType
 
 from .cartan import CartanMatrix, preset
@@ -42,19 +46,26 @@ class NotFixedError(ValueError):
 
 
 def _vadd(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def _vsub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def _vneg(x):
-    return tuple(-a for a in x)
+    return tuple(map(neg, x))
 
 
-# the shared result of every vanishing key bracket
-_NO_TERMS = {}
+# the shared memo entry of every key pair with vanishing bracket and form
+_NO_ENTRY = ((), 0)
+
+
+@lru_cache(maxsize=None)
+def _one_term(k, c):
+    """The memo entry c * (key k) with form 0, one object per (k, c): most
+    entries are one of a few hundred of these, so the memo stays small."""
+    return ((k, c),), 0
 
 
 def _omega_key(key):
@@ -89,13 +100,16 @@ class StructureTable:
         self.rs = rootsystem
         self.N = MappingProxyType(dict(n_table))
         self._check_sign_laws()
-        # Tabulated brackets are kept in rows by first key, with shared key
-        # objects and one shared empty result: the finite-type character
-        # solve looks most of its pairs up once, and this keeps their memory
-        # low.
-        self._brackets = {}  # k1 -> {k2: bracket_keys(k1, k2)}
-        self._forms = {}  # (k1, k2) -> form_keys(k1, k2)
-        self._e_keys = {a: ("e", a) for a in rootsystem._all}
+        self.keys = tuple([("h", i) for i in range(rootsystem.rank)]
+                          + [("e", a) for a in sorted(rootsystem._all)])
+        self.number = {k: n for n, k in enumerate(self.keys)}
+        self.dim = len(self.keys)
+        # omega sends the key numbered k to minus the key numbered partner[k]
+        self.partner = tuple(self.number[_omega_key(k)] for k in self.keys)
+        # the keys e_alpha, alpha > 0: the fixed basis y_alpha at level 0
+        self.positive = frozenset(n for n, (kind, v) in enumerate(self.keys) if kind == "e" and min(v) >= 0)
+        # entry(i, j) at i * dim + j, filled on first use
+        self._memo = [None] * (self.dim * self.dim)
 
     # -- constructors for basis elements ------------------------------------
     def e(self, alpha):
@@ -120,12 +134,12 @@ class StructureTable:
     def y_any(self, alpha):
         """y_alpha for alpha of either sign (y_{-a} = -y_a)."""
         alpha = tuple(alpha)
-        return ChevElement({self._e_keys[alpha]: 1, self._e_keys[_vneg(alpha)]: -1})
+        return ChevElement({("e", alpha): 1, ("e", _vneg(alpha)): -1})
 
     def basis_keys(self):
-        keys = [("h", i) for i in range(self.rs.rank)]
-        keys += [("e", a) for a in sorted(self.rs._all)]
-        return keys
+        """h_1..h_r, then e_alpha in sorted root order: key number n is
+        basis_keys()[n]."""
+        return list(self.keys)
 
     def element_for_key(self, key):
         return ChevElement({key: 1})
@@ -134,56 +148,48 @@ class StructureTable:
     def n_value(self, alpha, beta):
         return self.N.get((tuple(alpha), tuple(beta)), 0)
 
-    def bracket_keys(self, k1, k2):
-        """[k1, k2] of two basis keys, as a sparse vector over basis keys:
-        [h_i, e_b] = b(h_i) e_b, [e_a, e_{-a}] = h_a, [e_a, e_b] = N e_{a+b}.
+    def entry(self, i, j):
+        """(terms, form) of the keys numbered i and j: [k_i, k_j] as int
+        terms ((k, c), ...) over key numbers, with [h_i, e_b] = b(h_i) e_b,
+        [e_a, e_{-a}] = h_a and [e_a, e_b] = N e_{a+b}, and the normalized
+        invariant form (k_i, k_j), with (e_a, e_{-a}) = 2/(a,a), the h-block
+        from the symmetrized Cartan data and (h, e) = 0.
 
-        Tabulated per key pair on first use; the returned dict is shared, so
-        callers must not modify it.
+        Tabulated per number pair on first use; the entry is shared.
         """
-        row = self._brackets.get(k1)
-        if row is None:
-            row = self._brackets[k1] = {}
-        out = row.get(k2)
+        n = i * self.dim + j
+        out = self._memo[n]
         if out is None:
-            out = row[k2] = self._bracket_keys(k1, k2) or _NO_TERMS
+            out = self._memo[n] = self._entry(self.keys[i], self.keys[j])
         return out
 
-    def _bracket_keys(self, k1, k2):
+    def _entry(self, k1, k2):
         (kind1, v1), (kind2, v2) = k1, k2
+        rs = self.rs
         if kind1 == "h":
             if kind2 == "h":
-                return {}
-            p = self.rs.pairing(v2, v1)
-            return {k2: p} if p else {}
+                return (), 4 * rs.form[v1][v2] / (rs.form[v1][v1] * rs.form[v2][v2])
+            p = rs.pairing(v2, v1)
+            return _one_term(self.number[k2], p) if p else _NO_ENTRY
         if kind2 == "h":
-            p = self.rs.pairing(v1, v2)
-            return {k1: -p} if p else {}
+            p = rs.pairing(v1, v2)
+            return _one_term(self.number[k1], -p) if p else _NO_ENTRY
         s = _vadd(v1, v2)
         if not any(s):
-            return {("h", i): k for i, k in enumerate(self.rs.coroot_coords(v1)) if k}
+            h = tuple((self.number[("h", i)], k) for i, k in enumerate(rs.coroot_coords(v1)) if k)
+            return h, 2 / rs.norm2(v1)
         n = self.N.get((v1, v2))
-        return {self._e_keys[s]: n} if n else {}
+        return _one_term(self.number[("e", s)], n) if n else _NO_ENTRY
+
+    def bracket_keys(self, k1, k2):
+        """[k1, k2] of two basis keys as a new sparse vector over basis keys,
+        read off entry()."""
+        keys = self.keys
+        return {keys[k]: c for k, c in self.entry(self.number[k1], self.number[k2])[0]}
 
     def form_keys(self, k1, k2):
-        """Normalized invariant form of two basis keys: (e_a, e_{-a}) = 2/(a,a),
-        h-block from the symmetrized Cartan data, (h, e) = 0.  Tabulated per
-        key pair on first use."""
-        out = self._forms.get((k1, k2))
-        if out is None:
-            out = self._forms[k1, k2] = self._form_keys(k1, k2)
-        return out
-
-    def _form_keys(self, k1, k2):
-        (kind1, v1), (kind2, v2) = k1, k2
-        form = self.rs.form
-        if kind1 != kind2:
-            return 0
-        if kind1 == "h":
-            return 4 * form[v1][v2] / (form[v1][v1] * form[v2][v2])
-        if any(_vadd(v1, v2)):
-            return 0
-        return 2 / self.rs.norm2(v1)
+        """Normalized invariant form of two basis keys, read off entry()."""
+        return self.entry(self.number[k1], self.number[k2])[1]
 
     def bracket(self, x: ChevElement, y: ChevElement) -> ChevElement:
         return ChevElement(bilinear(self.bracket_keys, x.terms, y.terms))
@@ -224,12 +230,24 @@ def _mixed_n(rs, npp, xi, rho):
     sigma = _vsub(rho, xi)
     if not rs.is_root(sigma):
         return Fraction(0)
-    assert all(c >= 0 for c in sigma)
+    if min(sigma) < 0:
+        raise IdentityViolation("rho - xi is a negative root at xi = %r, rho = %r" % (xi, rho))
     return Fraction(rs.norm2(sigma), 1) / rs.norm2(rho) * npp[(xi, sigma)]
 
 
+def _integral(val, alpha, beta):
+    """val as an int; IdentityViolation names the pair when it is not one."""
+    if val.denominator != 1:
+        raise IdentityViolation("non-integer structure constant %s at %r, %r" % (val, alpha, beta))
+    return int(val)
+
+
 def build_chevalley(c: CartanMatrix) -> StructureTable:
-    """Structure table for a finite-type matrix, extraspecial-pair signs."""
+    """Structure table for a finite-type matrix, extraspecial-pair signs.
+
+    Raises IdentityViolation, naming the root pair, when a derived constant
+    has a zero denominator, is not an integer or breaks the magnitude rule.
+    """
     rs = RootSystem(c)
     pos = rs.positive_roots
     posset = set(pos)
@@ -250,7 +268,8 @@ def build_chevalley(c: CartanMatrix) -> StructureTable:
         npp[(xi, eta)] = n0
         npp[(eta, xi)] = -n0
         denom = _mixed_n(rs, npp, xi, gamma)
-        assert denom
+        if not denom:
+            raise IdentityViolation("zero denominator N[-xi, gamma] at xi = %r, gamma = %r" % (xi, gamma))
         for alpha, beta in decomps[1:]:
             t1 = Fraction(0)
             amx = _vsub(alpha, xi)
@@ -260,10 +279,9 @@ def build_chevalley(c: CartanMatrix) -> StructureTable:
             bmx = _vsub(beta, xi)
             if bmx in posset:
                 t2 = _mixed_n(rs, npp, xi, beta) * npp[(alpha, bmx)]
-            val = (t1 + t2) / denom
-            assert val.denominator == 1, "non-integer structure constant at %r+%r" % (alpha, beta)
-            val = int(val)
-            assert abs(val) == rs.chain_p(alpha, beta) + 1
+            val = _integral((t1 + t2) / denom, alpha, beta)
+            if abs(val) != rs.chain_p(alpha, beta) + 1:
+                raise IdentityViolation("magnitude rule fails at %r, %r (N = %d)" % (alpha, beta, val))
             npp[(alpha, beta)] = val
             npp[(beta, alpha)] = -val
 
@@ -288,8 +306,7 @@ def build_chevalley(c: CartanMatrix) -> StructureTable:
                     val = -Fraction(rs.norm2(s), 1) / rs.norm2(x) * npp[(eps, s)]
                 else:
                     val = -Fraction(rs.norm2(s), 1) / rs.norm2(eps) * npp[(x, _vneg(s))]
-                assert val.denominator == 1
-                full[(x, y)] = int(val)
+                full[(x, y)] = _integral(val, x, y)
             else:
                 # negative, positive: antisymmetry off the case above
                 eps = _vneg(x)
@@ -297,14 +314,26 @@ def build_chevalley(c: CartanMatrix) -> StructureTable:
                     val = Fraction(rs.norm2(s), 1) / rs.norm2(y) * npp[(eps, s)]
                 else:
                     val = Fraction(rs.norm2(s), 1) / rs.norm2(eps) * npp[(y, _vneg(s))]
-                assert val.denominator == 1
-                full[(x, y)] = int(val)
+                full[(x, y)] = _integral(val, x, y)
     return StructureTable(rs, full)
 
 
-@lru_cache(maxsize=None)
+# matrix rows -> StructureTable
+_TABLES = {}
+
+
+def table_for(c: CartanMatrix) -> StructureTable:
+    """The structure table of a finite-type matrix, built once per matrix
+    (keyed by its rows), so the realizations and the matrix rows of a run
+    share one table and one bracket memo."""
+    t = _TABLES.get(c.a)
+    if t is None:
+        t = _TABLES[c.a] = build_chevalley(c)
+    return t
+
+
 def preset_table(name) -> StructureTable:
-    return build_chevalley(preset(name))
+    return table_for(preset(name))
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +372,29 @@ class MatrixRealization:
         return bad
 
 
+def _checked_once(build):
+    """Cache build(r), and also the IdentityViolation it raises: a failing
+    matrix realization is built and scanned once, and every later call
+    raises the same violation again."""
+
+    @lru_cache(maxsize=None)
+    def outcome(r):
+        try:
+            return build(r), None
+        except IdentityViolation as exc:
+            return None, str(exc)
+
+    @wraps(build)
+    def cached(r):
+        rz, error = outcome(r)
+        if error is not None:
+            raise IdentityViolation(error)
+        return rz
+
+    cached.cache_clear = outcome.cache_clear
+    return cached
+
+
 def _extend_images(table: StructureTable, images):
     """Fill images of all root vectors from the simple-root images.
 
@@ -361,7 +413,7 @@ def _extend_images(table: StructureTable, images):
     return images
 
 
-@lru_cache(maxsize=None)
+@_checked_once
 def sl_realization(r) -> MatrixRealization:
     """Trace-zero (r+1) x (r+1) matrices: e_i = E_{i,i+1}, f_i = E_{i+1,i}."""
     table = preset_table("A%d" % r)
@@ -468,7 +520,7 @@ def sp_structure_table(r) -> StructureTable:
                                        for (a, b), n in generic.N.items()})
 
 
-@lru_cache(maxsize=None)
+@_checked_once
 def sp_realization(r) -> MatrixRealization:
     """The displayed 2r x 2r symplectic realization, bound to its own table."""
     return MatrixRealization(2 * r, _sp_images(r), sp_structure_table(r))

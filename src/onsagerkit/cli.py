@@ -175,16 +175,17 @@ def structconst_report(c, H):
             alpha, beta = a
             entries.append({"alpha": list(alpha), "beta": list(beta), "N": rz.table.N[a]})
         keys = [k for k, _ in rz.basis(rz.table.rs.max_height)]
+        nums = [rz.number(k) for k in keys]
         pairs = []
         for i, alpha in enumerate(keys):
-            for beta in keys[i + 1 :]:
-                coords = rz.basis_bracket(alpha, beta)
+            for beta, v in zip(keys[i + 1 :], nums[i + 1 :]):
+                coords = rz.basis_bracket(nums[i], v)
                 pairs.append(
                     {
                         "lhs": [list(alpha), list(beta)],
                         "rhs": [
-                            {"coords": list(k), "coeff": str(Fraction(v))}
-                            for k, v in sorted(coords.items())
+                            {"coords": list(k), "coeff": str(Fraction(c))}
+                            for k, c in sorted((rz.index(n), c) for n, c in coords.items())
                         ],
                     }
                 )
@@ -207,18 +208,21 @@ def structconst_report(c, H):
                 table.append({"lhs": ["A%d" % k, "A%d" % l], "rhs": "G%d" % (l - k)})
         return {"schema": SCHEMA, "kind": "structconst", "type": "onsager", "brackets": table}
     indices = [k for k, _ in rz.basis(H)]
+    rank = {k: j for j, k in enumerate(sorted(indices))}
+    keyed = [(k, rz.number(k), rank[k]) for k in indices]
     pairs = []
-    for a1 in indices:
-        for a2 in indices:
-            if a2 <= a1:
+    for a1, n1, r1 in keyed:
+        for a2, n2, r2 in keyed:
+            # each unordered pair once, with a1 < a2
+            if r2 <= r1:
                 continue
-            coords = rz.basis_bracket(a1, a2)
+            coords = rz.basis_bracket(n1, n2)
             pairs.append(
                 {
                     "lhs": [yindex_json(a1), yindex_json(a2)],
                     "rhs": [
-                        {"idx": yindex_json(k), "coeff": int(v)}
-                        for k, v in sorted(coords.items())
+                        {"idx": yindex_json(k), "coeff": int(c)}
+                        for k, c in sorted((rz.index(n), c) for n, c in coords.items())
                     ],
                 }
             )

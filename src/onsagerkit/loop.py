@@ -12,6 +12,13 @@ with the normalized invariant form of the finite part.  The involution sends
 x[k] -> omega(x)[-k], c -> -c, d -> -d; its fixed space has the integral basis
 y_{alpha+k delta} = e_alpha[k] - e_{-alpha}[-k] and
 y_{k delta}^(i) = h_i[k] - h_i[-k].
+
+The fixed-basis bracket works on numbers.  The fixed vector whose leading
+term is x[level], for the table's key number k of x, is numbered
+level * t.dim + k: y = x[level] - x'[-level], x' the omega partner of x.
+Every sign and level of a root has its number, and the positive indices
+(level > 0, or level 0 and a positive root) are the fixed basis.  The same
+numbers at level 0 are the finite fixed basis y_alpha.
 """
 
 from __future__ import annotations
@@ -88,11 +95,11 @@ def _pair_bracket(t: StructureTable, k1, k2):
     if k2 == "d":
         return {k1: -k1[1]} if k1[1] else None
     (a, l), (b, m) = k1, k2
-    out = {(key, l + m): c for key, c in t.bracket_keys(a, b).items()}
-    if l == -m and l:
-        form = t.form_keys(a, b)
-        if form:
-            out["c"] = l * form
+    terms, form = t.entry(t.number[a], t.number[b])
+    keys = t.keys
+    out = {(keys[k], l + m): c for k, c in terms}
+    if form and l == -m and l:
+        out["c"] = l * form
     return out
 
 
@@ -182,10 +189,59 @@ def y_coordinates(x: LoopElement, rank):
     return out
 
 
-def k_bracket_expand(t: StructureTable, idx1: YIndex, idx2: YIndex):
-    """Bracket of two fixed-basis vectors, re-expanded over the fixed basis."""
-    z = bracket_loop(t, y_affine(idx1), y_affine(idx2))
-    return y_coordinates(z, t.rs.rank)
+def y_number(t: StructureTable, key, level):
+    """Number of the fixed vector whose leading term is key[level]."""
+    return level * t.dim + t.number[key]
+
+
+def y_key(t: StructureTable, n):
+    """(key, level) of the leading term of the fixed vector numbered n."""
+    level, k = divmod(n, t.dim)
+    return t.keys[k], level
+
+
+def y_terms(t: StructureTable, n):
+    """Loop terms (key number, level, coeff) of the fixed vector numbered n."""
+    level, k = divmod(n, t.dim)
+    return (k, level, 1), (t.partner[k], -level, -1)
+
+
+def k_bracket_expand(t: StructureTable, x, y):
+    """Bracket of two fixed vectors given by their loop terms
+    (key number, level, coeff), expanded over the fixed basis by number.
+
+    Brackets every pair of terms through the table's numbered memo, in int
+    arithmetic, and makes the checks of y_coordinates: NotExpandable when the
+    central coefficient is nonzero or a term's omega partner does not carry
+    the opposite coefficient (a level-0 Cartan term is its own partner).
+    """
+    dim, partner, memo = t.dim, t.partner, t._memo
+    acc = {}
+    central = 0
+    for a, la, ca in x:
+        row = a * dim
+        for b, lb, cb in y:
+            terms, form = memo[row + b] or t.entry(a, b)
+            c = ca * cb
+            base = (la + lb) * dim
+            for k, v in terms:
+                n = base + k
+                acc[n] = acc.get(n, 0) + c * v
+            if form and la == -lb and la:
+                central += la * c * form
+    if central:
+        raise NotExpandable("nonzero central coefficient")
+    positive = t.positive
+    out = {}
+    for n, v in acc.items():
+        if not v:
+            continue
+        level, k = divmod(n, dim)
+        if acc.get(partner[k] - level * dim, 0) != -v:
+            raise NotExpandable("element is not involution-fixed")
+        if level > 0 or (level == 0 and k in positive):
+            out[n] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import FINITE, CartanMatrix
-from .chevalley import StructureTable, _omega_key, _vneg, build_chevalley
+from .chevalley import StructureTable, _omega_key, _vneg, table_for
 from .exact_math import IdentityViolation, IncrementalSpan
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
 from .loop import (
@@ -26,8 +26,11 @@ from .loop import (
     k_bracket_expand,
     omega_tilde,
     y_coordinates,
+    y_key,
+    y_number,
+    y_terms,
 )
-from .roots import AffineData, height
+from .roots import AffineData, AffineRoot, height
 from .serre_coeffs import serre_relation
 
 
@@ -38,8 +41,10 @@ class Realization:
     A subclass fixes the basis: `bracket`, `y_coordinates` (coordinates of a
     fixed element; raises NotExpandable for any other element), `basis(H)`
     (the basis keys of height <= H with their heights, in (height, key)
-    order) and `basis_bracket(u, v)` (the bracket of two basis vectors,
-    expanded over the basis).
+    order), and `number(key)`/`index(n)`, which translate between a basis
+    key and its number (see `loop`).  `basis_bracket(u, v)` brackets the
+    basis vectors numbered u and v and expands the result over the basis by
+    number; basis keys are built only to report a result.
     """
 
     def __init__(self, cartan, table, generators):
@@ -62,6 +67,10 @@ class Realization:
         (key,) = self.y_coordinates(self.generator(label))
         return key
 
+    def basis_bracket(self, u, v):
+        t = self.table
+        return k_bracket_expand(t, y_terms(t, u), y_terms(t, v))
+
     def height_mults(self, jmax):
         """Number of basis vectors at each height 1..jmax."""
         mults = [0] * jmax
@@ -76,7 +85,7 @@ class FiniteRealization(Realization):
 
     def __init__(self, c: CartanMatrix, table: StructureTable = None):
         if table is None:
-            table = build_chevalley(c)
+            table = table_for(c)
         gens = {}
         for pos, label in enumerate(c.labels):
             simple = tuple(1 if k == pos else 0 for k in range(c.n))
@@ -101,9 +110,11 @@ class FiniteRealization(Realization):
     def basis(self, H):
         return [(a, height(a)) for a in self.table.rs.positive_roots if height(a) <= H]
 
-    def basis_bracket(self, u, v):
-        t = self.table
-        return self.y_coordinates(t.bracket(t.y_basis(u), t.y_basis(v)))
+    def number(self, alpha):
+        return y_number(self.table, ("e", alpha), 0)
+
+    def index(self, n):
+        return y_key(self.table, n)[0][1]
 
 
 class AffineRealization(Realization):
@@ -113,7 +124,7 @@ class AffineRealization(Realization):
     def __init__(self, c: CartanMatrix, table: StructureTable = None):
         self.affine = aff = AffineData(c)
         if table is None:
-            table = build_chevalley(aff.finite_cartan)
+            table = table_for(aff.finite_cartan)
         theta = aff.theta
         gens = {}
         finite_pos = 0
@@ -140,8 +151,16 @@ class AffineRealization(Realization):
         aff = self.affine
         return [(YIndex(g, i), aff.height(g)) for g, m in aff.positive_up_to(H) for i in range(1, m + 1)]
 
-    def basis_bracket(self, u, v):
-        return k_bracket_expand(self.table, u, v)
+    def number(self, idx):
+        gamma = idx.gamma
+        key = ("h", idx.i - 1) if gamma.is_imaginary else ("e", gamma.finite)
+        return y_number(self.table, key, gamma.level)
+
+    def index(self, n):
+        (kind, v), level = y_key(self.table, n)
+        if kind == "h":
+            return YIndex(AffineRoot((0,) * self.affine.rank, level), v + 1)
+        return YIndex(AffineRoot(v, level))
 
 
 def realization_for(c: CartanMatrix, table=None) -> Realization:

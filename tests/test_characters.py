@@ -17,7 +17,7 @@ from onsagerkit.characters import (
 )
 from onsagerkit.chevalley import _sp_eps_coords, sp_structure_table
 from onsagerkit.exact_math import GaussianRational, I
-from onsagerkit.loop import YIndex, k_bracket_expand
+from onsagerkit.loop import YIndex
 from onsagerkit.onsager import realization_for
 from onsagerkit.roots import AffineRoot
 
@@ -164,6 +164,8 @@ def test_step_identity(r):
     # [y_{beta + delta}, y_gamma] with beta = -eps_{j-1}-eps_j and
     # gamma = eps_{j-1}-eps_j lands on 2 y_{-2eps_j + delta} - 2 y_{-2eps_{j-1} + delta}
     t = sp_structure_table(r)
+    rz = affine_character_realization(r)
+    assert rz.table is t
     for j in range(2, r + 1):
         eps_b = tuple((-1 if m in (j - 2, j - 1) else 0) for m in range(r))
         eps_g = tuple((1 if m == j - 2 else -1 if m == j - 1 else 0) for m in range(r))
@@ -171,7 +173,8 @@ def test_step_identity(r):
         gamma = _root_from_eps(r, eps_g)
         assert t.n_value(beta, gamma) == 2
         assert t.n_value(beta, tuple(-c for c in gamma)) == 2
-        got = k_bracket_expand(t, YIndex(AffineRoot(beta, 1)), YIndex(AffineRoot(gamma, 0)))
+        u, v = rz.number(YIndex(AffineRoot(beta, 1))), rz.number(YIndex(AffineRoot(gamma, 0)))
+        got = {rz.index(n): c for n, c in rz.basis_bracket(u, v).items()}
         twoeps_j = _root_from_eps(r, tuple((2 if m == j - 1 else 0) for m in range(r)))
         twoeps_jm1 = _root_from_eps(r, tuple((2 if m == j - 2 else 0) for m in range(r)))
         want = {}

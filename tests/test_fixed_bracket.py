@@ -1,0 +1,93 @@
+"""The numbered fixed-basis bracket against the element-level reference.
+
+`Realization.basis_bracket` brackets two fixed-basis vectors by number
+through the table's numbered memo (`loop.k_bracket_expand`).  The reference
+builds both vectors as loop or Chevalley elements, brackets them term by
+term and reads the coordinates back with `y_coordinates`.
+"""
+
+import random
+
+import pytest
+
+from onsagerkit.cartan import preset, preset_names
+from onsagerkit.loop import NotExpandable, YIndex, bracket_loop, k_bracket_expand, y_affine, y_coordinates, y_terms
+from onsagerkit.onsager import FiniteRealization, realization_for
+from onsagerkit.roots import AffineRoot
+
+
+def _by_key(rz, coords):
+    return {rz.index(n): c for n, c in coords.items()}
+
+
+def _sweep_indices(rz, bound=2):
+    """y_{alpha + l delta} for every root alpha and y_{l delta}^(i), l != 0,
+    with |l| <= bound."""
+    rs = rz.table.rs
+    out = [YIndex(AffineRoot(a, l)) for a in sorted(rs._all) for l in range(-bound, bound + 1)]
+    out += [YIndex(AffineRoot((0,) * rs.rank, l), i)
+            for i in range(1, rs.rank + 1) for l in range(-bound, bound + 1) if l]
+    return out
+
+
+def _check_affine_pairs(rz, pairs):
+    t, rank = rz.table, rz.affine.rank
+    for u, v in pairs:
+        want = y_coordinates(bracket_loop(t, y_affine(u), y_affine(v)), rank)
+        got = rz.basis_bracket(rz.number(u), rz.number(v))
+        assert _by_key(rz, got) == want, (u, v)
+        assert all(type(c) is int for c in got.values()), (u, v)
+
+
+@pytest.mark.parametrize("name", ["A1~", "A2~", "C2~", "G2~", "B3~", "C3~"])
+def test_affine_kernel_matches_the_element_bracket_on_every_pair(name):
+    rz = realization_for(preset(name))
+    indices = _sweep_indices(rz)
+    _check_affine_pairs(rz, [(u, v) for u in indices for v in indices])
+
+
+@pytest.mark.parametrize("name", ["F4~", "E6~"])
+def test_affine_kernel_matches_the_element_bracket_on_a_sample(name):
+    rz = realization_for(preset(name))
+    indices = _sweep_indices(rz)
+    rng = random.Random(20261018)
+    _check_affine_pairs(rz, [(rng.choice(indices), rng.choice(indices)) for _ in range(2000)])
+
+
+@pytest.mark.parametrize("name", ["G2", "C3", "F4"])
+def test_finite_kernel_matches_the_element_bracket(name):
+    rz = FiniteRealization(preset(name))
+    t = rz.table
+    for u in t.rs.positive_roots:
+        for v in t.rs.positive_roots:
+            want = rz.y_coordinates(t.bracket(t.y_basis(u), t.y_basis(v)))
+            assert _by_key(rz, rz.basis_bracket(rz.number(u), rz.number(v))) == want, (u, v)
+
+
+@pytest.mark.parametrize("name", preset_names(max_rank=4))
+def test_numbering_round_trips_over_the_basis(name):
+    c = preset(name)
+    rz = realization_for(c)
+    H = 2 * rz.affine.delta_height + 2 if name.endswith("~") else rz.table.rs.max_height
+    keys = [k for k, _ in rz.basis(H)]
+    nums = [rz.number(k) for k in keys]
+    assert len(set(nums)) == len(nums)
+    assert [rz.index(n) for n in nums] == keys
+
+
+def test_kernel_rejects_a_non_fixed_input():
+    rz = realization_for(preset("C2~"))
+    t = rz.table
+    e_a = t.number[("e", (1, 0))]
+    y_b = y_terms(t, rz.number(YIndex(AffineRoot((0, 1), 1))))
+    # e_a[0] alone is not fixed, and neither is its bracket with y_b
+    with pytest.raises(NotExpandable, match="involution-fixed"):
+        k_bracket_expand(t, ((e_a, 0, 1),), y_b)
+    # [e_a[1], e_{-a}[-1]] = h_a[0] + (e_a, e_{-a}) c
+    with pytest.raises(NotExpandable, match="central"):
+        k_bracket_expand(t, ((e_a, 1, 1),), ((t.partner[e_a], -1, 1),))
+    # h_1[0] is its own omega partner, so [h_1, y_a] = a(h_1)(e_a + e_{-a}) fails
+    with pytest.raises(NotExpandable, match="involution-fixed"):
+        k_bracket_expand(t, ((t.number[("h", 0)], 0, 1),), y_terms(t, e_a))
+    # the fixed vectors themselves expand
+    assert k_bracket_expand(t, y_terms(t, e_a), y_b)

@@ -14,7 +14,6 @@ from onsagerkit.loop import (
     derivation,
     e_at,
     h_at,
-    k_bracket_expand,
     loop_form,
     omega_tilde,
     onsager_basis,
@@ -23,6 +22,7 @@ from onsagerkit.loop import (
     y_real,
     y_imag,
 )
+from onsagerkit.onsager import realization_for
 from onsagerkit.roots import AffineData, AffineRoot
 
 
@@ -129,13 +129,14 @@ def test_y_sign_conventions():
 
 def test_y_coordinates_roundtrip_and_integrality():
     t = preset_table("C2")
+    rz = realization_for(preset("C2~"))
     zero = (0, 0)
     indices = [YIndex(AffineRoot(a, k)) for a in sorted(t.rs._all) for k in (-2, -1, 0, 1, 2)]
     indices += [YIndex(AffineRoot(zero, k), i) for k in (1, 2) for i in (1, 2)]
     for i1 in indices:
         for i2 in indices:
-            coords = k_bracket_expand(t, i1, i2)
-            for idx, coeff in coords.items():
+            coords = rz.basis_bracket(rz.number(i1), rz.number(i2))
+            for idx, coeff in ((rz.index(n), c) for n, c in coords.items()):
                 assert Fraction(coeff).denominator == 1
                 # every output index is a canonical positive one
                 g = idx.gamma
@@ -181,10 +182,11 @@ def test_k_bracket_expand_keeps_exact_coefficients():
     # C2~ fixed-basis pairs up to height 5: integral brackets and expansions
     # stay ints, never a float or a Fraction
     t = preset_table("C2")
+    rz = realization_for(preset("C2~"))
     indices = [YIndex(g, i) for g, m in AffineData(preset("C2~")).positive_up_to(5)
                for i in range(1, m + 1)]
     for a in indices:
         for b in indices:
             z = bracket_loop(t, y_affine(a), y_affine(b))
-            for c in list(z.terms.values()) + list(k_bracket_expand(t, a, b).values()):
+            for c in list(z.terms.values()) + list(rz.basis_bracket(rz.number(a), rz.number(b)).values()):
                 assert type(c) is int, (a, b, c)

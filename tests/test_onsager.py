@@ -191,7 +191,7 @@ def test_basis_bracket_is_antisymmetric_over_the_chars_window(name):
     c = preset(name)
     rz = realization_for(c)
     H = rz.table.rs.max_height if c.kind == FINITE else 2 * rz.affine.delta_height + 2
-    keys = [k for k, _ in rz.basis(H)]
+    keys = [rz.number(k) for k, _ in rz.basis(H)]
     for i, u in enumerate(keys):
         for v in keys[i:]:
             uv = rz.basis_bracket(u, v)

@@ -15,11 +15,12 @@ import pytest
 import onsagerkit
 from onsagerkit import chevalley, cli
 from onsagerkit.cartan import preset
+from onsagerkit.characters import character_space
 from onsagerkit.chevalley import MatrixRealization, StructureTable, build_chevalley
 from onsagerkit.exact_math import IdentityViolation
 from onsagerkit.loop import YIndex
 from onsagerkit.onsager import AffineRealization, realization_for
-from onsagerkit.roots import AffineRoot, height
+from onsagerkit.roots import AffineRoot, RootSystem, height
 from onsagerkit.verify import check_affine_structure_constants, check_relations_killed
 
 # [y(a1), y(a2+d)] = +-y(a1+a2+d) on C2~: one term, coefficient +-1
@@ -33,7 +34,7 @@ def _corrupted(change):
 
     def basis_bracket(u, v):
         got = exact(u, v)
-        return change(got) if (u, v) == PAIR else got
+        return change(got) if (rz.index(u), rz.index(v)) == PAIR else got
 
     rz.basis_bracket = basis_bracket
     return rz
@@ -59,6 +60,63 @@ def test_sweep_reports_a_halved_coefficient():
 
 def _neg(a):
     return tuple(-c for c in a)
+
+
+def test_sweep_builds_no_index_objects(monkeypatch):
+    # the sweep brackets by number; a YIndex is built only for a FAIL message
+    rz = realization_for(preset("C3~"))
+    made = []
+    init = YIndex.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(YIndex, "__init__", counted)
+    _, ok, detail = check_affine_structure_constants(rz)
+    assert ok, detail
+    assert made == []
+    # the counter sees the index a FAIL message builds
+    rz.index(rz.number(YIndex(AffineRoot((1, 0, 0), 1))))
+    assert len(made) == 2
+
+
+def _memo_corrupted(with_omega_image):
+    """A C2~ realization on a fresh table whose memo entry for
+    (e_a1, e_a2) holds -N[a1, a2]; with_omega_image also negates the entry
+    for (e_{-a1}, e_{-a2}), so every bracket stays involution-fixed."""
+    t = build_chevalley(preset("C2"))
+    a, b = (1, 0), (0, 1)
+    pairs = [(a, b), (_neg(a), _neg(b))] if with_omega_image else [(a, b)]
+    for x, y in pairs:
+        i, j = t.number[("e", x)], t.number[("e", y)]
+        (k, n), = t.entry(i, j)[0]
+        t._memo[i * t.dim + j] = (((k, -n),), 0)
+    return AffineRealization(preset("C2~"), t)
+
+
+# the first sweep pair that reads the corrupted entries: the sweep runs
+# over the roots in sorted order, levels -2..2
+FIRST_READER = "[%s, %s]" % (YIndex(AffineRoot((-1, 0), -2)), YIndex(AffineRoot((0, -1), -2)))
+
+
+def test_sweep_fails_on_a_corrupted_memo_entry():
+    _, ok, detail = check_affine_structure_constants(_memo_corrupted(False))
+    assert not ok
+    assert detail == FIRST_READER + " does not expand over the fixed basis: element is not involution-fixed"
+
+
+def test_sweep_and_brackets_see_a_consistently_corrupted_memo_entry():
+    rz, true = _memo_corrupted(True), realization_for(preset("C2~"))
+    _, ok, detail = check_affine_structure_constants(rz)
+    assert not ok
+    assert detail == FIRST_READER + " expansion differs"
+    # the structconst expansions over its default window differ; the
+    # character solve does not see a sign (it kills y_w either way)
+    nums = [true.number(k) for k, _ in true.basis(rz.affine.delta_height + 1)]
+    assert any(rz.basis_bracket(u, v) != true.basis_bracket(u, v) for u in nums for v in nums)
+    H = 2 * rz.affine.delta_height + 2
+    assert character_space(rz, H).basis == character_space(true, H).basis
 
 
 @pytest.mark.parametrize("name", ["C2~", "G2~", "A2~"])
@@ -152,6 +210,11 @@ def _clear_matrix_caches():
         f.cache_clear()
 
 
+def _clear_all_tables():
+    chevalley._TABLES.clear()
+    _clear_matrix_caches()
+
+
 def _run(case):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -222,8 +285,10 @@ def test_flipped_sign_keeps_the_sign_laws_and_fails_the_realization():
             chevalley.eta(3, t.y_basis((1, 0, 0)))
 
 
-@pytest.mark.parametrize("case", ["verify --preset C3", "verify --preset A3"])
+@pytest.mark.parametrize("case", ["verify --preset C3", "verify --preset A3",
+                                  "mutated verify --preset C3", "mutated verify --preset A3"])
 def test_each_matrix_realization_is_scanned_once(case, monkeypatch):
+    # a failing realization is not scanned again by the next row that needs it
     scans = []
     scan = MatrixRealization.homomorphism_failures
 
@@ -232,9 +297,76 @@ def test_each_matrix_realization_is_scanned_once(case, monkeypatch):
         return scan(self)
 
     monkeypatch.setattr(MatrixRealization, "homomorphism_failures", counted)
-    _clear_matrix_caches()
+    mutated = case.startswith("mutated ")
+    case = case.replace("mutated ", "")
+    with _replaced(*MUTATED[case][:2]) if mutated else contextlib.nullcontext():
+        _clear_matrix_caches()
+        try:
+            assert _run(case)[0] == (1 if mutated else 0)
+        finally:
+            _clear_matrix_caches()
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("case", ["verify --preset C3", "verify --preset A3"])
+def test_one_table_per_matrix(case, monkeypatch):
+    # the realization and the matrix rows share the table of the matrix
+    builds = []
+    build = chevalley.build_chevalley
+    monkeypatch.setattr(chevalley, "build_chevalley", lambda c: builds.append(c.a) or build(c))
+    _clear_all_tables()
     try:
         assert _run(case)[0] == 0
     finally:
-        _clear_matrix_caches()
-    assert len(scans) == 1
+        _clear_all_tables()
+    assert len(builds) == 1
+
+
+def test_explicit_tables_are_not_cached():
+    t = build_chevalley(preset("C2"))
+    assert AffineRealization(preset("C2~"), t).table is t
+    assert chevalley.preset_table("C2") is not t
+
+
+# ---------------------------------------------------------------------------
+# a structure table that cannot be built
+# ---------------------------------------------------------------------------
+
+def corrupted_build_case():
+    """[exit code, stdout] of verify --preset C3 with (a3, a3) doubled, so
+    build_chevalley derives N[(0,1,1), (1,1,0)] = -3, against the magnitude
+    rule's 2."""
+    norm2 = RootSystem.norm2
+
+    def doubled(self, alpha):
+        return 2 * norm2(self, alpha) if alpha == (0, 0, 1) else norm2(self, alpha)
+
+    _clear_all_tables()
+    RootSystem.norm2 = doubled
+    try:
+        return _run("verify --preset C3")
+    finally:
+        RootSystem.norm2 = norm2
+        _clear_all_tables()
+
+
+CORRUPTED_BUILD = [1, "FAIL  structure table and realization build "
+                      "(magnitude rule fails at (0, 1, 1), (1, 1, 0) (N = -3))\n"]
+
+
+def test_a_table_that_cannot_be_built_is_one_fail_row():
+    assert corrupted_build_case() == CORRUPTED_BUILD
+
+
+def test_a_table_that_cannot_be_built_fails_under_optimize():
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_verify\n"
+        "print(json.dumps(test_verify.corrupted_build_case()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(onsagerkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == CORRUPTED_BUILD
