@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import _closure
-from .exact_math import IncrementalSpan
+from .exact_math import IdentityViolation, IncrementalSpan
 
 
 class NotGCM(ValueError):
@@ -152,7 +152,8 @@ def _det(a):
         cols.append(p)
         span.add(v)
     inversions = sum(1 for i in range(len(cols)) for j in range(i) if cols[j] > cols[i])
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise IdentityViolation("non-integer determinant %s of an integer matrix" % det)
     return int(det) * (-1) ** inversions
 
 
@@ -305,10 +306,12 @@ def preset(name):
     fin = _finite_preset_matrix(family, rank)
     if not affine:
         c = validate(fin, labels=tuple(range(1, rank + 1)))
-        assert c.kind == FINITE
+        if c.kind != FINITE:
+            raise IdentityViolation("preset %s classifies as %s" % (name, c.kind))
         return c
     c = validate(_affine_extension(fin), labels=tuple(range(rank + 1)))
-    assert c.kind == UNTWISTED_AFFINE and c.affine_node == 0
+    if c.kind != UNTWISTED_AFFINE or c.affine_node != 0:
+        raise IdentityViolation("preset %s is not untwisted affine with node 0 extra" % name)
     return c
 
 

@@ -3,7 +3,8 @@
 Subcommands: coeffs, relations, roots, structconst, verify, chars, eval.
 Matrix source is either --preset NAME (affine presets end in "~") or
 --matrix-file PATH (one row per line, whitespace-separated integers).
-Exit status: 0 all checks pass, 1 a check failed, 2 usage error.
+Exit status: 0 all checks pass, 1 a check failed (or an identity broke while
+building a table), 2 usage error.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .characters import (
 )
 from .exact_math import GaussianRational, IdentityViolation
 from .freelie import ParseError, parse_bracket
-from .loop import YIndex, onsager_basis, bracket_loop
+from .loop import YIndex
 from .onsager import psi_eval, realization_for
 from .roots import AffineData, AffineRoot, RootSystem, height, root_str
 from .serre_coeffs import coeff_table
-from .verify import verification_suite
+from .verify import check_onsager_structure, verification_suite
 
 SCHEMA = 1
 
@@ -199,13 +200,11 @@ def structconst_report(c, H):
     ad = rz.affine
     H = H or ad.delta_height + 1
     if c.typename == "A1~":
-        table = []
-        for k in range(-2, 3):
-            for l in range(-2, 3):
-                val = bracket_loop(rz.table, onsager_basis(k)[0], onsager_basis(l)[0])
-                if val != onsager_basis(l - k)[1]:
-                    raise IdentityViolation("[A%d,A%d] != G%d" % (k, l, l - k))
-                table.append({"lhs": ["A%d" % k, "A%d" % l], "rhs": "G%d" % (l - k)})
+        _, ok, detail = check_onsager_structure(2)
+        if not ok:
+            raise IdentityViolation(detail)
+        table = [{"lhs": ["A%d" % k, "A%d" % l], "rhs": "G%d" % (l - k)}
+                 for k in range(-2, 3) for l in range(-2, 3)]
         return {"schema": SCHEMA, "kind": "structconst", "type": "onsager", "brackets": table}
     indices = [k for k, _ in rz.basis(H)]
     rank = {k: j for j, k in enumerate(sorted(indices))}
@@ -360,8 +359,7 @@ def eval_report(c, text):
     if unknown:
         raise UsageFault("generator labels %s outside %s" % (unknown, list(c.labels)))
     rz = realization_for(c)
-    val = psi_eval(rz, expr)
-    coords = rz.y_coordinates(val)
+    coords = {rz.index(n): v for n, v in psi_eval(rz, expr).items()}
     if c.kind == FINITE:
         rhs = [
             {"basis": "y(%s)" % root_str(k), "coords": list(k), "coeff": str(Fraction(v))}
@@ -500,6 +498,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
+    except IdentityViolation as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     except (
         UsageFault,
         UnknownPreset,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from .exact_math import SparseElement, add_into, bilinear
+from .exact_math import IdentityViolation, SparseElement, add_into, bilinear
 
 
 class ParseError(ValueError):
@@ -283,7 +283,9 @@ def _mobius(n):
 def witt_dimension(n, d):
     """Dimension of the degree-d component of the free Lie algebra on n
     generators: (1/d) sum_{e | d} mu(e) n^(d/e)."""
-    assert n >= 1 and d >= 1
+    if n < 1 or d < 1:
+        raise ValueError("witt_dimension needs n, d >= 1, got %r, %r" % (n, d))
     total = sum(_mobius(e) * n ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
+    if total % d:
+        raise IdentityViolation("Witt sum %d is not divisible by %d" % (total, d))
     return total // d

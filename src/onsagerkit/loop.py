@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .chevalley import ChevElement, StructureTable, _omega_key, _vneg
+from .chevalley import StructureTable, _omega_key, _vneg
 from .exact_math import SparseElement, add_term, bilinear
 from .roots import AffineRoot
 
@@ -63,10 +63,6 @@ class LoopElement(SparseElement):
             bits.append("%s*%s[%d]" % (v, base, k))
         bits += ["%s*%s" % (self.terms[k], k) for k in CD if k in self.terms]
         return " + ".join(bits)
-
-
-def from_finite(x: ChevElement, k: int) -> LoopElement:
-    return LoopElement({(key, k): c for key, c in x.terms.items()})
 
 
 def e_at(alpha, k):

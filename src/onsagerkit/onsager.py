@@ -14,22 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import FINITE, CartanMatrix
-from .chevalley import StructureTable, _omega_key, _vneg, table_for
-from .exact_math import IdentityViolation, IncrementalSpan
+from .chevalley import StructureTable, _vneg, table_for
+from .exact_math import IncrementalSpan, add_into, bilinear
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
-from .loop import (
-    NotExpandable,
-    YIndex,
-    bracket_loop,
-    e_at,
-    from_finite,
-    k_bracket_expand,
-    omega_tilde,
-    y_coordinates,
-    y_key,
-    y_number,
-    y_terms,
-)
+from .loop import YIndex, k_bracket_expand, y_key, y_number, y_terms
 from .roots import AffineData, AffineRoot, height
 from .serre_coeffs import serre_relation
 
@@ -38,19 +26,20 @@ class Realization:
     """Images of the generators inside the fixed subalgebra, and the fixed
     basis their brackets expand over.
 
-    A subclass fixes the basis: `bracket`, `y_coordinates` (coordinates of a
-    fixed element; raises NotExpandable for any other element), `basis(H)`
-    (the basis keys of height <= H with their heights, in (height, key)
-    order), and `number(key)`/`index(n)`, which translate between a basis
-    key and its number (see `loop`).  `basis_bracket(u, v)` brackets the
-    basis vectors numbered u and v and expands the result over the basis by
-    number; basis keys are built only to report a result.
+    A fixed vector is an int dict {basis number: coeff} (numbers as in
+    `loop`), and each generator Y_i is one basis number.  `basis_bracket(u,
+    v)` brackets the basis vectors numbered u and v and expands the result
+    over the basis by number; it raises NotExpandable when the result is not
+    fixed.  `bracket` extends it to fixed vectors.  A subclass fixes the basis
+    keys: `basis(H)` (the keys of height <= H with their heights, in
+    (height, key) order), and `number(key)`/`index(n)`, which translate
+    between a key and its number; keys are built only to report a result.
     """
 
     def __init__(self, cartan, table, generators):
         self.cartan = cartan
         self.table = table
-        self.generators = generators
+        self.generators = generators  # label -> basis number
 
     @property
     def labels(self):
@@ -58,18 +47,21 @@ class Realization:
 
     def generator(self, label):
         try:
-            return self.generators[label]
+            return {self.generators[label]: 1}
         except KeyError:
             raise IndexError("generator label %r outside %r" % (label, self.labels))
 
     def generator_key(self, label):
-        """The basis key of a generator: each Y_i is a single basis vector."""
-        (key,) = self.y_coordinates(self.generator(label))
-        return key
+        """The basis key of a generator."""
+        (n,) = self.generator(label)
+        return self.index(n)
 
     def basis_bracket(self, u, v):
         t = self.table
         return k_bracket_expand(t, y_terms(t, u), y_terms(t, v))
+
+    def bracket(self, x, y):
+        return bilinear(self.basis_bracket, x, y)
 
     def height_mults(self, jmax):
         """Number of basis vectors at each height 1..jmax."""
@@ -86,26 +78,9 @@ class FiniteRealization(Realization):
     def __init__(self, c: CartanMatrix, table: StructureTable = None):
         if table is None:
             table = table_for(c)
-        gens = {}
-        for pos, label in enumerate(c.labels):
-            simple = tuple(1 if k == pos else 0 for k in range(c.n))
-            gens[label] = table.y_basis(simple)
-            if table.omega(gens[label]) != gens[label]:
-                raise IdentityViolation("generator %s is not involution-fixed" % (label,))
+        gens = {label: y_number(table, ("e", tuple(int(k == pos) for k in range(c.n))), 0)
+                for pos, label in enumerate(c.labels)}
         super().__init__(c, table, gens)
-
-    def bracket(self, x, y):
-        return self.table.bracket(x, y)
-
-    def y_coordinates(self, x):
-        out = {}
-        for key, c in x.terms.items():
-            # omega sends key to -_omega_key(key), and fixes no Cartan term
-            if x.terms.get(_omega_key(key)) != -c:
-                raise NotExpandable("element is not involution-fixed")
-            if all(v >= 0 for v in key[1]):
-                out[key[1]] = c
-        return out
 
     def basis(self, H):
         return [(a, height(a)) for a in self.table.rs.positive_roots if height(a) <= H]
@@ -125,27 +100,15 @@ class AffineRealization(Realization):
         self.affine = aff = AffineData(c)
         if table is None:
             table = table_for(aff.finite_cartan)
-        theta = aff.theta
         gens = {}
         finite_pos = 0
         for pos, label in enumerate(c.labels):
             if pos == c.affine_node:
-                # e_0 = e_{-theta}[1], f_0 = e_theta[-1]
-                gens[label] = e_at(_vneg(theta), 1) - e_at(theta, -1)
+                gens[label] = y_number(table, ("e", _vneg(aff.theta)), 1)
             else:
-                simple = tuple(1 if k == finite_pos else 0 for k in range(aff.rank))
-                gens[label] = from_finite(table.y_basis(simple), 0)
+                gens[label] = y_number(table, ("e", tuple(int(k == finite_pos) for k in range(aff.rank))), 0)
                 finite_pos += 1
-        for label, g in gens.items():
-            if omega_tilde(g) != g:
-                raise IdentityViolation("generator %s is not involution-fixed" % (label,))
         super().__init__(c, table, gens)
-
-    def bracket(self, x, y):
-        return bracket_loop(self.table, x, y)
-
-    def y_coordinates(self, x):
-        return y_coordinates(x, self.affine.rank)
 
     def basis(self, H):
         aff = self.affine
@@ -180,19 +143,16 @@ def relations(c: CartanMatrix):
 
 
 def psi_eval(rz: Realization, e):
-    """Homomorphic evaluation: generator labels map to the Y images."""
+    """Homomorphic evaluation: generator labels map to the Y images; the
+    image is an int dict over basis numbers."""
     if isinstance(e, BracketExpr):
         if e.is_leaf:
             return rz.generator(e.label)
         return rz.bracket(psi_eval(rz, e.left), psi_eval(rz, e.right))
     if isinstance(e, FreeLieElement):
-        acc = None
+        acc = {}
         for word, coeff in e.terms.items():
-            val = coeff * psi_eval(rz, lyndon_bracketing(word))
-            acc = val if acc is None else acc + val
-        if acc is None:
-            gen0 = rz.generator(rz.labels[0])
-            return 0 * gen0
+            add_into(acc, psi_eval(rz, lyndon_bracketing(word)), coeff)
         return acc
     raise TypeError("cannot evaluate %r" % (e,))
 
@@ -233,9 +193,9 @@ def filtration_dims(rz: Realization, jmax: int) -> FiltrationReport:
     against the word images that extended the span at the previous level;
     every vector added is still the image of an actual bracket word.
     """
-    gens = [rz.generators[lab] for lab in rz.labels]
+    gens = [rz.generator(lab) for lab in rz.labels]
     span = IncrementalSpan()
-    fresh = [x for x in gens if span.add(rz.y_coordinates(x))]
+    fresh = [x for x in gens if span.add(x)]
     dims = [span.rank]
     for _ in range(2, jmax + 1):
         prev = span.rank
@@ -243,7 +203,7 @@ def filtration_dims(rz: Realization, jmax: int) -> FiltrationReport:
         for g in gens:
             for w in fresh:
                 x = rz.bracket(g, w)
-                if span.add(rz.y_coordinates(x)):
+                if span.add(x):
                     nxt.append(x)
         fresh = nxt
         dims.append(span.rank - prev)
@@ -292,6 +252,6 @@ def filtration_dims_all_words(rz: Realization, jmax: int) -> FiltrationReport:
         if j < jmax:
             level = images[j] = list(level)
         for x in level:
-            span.add(rz.y_coordinates(x))
+            span.add(x)
         dims.append(span.rank - prev)
     return FiltrationReport(jmax, dims, rz.height_mults(jmax))

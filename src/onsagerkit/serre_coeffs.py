@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import CartanMatrix
+from .exact_math import IdentityViolation
 from .freelie import FreeLieElement, ad_power, to_lyndon
 
 
@@ -28,7 +29,8 @@ class CoeffRow:
     c: tuple
 
     def __post_init__(self):
-        assert len(self.c) == self.r + 1
+        if len(self.c) != self.r + 1:
+            raise IdentityViolation("coefficient row r=%d has %d entries" % (self.r, len(self.c)))
 
 
 def coeff_table(a, rmax):

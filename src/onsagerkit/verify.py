@@ -40,7 +40,7 @@ def check_relations_killed(c: CartanMatrix, rz: Realization):
         for j in labels:
             if i == j:
                 continue
-            if not psi_eval(rz, serre_relation(c, i, j)).is_zero():
+            if psi_eval(rz, serre_relation(c, i, j)):
                 bad.append((i, j))
     name = "inhomogeneous Serre relations evaluate to zero"
     if bad:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from onsagerkit import cli, onsager
+from onsagerkit import chevalley, cli, onsager, verify
 from onsagerkit.loop import NotExpandable
+from onsagerkit.roots import RootSystem
 
 
 def run_cli(capsys, *argv):
@@ -141,10 +142,10 @@ def test_eval_unknown_label_is_usage_error(capsys):
 
 
 def test_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
-    def broken(x, rank):
+    def broken(t, x, y):
         raise NotExpandable("forced")
 
-    monkeypatch.setattr(onsager, "y_coordinates", broken)
+    monkeypatch.setattr(onsager, "k_bracket_expand", broken)
     # main does not turn the fault into a return code, so it never returns 2;
     # as a process, the uncaught exception exits 1
     with pytest.raises(NotExpandable):
@@ -231,3 +232,40 @@ def test_verify_builds_one_word_span(capsys, monkeypatch):
         built.clear()
         code, _, _ = run_cli(capsys, "verify", "--preset", name, "--jmax", jmax, "--height", height)
         assert code == 0 and len(built) == 1, name
+
+
+def _clear_tables():
+    chevalley._TABLES.clear()
+    for f in (chevalley.sp_sign_reconciliation, chevalley.sp_structure_table,
+              chevalley.sp_realization, chevalley.sl_realization):
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("command", ["structconst", "chars"])
+def test_a_table_that_cannot_be_built_exits_one(command, monkeypatch, capsys):
+    # (a3, a3) doubled: build_chevalley derives N[(0,1,1), (1,1,0)] = -3,
+    # against the magnitude rule's 2
+    norm2 = RootSystem.norm2
+
+    def doubled(self, alpha):
+        return 2 * norm2(self, alpha) if alpha == (0, 0, 1) else norm2(self, alpha)
+
+    _clear_tables()
+    monkeypatch.setattr(RootSystem, "norm2", doubled)
+    try:
+        code, out, err = run_cli(capsys, command, "--preset", "C3")
+    finally:
+        monkeypatch.undo()
+        _clear_tables()
+    assert code == 1
+    assert out == ""
+    assert err == "error: magnitude rule fails at (0, 1, 1), (1, 1, 0) (N = -3)\n"
+
+
+def test_a_broken_onsager_table_exits_one(monkeypatch, capsys):
+    true = verify.onsager_basis
+    monkeypatch.setattr(verify, "onsager_basis", lambda m: (2 * true(m)[0], true(m)[1]))
+    code, out, err = run_cli(capsys, "structconst", "--preset", "A1~")
+    assert code == 1
+    assert out == ""
+    assert err == "error: [A_-2,A_-1] != G_1\n"

@@ -3,7 +3,9 @@
 `Realization.basis_bracket` brackets two fixed-basis vectors by number
 through the table's numbered memo (`loop.k_bracket_expand`).  The reference
 builds both vectors as loop or Chevalley elements, brackets them term by
-term and reads the coordinates back with `y_coordinates`.
+term and reads the coordinates back with `y_coordinates` (the loop one, or
+the finite one below).  The same reference checks psi on whole bracket
+words.
 """
 
 import random
@@ -11,9 +13,24 @@ import random
 import pytest
 
 from onsagerkit.cartan import preset, preset_names
+from onsagerkit.chevalley import _omega_key
 from onsagerkit.loop import NotExpandable, YIndex, bracket_loop, k_bracket_expand, y_affine, y_coordinates, y_terms
-from onsagerkit.onsager import FiniteRealization, realization_for
+from onsagerkit.onsager import FiniteRealization, all_bracket_words, psi_eval, realization_for
 from onsagerkit.roots import AffineRoot
+from test_onsager import element_generators
+
+
+def finite_coordinates(x):
+    """Coordinates of a fixed Chevalley element over y_alpha, alpha > 0;
+    NotExpandable for any other element."""
+    out = {}
+    for key, c in x.terms.items():
+        # omega sends key to -_omega_key(key), and fixes no Cartan term
+        if x.terms.get(_omega_key(key)) != -c:
+            raise NotExpandable("element is not involution-fixed")
+        if all(v >= 0 for v in key[1]):
+            out[key[1]] = c
+    return out
 
 
 def _by_key(rz, coords):
@@ -60,8 +77,42 @@ def test_finite_kernel_matches_the_element_bracket(name):
     t = rz.table
     for u in t.rs.positive_roots:
         for v in t.rs.positive_roots:
-            want = rz.y_coordinates(t.bracket(t.y_basis(u), t.y_basis(v)))
+            want = finite_coordinates(t.bracket(t.y_basis(u), t.y_basis(v)))
             assert _by_key(rz, rz.basis_bracket(rz.number(u), rz.number(v))) == want, (u, v)
+
+
+def test_finite_reference_rejects_unfixed_elements():
+    t = FiniteRealization(preset("A2")).table
+    assert finite_coordinates(t.y_basis((1, 1))) == {(1, 1): 1}
+    for x in (t.h(0), t.e((1, 0)), t.e((-1, -1))):
+        with pytest.raises(NotExpandable):
+            finite_coordinates(x)
+
+
+@pytest.mark.parametrize("name", ["A1~", "C2~", "G2~"])
+def test_psi_matches_the_element_bracket_on_every_short_bracketing(name):
+    # psi through the numbered kernel against bracket_loop over the element
+    # generators, on every bracketing of every word up to length 5
+    rz = realization_for(preset(name))
+    t, rank = rz.table, rz.affine.rank
+    gens = element_generators(rz)
+    images = {}
+
+    def element_psi(e):
+        if e.is_leaf:
+            return gens[e.label]
+        key = str(e)
+        if key not in images:
+            images[key] = bracket_loop(t, element_psi(e.left), element_psi(e.right))
+        return images[key]
+
+    count = 0
+    for j in range(1, 6):
+        for e in all_bracket_words(rz.labels, j):
+            want = y_coordinates(element_psi(e), rank)
+            assert _by_key(rz, psi_eval(rz, e)) == want, str(e)
+            count += 1
+    assert count == sum(len(all_bracket_words(rz.labels, j)) for j in range(1, 6))
 
 
 @pytest.mark.parametrize("name", preset_names(max_rank=4))
