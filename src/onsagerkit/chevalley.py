@@ -4,8 +4,9 @@ The table stores N[alpha, beta] with [e_alpha, e_beta] = N e_{alpha+beta} for
 all root pairs whose sum is a root, plus [e_alpha, e_{-alpha}] = h_alpha and
 [h, e_alpha] = alpha(h) e_alpha.  Signs are fixed by the extraspecial-pair
 convention: order the positive roots by (height, lex); for each non-simple
-gamma the minimal decomposition pair gets N = +(p+1); everything else follows
-from the Jacobi identity and the cyclic identity of the invariant form.  The
+gamma the extraspecial pair, the first of `RootSystem.decompositions`, gets
+N = +(p+1).  The other positive pairs follow from the Jacobi identity, and
+every other N from one rule, the cyclic identity of the invariant form.  The
 resulting table automatically satisfies N[-a,-b] = -N[a,b], which makes
 h -> -h, e_alpha -> -e_{-alpha} an involutive automorphism.
 
@@ -202,15 +203,6 @@ class StructureTable:
         return sum((c1 * c2 * self.form_keys(k1, k2)
                     for k1, c1 in x.terms.items() for k2, c2 in y.terms.items()), Fraction(0))
 
-    def decomposition(self, gamma):
-        """Some pair of positive roots (xi, eta) with xi + eta = gamma and
-        nonzero table entry."""
-        for xi in self.rs.positive_roots:
-            eta = _vsub(gamma, xi)
-            if self.rs.is_positive(eta) and self.N.get((xi, eta)):
-                return xi, eta
-        raise ValueError("no decomposition for %r" % (gamma,))
-
     def _check_sign_laws(self):
         for (a, b), n in self.N.items():
             if self.N.get((b, a)) != -n:
@@ -221,18 +213,27 @@ class StructureTable:
                 raise IdentityViolation("magnitude rule fails at %r, %r" % (a, b))
 
 
-def _mixed_n(rs, npp, xi, rho):
-    """N_{-xi, rho} for positive roots xi, rho, from the positive-pair table.
+def _n_of(rs, npp, x, y):
+    """N_{x,y} for roots x, y whose sum is a root, read off the positive-pair
+    table npp by the cyclic identity of the invariant form (Carter, Simple
+    groups of Lie type, 1972, ch. 4): with z = -(x+y),
 
-    Cyclic identity of the invariant form: with sigma = rho - xi a positive
-    root, N_{-xi, rho} = (sigma,sigma)/(rho,rho) * N_{xi, sigma}.
+        N_{x,y}/(z,z) = N_{y,z}/(x,x) = N_{z,x}/(y,y).
+
+    Two of x, y, z have the same sign; that pair's N is npp's, or minus npp's
+    on the negated pair.  Lengths are read off the positive representatives.
     """
-    sigma = _vsub(rho, xi)
-    if not rs.is_root(sigma):
-        return Fraction(0)
-    if min(sigma) < 0:
-        raise IdentityViolation("rho - xi is a negative root at xi = %r, rho = %r" % (xi, rho))
-    return Fraction(rs.norm2(sigma), 1) / rs.norm2(rho) * npp[(xi, sigma)]
+    xpos = min(x) >= 0
+    if xpos == (min(y) >= 0):
+        return npp[(x, y)] if xpos else -npp[(_vneg(x), _vneg(y))]
+    s = _vadd(x, y)
+    z = _vneg(s)
+    zpos = min(z) >= 0
+    # z has the sign of y (pair y, z; length x) or of x (pair z, x; length y)
+    length, pair = (x, (y, z)) if zpos != xpos else (y, (z, x))
+    if min(length) < 0:
+        length = _vneg(length)
+    return rs.norm2(z if zpos else s) / rs.norm2(length) * _n_of(rs, npp, *pair)
 
 
 def _integral(val, alpha, beta):
@@ -249,73 +250,38 @@ def build_chevalley(c: CartanMatrix) -> StructureTable:
     has a zero denominator, is not an integer or breaks the magnitude rule.
     """
     rs = RootSystem(c)
-    pos = rs.positive_roots
-    posset = set(pos)
-    order = {a: k for k, a in enumerate(pos)}
-
+    posset = set(rs.positive_roots)
     npp = {}
-    for gamma in pos:
-        if height(gamma) < 2:
+    for gamma in rs.positive_roots:
+        decomps = rs.decompositions(gamma)
+        if not decomps:
             continue
-        decomps = sorted(
-            ((a, _vsub(gamma, a))
-             for a in pos
-             if _vsub(gamma, a) in posset and order[a] < order[_vsub(gamma, a)]),
-            key=lambda pair: order[pair[0]],
-        )
         xi, eta = decomps[0]
         n0 = rs.chain_p(xi, eta) + 1
         npp[(xi, eta)] = n0
         npp[(eta, xi)] = -n0
-        denom = _mixed_n(rs, npp, xi, gamma)
+        nxi = _vneg(xi)
+        denom = _n_of(rs, npp, nxi, gamma)
         if not denom:
             raise IdentityViolation("zero denominator N[-xi, gamma] at xi = %r, gamma = %r" % (xi, gamma))
         for alpha, beta in decomps[1:]:
-            t1 = Fraction(0)
+            # Jacobi on e_{-xi}, e_alpha, e_beta
+            t = 0
             amx = _vsub(alpha, xi)
             if amx in posset:
-                t1 = _mixed_n(rs, npp, xi, alpha) * npp[(amx, beta)]
-            t2 = Fraction(0)
+                t += _n_of(rs, npp, nxi, alpha) * npp[(amx, beta)]
             bmx = _vsub(beta, xi)
             if bmx in posset:
-                t2 = _mixed_n(rs, npp, xi, beta) * npp[(alpha, bmx)]
-            val = _integral((t1 + t2) / denom, alpha, beta)
+                t += _n_of(rs, npp, nxi, beta) * npp[(alpha, bmx)]
+            val = _integral(t / denom, alpha, beta)
             if abs(val) != rs.chain_p(alpha, beta) + 1:
                 raise IdentityViolation("magnitude rule fails at %r, %r (N = %d)" % (alpha, beta, val))
             npp[(alpha, beta)] = val
             npp[(beta, alpha)] = -val
 
-    # extend to all pairs of roots with root sum
-    full = {}
     allroots = sorted(rs._all)
-    for x in allroots:
-        xpos = all(cc >= 0 for cc in x)
-        for y in allroots:
-            s = _vadd(x, y)
-            if not any(s) or s not in rs._all:
-                continue
-            ypos = all(cc >= 0 for cc in y)
-            if xpos and ypos:
-                full[(x, y)] = npp[(x, y)]
-            elif not xpos and not ypos:
-                full[(x, y)] = -npp[(_vneg(x), _vneg(y))]
-            elif xpos:
-                # x positive, y negative: reduce through the cyclic identity
-                eps = _vneg(y)
-                if all(cc >= 0 for cc in s):
-                    val = -Fraction(rs.norm2(s), 1) / rs.norm2(x) * npp[(eps, s)]
-                else:
-                    val = -Fraction(rs.norm2(s), 1) / rs.norm2(eps) * npp[(x, _vneg(s))]
-                full[(x, y)] = _integral(val, x, y)
-            else:
-                # negative, positive: antisymmetry off the case above
-                eps = _vneg(x)
-                if all(cc >= 0 for cc in s):
-                    val = Fraction(rs.norm2(s), 1) / rs.norm2(y) * npp[(eps, s)]
-                else:
-                    val = Fraction(rs.norm2(s), 1) / rs.norm2(eps) * npp[(y, _vneg(s))]
-                full[(x, y)] = _integral(val, x, y)
-    return StructureTable(rs, full)
+    return StructureTable(rs, {(x, y): _integral(_n_of(rs, npp, x, y), x, y)
+                               for x in allroots for y in allroots if _vadd(x, y) in rs._all})
 
 
 # matrix rows -> StructureTable
@@ -398,14 +364,14 @@ def _checked_once(build):
 def _extend_images(table: StructureTable, images):
     """Fill images of all root vectors from the simple-root images.
 
-    Non-simple positive root vectors come from any decomposition with nonzero
-    table constant; negatives are transposes, matching the involution being
+    Non-simple positive root vectors come from the extraspecial pair;
+    negatives are transposes, matching the involution being
     X -> -X^T in both realizations here.
     """
     for gamma in table.rs.positive_roots:
         if height(gamma) < 2:
             continue
-        xi, eta = table.decomposition(gamma)
+        xi, eta = table.rs.decompositions(gamma)[0]
         n = table.N[(xi, eta)]
         m = images[("e", xi)].commutator(images[("e", eta)]) * Fraction(1, n)
         images[("e", gamma)] = m
@@ -491,14 +457,14 @@ def sp_sign_reconciliation(r):
     """Signs s, with s_{-a} = s_a and s = 1 on the simple roots, such that the
     displayed symplectic matrices satisfy [D_a, D_b] = s_a s_b s_{a+b} N[a, b]
     D_{a+b} for the generic type-C table N.  Each non-simple positive root
-    reads its sign off one commutator over its decomposition."""
+    reads its sign off one commutator over its extraspecial pair."""
     generic = preset_table("C%d" % r)
     images = _sp_images(r)
     signs = {}
     for gamma in generic.rs.positive_roots:
         s = 1
         if height(gamma) >= 2:
-            xi, eta = generic.decomposition(gamma)
+            xi, eta = generic.rs.decompositions(gamma)[0]
             comm = images[("e", xi)].commutator(images[("e", eta)])
             want = signs[xi] * signs[eta] * generic.N[(xi, eta)] * images[("e", gamma)]
             if comm == -want:

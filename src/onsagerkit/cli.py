@@ -34,8 +34,8 @@ from .characters import (
     even_column_set,
     finite_character_realization,
 )
-from .exact_math import GaussianRational, IdentityViolation
-from .freelie import ParseError, parse_bracket
+from .exact_math import GaussianRational, IdentityViolation, signed_sum
+from .freelie import ParseError, ad_power, parse_bracket
 from .loop import YIndex
 from .onsager import psi_eval, realization_for
 from .roots import AffineData, AffineRoot, RootSystem, height, root_str
@@ -61,31 +61,6 @@ def frac_str(x):
 
 def yindex_json(idx):
     return {"finite": list(idx.gamma.finite), "level": idx.gamma.level, "i": idx.i}
-
-
-def ad_text(i, j, s):
-    out = "B%s" % j
-    for _ in range(s):
-        out = "[B%s,%s]" % (i, out)
-    return out
-
-
-def _combo_str(parts):
-    """parts: list of (coefficient, text); renders a signed sum."""
-    if not parts:
-        return "0"
-    bits = []
-    for coeff, text in parts:
-        coeff = Fraction(coeff)
-        if coeff == 1:
-            bits.append("+%s" % text)
-        elif coeff == -1:
-            bits.append("-%s" % text)
-        else:
-            sign = "+" if coeff > 0 else "-"
-            bits.append("%s%s*%s" % (sign, abs(coeff), text))
-    s = "".join(bits)
-    return s[1:] if s.startswith("+") else s
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +97,8 @@ def print_relations(report):
     for rel in report["relations"]:
         i, j, coeffs = rel["i"], rel["j"], rel["coeffs"]
         top = len(coeffs) - 1
-        lhs = ad_text(i, j, top)
-        rhs = [(-coeffs[s], ad_text(i, j, s)) for s in range(top) if coeffs[s]]
-        print("%s = %s   (a_ij = %d)" % (lhs, _combo_str(rhs), rel["a"]))
+        rhs = [(-coeffs[s], repr(ad_power(i, j, s))) for s in range(top) if coeffs[s]]
+        print("%r = %s   (a_ij = %d)" % (ad_power(i, j, top), signed_sum(rhs), rel["a"]))
 
 
 def roots_report(c, H):
@@ -238,7 +212,7 @@ def print_structconst(report):
         print("# fixed-basis brackets")
         for row in report["ybrackets"]:
             lhs = "[y(%s), y(%s)]" % tuple(root_str(x) for x in row["lhs"])
-            rhs = _combo_str(
+            rhs = signed_sum(
                 [(Fraction(t["coeff"]), "y(%s)" % root_str(t["coords"])) for t in row["rhs"]]
             )
             print("%s = %s" % (lhs, rhs))
@@ -252,7 +226,7 @@ def print_structconst(report):
 
         for row in report["brackets"]:
             lhs = "[%s, %s]" % tuple(from_json(d) for d in row["lhs"])
-            rhs = _combo_str([(t["coeff"], str(from_json(t["idx"]))) for t in row["rhs"]])
+            rhs = signed_sum([(t["coeff"], str(from_json(t["idx"]))) for t in row["rhs"]])
             print("%s = %s" % (lhs, rhs))
 
 
@@ -375,7 +349,7 @@ def eval_report(c, text):
 
 def print_eval(report):
     parts = [(Fraction(t["coeff"]), t["basis"]) for t in report["terms"]]
-    print("%s -> %s" % (report["expr"], _combo_str(parts)))
+    print("%s -> %s" % (report["expr"], signed_sum(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +428,15 @@ def run(args) -> int:
         report = relations_report(c)
         _emit(report, args.json, print_relations)
         return 0
+    # every other command works in a realization of a finite or affine type
+    if c.kind not in (FINITE, UNTWISTED_AFFINE):
+        raise UsageFault("%s needs a finite or untwisted affine matrix; this one classifies as %s"
+                         % (args.command, c.kind))
     if args.command == "roots":
-        if c.kind not in (FINITE, UNTWISTED_AFFINE):
-            raise UsageFault("roots need a finite or untwisted affine matrix")
         report = roots_report(c, args.height)
         _emit(report, args.json, print_roots)
         return 0
     if args.command == "structconst":
-        if c.kind not in (FINITE, UNTWISTED_AFFINE):
-            raise UsageFault("structure constants need a finite or untwisted affine matrix")
         report = structconst_report(c, args.height)
         _emit(report, args.json, print_structconst)
         return 0
@@ -471,8 +445,6 @@ def run(args) -> int:
         _emit(report, args.json, print_verify)
         return 0 if all(row["pass"] for row in report["checks"]) else 1
     if args.command == "chars":
-        if c.kind not in (FINITE, UNTWISTED_AFFINE):
-            raise UsageFault("characters need a finite or untwisted affine matrix")
         report = chars_report(c, args.height)
         _emit(report, args.json, print_chars)
         ok = all(

@@ -5,8 +5,9 @@ plain dicts mapping coordinate keys to nonzero exact scalars: `int` while the
 arithmetic is integral, `Fraction` or `GaussianRational` once something
 divides.  `add_into` and `add_term` are the one place where they are summed,
 `bilinear` extends a bracket or product on basis-key pairs to vectors,
-`SparseElement` is the one implementation of element arithmetic, and
-`IncrementalSpan` is the one eliminator.  No floating point appears
+`SparseElement` is the one implementation of element arithmetic,
+`signed_sum` is the one printer of a signed sum, and `IncrementalSpan` is
+the one eliminator.  No floating point appears
 anywhere; all downstream identities are checked as bit-exact equalities.
 """
 
@@ -166,6 +167,14 @@ def bilinear(pair, x, y):
             if v:
                 add_into(out, v, c1 * c2)
     return out
+
+
+def signed_sum(parts):
+    """(coefficient, text) parts as one signed sum, e.g. "x-2*y+1/2*z": a
+    unit coefficient prints as a bare sign, and no parts print "0"."""
+    s = "".join("%s%s%s" % ("+" if c > 0 else "-", "" if abs(c) == 1 else "%s*" % abs(c), text)
+                for c, text in parts)
+    return s.removeprefix("+") or "0"
 
 
 class SparseElement:

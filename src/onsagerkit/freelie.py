@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from .exact_math import IdentityViolation, SparseElement, add_into, bilinear
+from .exact_math import IdentityViolation, SparseElement, add_into, bilinear, signed_sum
 
 
 class ParseError(ValueError):
@@ -230,21 +230,8 @@ class FreeLieElement(SparseElement):
         return cls({(int(label),): 1})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda t: (len(t), t)):
-            c = self.terms[w]
-            word = ".".join(str(x) for x in w)
-            if c == 1:
-                parts.append("+(%s)" % word)
-            elif c == -1:
-                parts.append("-(%s)" % word)
-            else:
-                sign = "+" if c > 0 else "-"
-                parts.append("%s%s*(%s)" % (sign, abs(c), word))
-        s = "".join(parts)
-        return s[1:] if s.startswith("+") else s
+        return signed_sum((self.terms[w], "(%s)" % ".".join(map(str, w)))
+                          for w in sorted(self.terms, key=lambda t: (len(t), t)))
 
     __repr__ = __str__
 

@@ -196,6 +196,18 @@ def y_key(t: StructureTable, n):
     return t.keys[k], level
 
 
+def y_vector(t: StructureTable, key, level):
+    """The fixed vector key[level] - omega(key)[-level] over the fixed basis
+    by number, {n: +-1}: y_{-gamma} = -y_gamma, and an imaginary root at
+    level 0 gives the zero vector {}."""
+    k = t.number[key]
+    if level > 0 or (level == 0 and k in t.positive):
+        return {y_number(t, key, level): 1}
+    if level == 0 and key[0] == "h":
+        return {}
+    return {y_number(t, t.keys[t.partner[k]], -level): -1}
+
+
 def y_terms(t: StructureTable, n):
     """Loop terms (key number, level, coeff) of the fixed vector numbered n."""
     level, k = divmod(n, t.dim)

@@ -53,6 +53,7 @@ class RootSystem:
             (v for v in all_roots if all(c >= 0 for c in v)),
             key=lambda v: (height(v), v),
         )
+        self._position = {a: i for i, a in enumerate(self.positive_roots)}
         self._all = frozenset(all_roots)
         self._coroot = {a: _coroot_coords_raw(cartan.a, cartan.d, a) for a in self._all}
         dmax = max(cartan.d)
@@ -105,6 +106,16 @@ class RootSystem:
             return self._coroot[tuple(alpha)]
         except KeyError:
             raise NotARoot("%r is not a root" % (alpha,)) from None
+
+    def decompositions(self, gamma):
+        """The pairs (a, b) of positive roots with a + b = gamma and a before
+        b, in positive-root order: the first is gamma's extraspecial pair."""
+        out = []
+        for i, a in enumerate(self.positive_roots):
+            b = tuple(g - c for g, c in zip(gamma, a))
+            if self._position.get(b, -1) > i:
+                out.append((a, b))
+        return out
 
     def chain_p(self, alpha, beta):
         """Largest p with beta - p*alpha a root."""

@@ -18,8 +18,8 @@ from .chevalley import (
     sp_realization,
     verify_gl_presentation,
 )
-from .exact_math import IdentityViolation, add_term
-from .loop import NotExpandable, bracket_loop, onsager_basis, y_key, y_number
+from .exact_math import IdentityViolation, add_into
+from .loop import NotExpandable, bracket_loop, onsager_basis, y_key, y_number, y_vector
 from .onsager import Realization, filtration_dims, psi_eval, realization_for
 from .serre_coeffs import serre_relation
 
@@ -114,18 +114,9 @@ def _expected_y_bracket(t, idx1, idx2):
         kind1, alpha, l, kind2, beta, m, sign = kind2, beta, m, kind1, alpha, l, -1
 
     def put(kind, v, level, coeff):
-        # coeff * y_{v + level*delta}, with y_{-gamma} = -y_gamma; an
-        # imaginary root at level 0 is no basis vector
-        if not coeff:
-            return
-        if kind == "h":
-            if level == 0:
-                return
-            if level < 0:
-                level, coeff = -level, -coeff
-        elif level < 0 or (level == 0 and min(v) < 0):
-            v, level, coeff = _vneg(v), -level, -coeff
-        add_term(out, y_number(t, (kind, v), level), sign * coeff)
+        # coeff * y_{v + level*delta}; when N = 0, v need not be a root
+        if coeff:
+            add_into(out, y_vector(t, (kind, v), level), sign * coeff)
 
     if kind1 == "h":
         if kind2 == "e":

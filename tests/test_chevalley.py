@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -9,6 +10,7 @@ import pytest
 
 import onsagerkit
 from onsagerkit import chevalley
+from onsagerkit.cartan import preset, preset_names
 from onsagerkit.chevalley import (
     ChevElement,
     MatrixRealization,
@@ -16,6 +18,7 @@ from onsagerkit.chevalley import (
     NotFixedError,
     StructureTable,
     _sp_images,
+    build_chevalley,
     eta,
     preset_table,
     sl_realization,
@@ -558,3 +561,53 @@ def test_form_invariance_finite(name):
     for _ in range(25):
         x, y, z = rand_elt(), rand_elt(), rand_elt()
         assert t.invariant_form(t.bracket(x, y), z) + t.invariant_form(y, t.bracket(x, z)) == 0
+
+
+# sha256 of repr(sorted(N.items())) for every finite preset up to rank 8,
+# recorded with the earlier derivation (a Jacobi step plus four sign-split
+# cases); a changed constant or sign of any table fails here
+N_DIGESTS = {
+    "A1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "A2": "4636e3e332daf03512e965d8ce278ac458e2eecd6681e23577b643faaa34bdae",
+    "A3": "184d8d4911c77717462e7e65e348ef5c515433ebecb63f23c923aec345c116a9",
+    "A4": "7671ce04a9782e71ed859196f618bfb5423a1467ec867313ebd03a709c223764",
+    "A5": "47db43264a73fc3a76835891636b6a3c0ceeb6dc7cc87d96de805ea350f8230d",
+    "A6": "4b04f1266f75344ef8b298fba2063cf6aea001cd428c3b3ffc87667448fa961b",
+    "A7": "264811d1bb84051ba96ceee42b4da265522f3b9cef7783e0784e775a9c21be77",
+    "A8": "acb89ecc3297aaa8077c714b8a6d1d0d592c69c591e6330d808e1287f06964aa",
+    "B2": "8302d4963abfcb914455bbc2cb010e279880b21c39c9598327445cfba3a60c9a",
+    "B3": "2527a053eff24b4178df06a7994ba2cbd8893a5ed9ea9fb6bc6e51153a1b383f",
+    "B4": "e00bd811f91791145120afccdebbb01c90ec5426129ae34e8990327714c13ecc",
+    "B5": "25bc363dc7d9cfeb1ca78624c5c3d43adda1e5e2f0071952e8de24c265248211",
+    "B6": "d7fdd567a6efaef3a49514ca123f5846aa316d24501f8b47a7d926c1cea24f9f",
+    "B7": "d7a850133c3836b80b5ad626689273e06b6a5a4c788d3a4388eb91ea70942521",
+    "B8": "03aad4d31bcd1514c3d30dc9ef9fb378966effd7d9b835a75cb67e45ba5fdf42",
+    "C1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "C2": "30f967bceb31e1ec90517346a600caa0441a0447c73dd7ef47139a0d798f7917",
+    "C3": "68e4540d1bf4bfdfd2e653bc34b4f4bddf2760077ee3ee5f949ed1172f1ef997",
+    "C4": "43a7b1e219a0330d5b11647763f082f18384846acbea4fcce237ed3b310c7037",
+    "C5": "017894b64a1c4d6da2e04813fed8e38076836e9fd889740031224ca3cf4fa31b",
+    "C6": "847a32e3b67c4820fd199dfc2cd31ea59c47e7c98dbe07dd00d40de6dfc755b8",
+    "C7": "2440fae4a408a1903227e98b0174e7be76c95dcd6306f740d3e2cf9ab1feb5c5",
+    "C8": "87e9635486cf8331d5de2e600892b310986c51657142e352edef596b81f5a088",
+    "D4": "5d81068dd3f76a0ac9aca7750a283ce5d1c11f34a8b017bfa293c03cd19d8de2",
+    "D5": "5cd0ed5ba28ae7f5fab60379eaa343e1a13ad011671e3176d3dae007816ad4dc",
+    "D6": "8cbabfcdc8562ff0942e1004f166791afd246148f19c561cd1724a08c6f3d061",
+    "D7": "0e3ecc0ab98e26ab119a4ca1bfb5c74a7f67d29f984654ff62adb17fcbb2e540",
+    "D8": "0bb3af6687ef87da4e44637af20e591aecbc1ca82e20da84521e336396fa6d3d",
+    "G2": "3cda9ce9f13bae82e4d4f7aba8bc5e17c5092bb64fa57b7c27af98cd9a645957",
+    "F4": "dbe5ef284e3122b65c5b93e3559789c0b7a7477994a26faa52e366e77cea4643",
+    "E6": "44ea2dfd158904483a9a63e4a7cb2702955dbd0abb4435179cca26dc6041f1c4",
+    "E7": "4fde56a442ec6e501ec65a574b2326851671e24d9d999bdabd97db89c4112f07",
+    "E8": "037e8fb2794afb4f0e9784d8170b7698cfe6c03232f9aa90d1d20bd9edcc7de1",
+}
+
+
+def test_n_digests_cover_the_finite_presets():
+    assert sorted(N_DIGESTS) == sorted(n for n in preset_names(8) if not n.endswith("~"))
+
+
+@pytest.mark.parametrize("name", sorted(N_DIGESTS))
+def test_n_table_digest(name):
+    n = build_chevalley(preset(name)).N
+    assert hashlib.sha256(repr(sorted(n.items())).encode()).hexdigest() == N_DIGESTS[name]

@@ -59,6 +59,42 @@ def test_dolan_grady_relation_display(capsys):
     assert "[B0,[B0,[B0,B1]]] = -4*[B0,B1]" in out
 
 
+# the full relations text, recorded before the signed-sum printer was shared
+RELATIONS_TEXT = {
+    "A1~": [
+        "[B0,[B0,[B0,B1]]] = -4*[B0,B1]   (a_ij = -2)",
+        "[B1,[B1,[B1,B0]]] = -4*[B1,B0]   (a_ij = -2)",
+    ],
+    "G2": [
+        "[B1,[B1,[B1,[B1,B2]]]] = -9*B2-10*[B1,[B1,B2]]   (a_ij = -3)",
+        "[B2,[B2,B1]] = -B1   (a_ij = -1)",
+    ],
+    "C2~": [
+        "[B0,[B0,B1]] = -B1   (a_ij = -1)",
+        "[B0,B2] = 0   (a_ij = 0)",
+        "[B1,[B1,[B1,B0]]] = -4*[B1,B0]   (a_ij = -2)",
+        "[B1,[B1,[B1,B2]]] = -4*[B1,B2]   (a_ij = -2)",
+        "[B2,B0] = 0   (a_ij = 0)",
+        "[B2,[B2,B1]] = -B1   (a_ij = -1)",
+    ],
+    "G2~": [
+        "[B0,B1] = 0   (a_ij = 0)",
+        "[B0,[B0,B2]] = -B2   (a_ij = -1)",
+        "[B1,B0] = 0   (a_ij = 0)",
+        "[B1,[B1,[B1,[B1,B2]]]] = -9*B2-10*[B1,[B1,B2]]   (a_ij = -3)",
+        "[B2,[B2,B0]] = -B0   (a_ij = -1)",
+        "[B2,[B2,B1]] = -B1   (a_ij = -1)",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATIONS_TEXT))
+def test_relations_text_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, "relations", "--preset", name)
+    assert code == 0
+    assert out.splitlines() == RELATIONS_TEXT[name]
+
+
 def test_eval_example(capsys):
     # [B1,[B1,B2]] maps to -y(alpha_2)
     code, out, _ = run_cli(capsys, "eval", "--preset", "A2", "[B1,[B1,B2]]")
@@ -133,6 +169,17 @@ def test_verify_other_kind_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--matrix-file", str(path))
     assert code == 2
     assert "classifies" in err
+
+
+def test_eval_other_kind_rejected(tmp_path, capsys):
+    # the realization commands share one kind gate, which names the command
+    # and the kind
+    path = tmp_path / "hyper.txt"
+    path.write_text("2 -3\n-3 2\n")
+    code, out, err = run_cli(capsys, "eval", "--matrix-file", str(path), "B1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: eval needs a finite or untwisted affine matrix; this one classifies as Other\n"
 
 
 def test_eval_unknown_label_is_usage_error(capsys):

@@ -8,13 +8,26 @@ the finite one below).  The same reference checks psi on whole bracket
 words.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import onsagerkit
+
 from onsagerkit.cartan import preset, preset_names
 from onsagerkit.chevalley import _omega_key
-from onsagerkit.loop import NotExpandable, YIndex, bracket_loop, k_bracket_expand, y_affine, y_coordinates, y_terms
+from onsagerkit.loop import (
+    NotExpandable,
+    YIndex,
+    bracket_loop,
+    k_bracket_expand,
+    y_affine,
+    y_coordinates,
+    y_terms,
+    y_vector,
+)
 from onsagerkit.onsager import FiniteRealization, all_bracket_words, psi_eval, realization_for
 from onsagerkit.roots import AffineRoot
 from test_onsager import element_generators
@@ -142,3 +155,54 @@ def test_kernel_rejects_a_non_fixed_input():
         k_bracket_expand(t, ((t.number[("h", 0)], 0, 1),), y_terms(t, e_a))
     # the fixed vectors themselves expand
     assert k_bracket_expand(t, y_terms(t, e_a), y_b)
+
+
+@pytest.mark.parametrize("name", ["A1~", "C2~", "G2~"])
+def test_y_vector_matches_the_loop_element(name):
+    # the sign helper against y_coordinates of the element-built vector, on
+    # every key and level |l| <= 2, both signs of every root
+    rz = realization_for(preset(name))
+    t = rz.table
+    zero = (0,) * rz.affine.rank
+    for kind, v in t.keys:
+        for level in range(-2, 3):
+            if kind == "h":
+                idx = YIndex(AffineRoot(zero, level), v + 1)
+            else:
+                idx = YIndex(AffineRoot(v, level))
+            got = {rz.index(n): c for n, c in y_vector(t, (kind, v), level).items()}
+            assert got == y_coordinates(y_affine(idx), rz.affine.rank), idx
+
+
+# the loop element algebra is the tests' reference; the numbered checks and
+# the CLI never go through it.  The classical A/G row alone still brackets
+# Onsager's A_m and G_m as loop elements, and only it may import them.
+ELEMENT_NAMES = {"bracket_loop", "LoopElement", "onsager_basis", "y_affine", "y_real", "y_imag", "y_coordinates"}
+ELEMENT_ROWS = {"verify.py": {"check_onsager_structure"}, "cli.py": set()}
+
+
+def _names(node):
+    named = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            named.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            named.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            named.add(sub.name)
+    return named & ELEMENT_NAMES
+
+
+@pytest.mark.parametrize("module", sorted(ELEMENT_ROWS))
+def test_no_loop_elements_in_the_checks(module):
+    tree = ast.parse((Path(onsagerkit.__file__).parent / module).read_text())
+    rows = [node for node in tree.body if getattr(node, "name", None) in ELEMENT_ROWS[module]]
+    assert len(rows) == len(ELEMENT_ROWS[module])
+    allowed = set().union(*map(_names, rows))
+    for node in tree.body:
+        if node in rows:
+            continue
+        named = _names(node)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named -= allowed
+        assert not named, "%s line %d names %s" % (module, node.lineno, sorted(named))

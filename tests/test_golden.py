@@ -23,6 +23,7 @@ GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.jso
 REPORT_PRESETS = ["A2", "G2", "C3", "A1~", "A2~", "C2~", "G2~", "C3~", "B3~"]
 CASES = (
     ["%s --json --preset %s" % (cmd, name) for cmd in ("structconst", "chars") for name in REPORT_PRESETS]
+    + ["structconst --json --preset F4", "structconst --json --preset E6"]
     + [
         "verify --preset A2 --jmax 2 --height 2",
         "verify --preset G2 --jmax 5 --height 5",

@@ -1,7 +1,9 @@
 """Random Cartan-like integer matrices through the input path.
 
 Every matrix must classify or raise a declared input error, and
-`--matrix-file` must exit 0 or 2, never 1 and never with a traceback.
+`--matrix-file` must exit 0 or 2, never 1 and never with a traceback: `roots`
+and `eval` accept exactly the finite and untwisted affine kinds, `relations`
+every matrix that classifies.
 """
 
 import io
@@ -36,20 +38,25 @@ def test_validate_classifies_or_rejects(a):
     assert _classify(a) in (None, FINITE, UNTWISTED_AFFINE, OTHER)
 
 
+# argv after the matrix source, per command
+COMMANDS = {"roots": [], "relations": [], "eval": ["B1"]}
+
+
 @settings(max_examples=80, deadline=None)
-@given(matrices(), st.sampled_from(["roots", "relations"]))
-def test_matrix_file_exits_zero_or_two(a, command):
+@given(matrices())
+def test_matrix_file_exits_zero_or_two(a):
     kind = _classify(a)
-    accepted = kind is not None and (command == "relations" or kind != OTHER)
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.txt")
         with open(path, "w") as fh:
             fh.write("".join(" ".join(map(str, row)) + "\n" for row in a))
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main([command, "--matrix-file", path])
-    if accepted:
-        assert code == 0, err.getvalue()
-    else:
-        assert code == 2
-        assert err.getvalue().startswith("error: ")
+        for command, rest in COMMANDS.items():
+            accepted = kind is not None and (command == "relations" or kind != OTHER)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([command, "--matrix-file", path] + rest)
+            if accepted:
+                assert code == 0, (command, err.getvalue())
+            else:
+                assert code == 2, command
+                assert err.getvalue().startswith("error: "), command
