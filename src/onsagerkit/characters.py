@@ -61,10 +61,16 @@ class CharacterSpace:
 def character_space(rz: Realization, H: int) -> CharacterSpace:
     """Solve chi([u, v]) = 0 over all window pairs; return the solution basis.
 
-    The solve runs on basis numbers; the space is reported on basis keys.
-    Raises WindowTooSmall unless every basis vector of height <= H-1 appears
-    in the expansion of some in-window bracket.
+    The solve runs on basis numbers; the space is reported on basis keys.  A
+    window at or above the realization's top height holds the whole
+    algebra, so the solve is exact; a window below a finite top raises
+    WindowTooSmall.  A window of an infinite basis raises WindowTooSmall
+    unless some in-window bracket lands in it and every basis vector of
+    height <= H-1 appears in the expansion of one.
     """
+    top = rz.top_height
+    if top is not None and H < top:
+        raise WindowTooSmall("window %d is below the top height %d of the basis" % (H, top))
     keyed = rz.basis(H)
     keys = [k for k, _ in keyed]
     nums = [rz.number(k) for k in keys]
@@ -79,12 +85,15 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
             continue
         touched.update(coords)
         rows.append({col[n]: c for n, c in coords.items()})
-    missing = {n for n, (_, h) in zip(nums, keyed) if h <= H - 1} - touched
-    if missing:
-        raise WindowTooSmall(
-            "window %d leaves %d basis vectors unconstrained, e.g. %s"
-            % (H, len(missing), min((rz.index(n) for n in missing), key=str))
-        )
+    if top is None:
+        if not rows:
+            raise WindowTooSmall("no bracket of two basis vectors lands in window %d" % H)
+        missing = {n for n, (_, h) in zip(nums, keyed) if h <= H - 1} - touched
+        if missing:
+            raise WindowTooSmall(
+                "window %d leaves %d basis vectors unconstrained, e.g. %s"
+                % (H, len(missing), min((rz.index(n) for n in missing), key=str))
+            )
     matrix = ExactMatrix(len(rows), len(keys), {
         (r, j): c for r, row in enumerate(rows) for j, c in row.items()
     })

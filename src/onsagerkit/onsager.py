@@ -13,13 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import FINITE, CartanMatrix
+from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix
 from .chevalley import StructureTable, _vneg, table_for
 from .exact_math import IncrementalSpan, add_into, bilinear
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
 from .loop import YIndex, k_bracket_expand, y_key, y_number, y_terms
 from .roots import AffineData, AffineRoot, height
 from .serre_coeffs import serre_relation
+
+
+class NotRealized(ValueError):
+    """The matrix is neither finite nor untwisted affine, so it has no
+    realization here."""
 
 
 class Realization:
@@ -32,8 +37,10 @@ class Realization:
     over the basis by number; it raises NotExpandable when the result is not
     fixed.  `bracket` extends it to fixed vectors.  A subclass fixes the basis
     keys: `basis(H)` (the keys of height <= H with their heights, in
-    (height, key) order), and `number(key)`/`index(n)`, which translate
-    between a key and its number; keys are built only to report a result.
+    (height, key) order), `top_height` (the largest height of a basis key,
+    None when the basis is infinite), and `number(key)`/`index(n)`, which
+    translate between a key and its number; keys are built only to report a
+    result.
     """
 
     def __init__(self, cartan, table, generators):
@@ -85,6 +92,10 @@ class FiniteRealization(Realization):
     def basis(self, H):
         return [(a, height(a)) for a in self.table.rs.positive_roots if height(a) <= H]
 
+    @property
+    def top_height(self):
+        return self.table.rs.max_height
+
     def number(self, alpha):
         return y_number(self.table, ("e", alpha), 0)
 
@@ -95,6 +106,8 @@ class FiniteRealization(Realization):
 class AffineRealization(Realization):
     """Y_0 = E_0[1] - F_0[-1] with E_0 = e_{-theta}, F_0 = e_theta, and
     Y_i = (e_i - f_i)[0], over the loop fixed basis keyed by YIndex."""
+
+    top_height = None
 
     def __init__(self, c: CartanMatrix, table: StructureTable = None):
         self.affine = aff = AffineData(c)
@@ -127,9 +140,14 @@ class AffineRealization(Realization):
 
 
 def realization_for(c: CartanMatrix, table=None) -> Realization:
+    """The realization of a finite or untwisted affine matrix; NotRealized
+    for any other kind."""
     if c.kind == FINITE:
         return FiniteRealization(c, table)
-    return AffineRealization(c, table)
+    if c.kind == UNTWISTED_AFFINE:
+        return AffineRealization(c, table)
+    raise NotRealized("a realization needs a finite or untwisted affine matrix; "
+                      "this one classifies as %s" % c.kind)
 
 
 def relations(c: CartanMatrix):

@@ -67,6 +67,37 @@ def test_window_too_small():
         character_space(rz, 2)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "C2", "G2", "B3"])
+def test_finite_window_above_the_top_is_exact(name):
+    # a window at or above the highest root's height holds the whole
+    # algebra; A1's one basis vector meets no bracket, and is still solved
+    c = preset(name)
+    rz = realization_for(c)
+    top = rz.table.rs.max_height
+    for H in (top, top + 1, top + 3):
+        space = character_space(rz, H)
+        assert space.dimension == len(even_column_set(c))
+        assert space.keys == list(rz.table.rs.positive_roots)
+
+
+@pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3", "C3", "F4"])
+def test_finite_window_below_the_top_is_too_small(name):
+    # below the top height a truncated solve certifies nothing: C2 at 1
+    # left both generators free (2 against 1), G2 at 3 gave 1 against 0
+    rz = realization_for(preset(name))
+    top = rz.table.rs.max_height
+    for H in range(1, top):
+        with pytest.raises(WindowTooSmall, match="window %d is below the top height %d" % (H, top)):
+            character_space(rz, H)
+
+
+@pytest.mark.parametrize("name", ["A1~", "A2~", "C2~", "G2~"])
+def test_affine_window_without_a_bracket_is_too_small(name):
+    rz = realization_for(preset(name))
+    with pytest.raises(WindowTooSmall, match="no bracket of two basis vectors lands in window 1"):
+        character_space(rz, 1)
+
+
 def test_chi_finite_values():
     r = 3
     t = Fraction(5, 7)

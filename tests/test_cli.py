@@ -199,6 +199,22 @@ def test_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
         cli.main(["eval", "--preset", "A1~", "[B0,B1]"])
 
 
+@pytest.mark.parametrize("argv,err", [
+    (("--preset", "C2", "--height", "1"), "error: window 1 is below the top height 3 of the basis\n"),
+    (("--preset", "G2", "--height", "3"), "error: window 3 is below the top height 5 of the basis\n"),
+    (("--preset", "A1~", "--height", "1"), "error: no bracket of two basis vectors lands in window 1\n"),
+])
+def test_chars_window_that_certifies_nothing_is_bad_input(capsys, argv, err):
+    assert run_cli(capsys, "chars", *argv) == (2, "", err)
+
+
+def test_chars_a1_window_above_the_top(capsys):
+    code, out, _ = run_cli(capsys, "chars", "--preset", "A1", "--height", "2")
+    assert code == 0
+    assert out.splitlines()[:2] == ["even-column generator set: [1]",
+                                   "character space dimension: 1 (window height 2)"]
+
+
 def test_chars_closed_form_columns(capsys):
     code, out, _ = run_cli(capsys, "chars", "--preset", "C2~")
     assert code == 0

@@ -16,6 +16,7 @@ from onsagerkit.onsager import (
     realization_for,
     relations,
 )
+from onsagerkit.verify import verification_suite
 
 
 def test_relations_examples():
@@ -179,6 +180,17 @@ def test_affine_realization_nonstandard_node_order():
     rz = AffineRealization(c)
     for rel in relations(c):
         assert psi_eval(rz, rel) == {}
+
+
+def test_realization_for_names_the_kind_it_refuses():
+    # a hyperbolic matrix has no realization; the error names its kind
+    c = validate([[2, -3], [-3, 2]])
+    msg = "a realization needs a finite or untwisted affine matrix; this one classifies as Other"
+    with pytest.raises(onsager.NotRealized) as exc:
+        realization_for(c)
+    assert str(exc.value) == msg
+    with pytest.raises(onsager.NotRealized, match="classifies as Other"):
+        verification_suite(c)
 
 
 @pytest.mark.parametrize("name", ["C2", "G2~"])

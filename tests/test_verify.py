@@ -18,10 +18,11 @@ from onsagerkit.cartan import preset
 from onsagerkit.characters import character_space
 from onsagerkit.chevalley import MatrixRealization, StructureTable, build_chevalley
 from onsagerkit.exact_math import IdentityViolation
-from onsagerkit.loop import YIndex
+from onsagerkit import onsager
+from onsagerkit.loop import NotExpandable, YIndex, y_number
 from onsagerkit.onsager import AffineRealization, realization_for
 from onsagerkit.roots import AffineRoot, RootSystem, height
-from onsagerkit.verify import check_affine_structure_constants, check_relations_killed
+from onsagerkit.verify import _expected_y_bracket, check_affine_structure_constants, check_relations_killed
 
 # [y(a1), y(a2+d)] = +-y(a1+a2+d) on C2~: one term, coefficient +-1
 PAIR = (YIndex(AffineRoot((1, 0), 0)), YIndex(AffineRoot((0, 1), 1)))
@@ -96,8 +97,9 @@ def _memo_corrupted(with_omega_image):
 
 
 # the first sweep pair that reads the corrupted entries: the sweep runs
-# over the roots in sorted order, levels -2..2
-FIRST_READER = "[%s, %s]" % (YIndex(AffineRoot((-1, 0), -2)), YIndex(AffineRoot((0, -1), -2)))
+# over the basis vectors, the roots in sorted order at levels 0..2 (level 0
+# for positive roots only); y(-a1+d) = e_{-a1}[1] - e_{a1}[-1]
+FIRST_READER = "[%s, %s]" % (YIndex(AffineRoot((-1, 0), 1)), YIndex(AffineRoot((0, -1), 1)))
 
 
 def test_sweep_fails_on_a_corrupted_memo_entry():
@@ -135,6 +137,135 @@ def test_flipped_sign_orbit_passes_the_sweep_and_fails_serre(name):
     _, ok, detail = check_relations_killed(c, rz)
     assert not ok
     assert detail.startswith("nonzero image for generator pairs")
+
+
+# ---------------------------------------------------------------------------
+# the sweep over basis pairs against the sweep over every signed index
+# ---------------------------------------------------------------------------
+
+def _signed_indices(t, bound=2):
+    """y_{alpha+l delta} for every root alpha and y_{l delta}^(i), l != 0,
+    |l| <= bound, by number: each basis vector once as +y and once as -y."""
+    levels = range(-bound, bound + 1)
+    out = [y_number(t, ("e", a), l) for a in sorted(t.rs._all) for l in levels]
+    out += [y_number(t, ("h", i), l) for i in range(t.rs.rank) for l in levels if l]
+    return out
+
+
+def signed_sweep(rz):
+    """The reference sweep: the three checks of the row on every ordered
+    pair of signed indices, so on each basis pair four times.  Returns
+    (passed, pairs)."""
+    t = rz.table
+    indices = _signed_indices(t)
+    for u in indices:
+        for v in indices:
+            try:
+                got = rz.basis_bracket(u, v)
+            except NotExpandable:
+                return False, len(indices) ** 2
+            if any(type(c) is not int and c.denominator != 1 for c in got.values()):
+                return False, len(indices) ** 2
+            if got != _expected_y_bracket(t, u, v):
+                return False, len(indices) ** 2
+    return True, len(indices) ** 2
+
+
+def _negated(t, n):
+    """The number of -y for the signed index n: y_{-gamma} = -y_gamma."""
+    level, k = divmod(n, t.dim)
+    return y_number(t, t.keys[t.partner[k]], -level)
+
+
+@pytest.mark.parametrize("name", ["A1~", "A2~", "C2~", "G2~", "B3~", "C3~"])
+def test_both_sides_are_odd_in_each_argument(name):
+    # the row brackets basis pairs only; over every signed pair, negating an
+    # argument negates both the closed form and the kernel's expansion
+    rz = realization_for(preset(name))
+    t = rz.table
+    indices = _signed_indices(t)
+    assert sorted(indices) == sorted(_negated(t, n) for n in indices)
+    for f in (lambda u, v: _expected_y_bracket(t, u, v), rz.basis_bracket):
+        for u in indices:
+            for v in indices:
+                minus = {k: -c for k, c in f(u, v).items()}
+                assert f(_negated(t, u), v) == minus, (rz.index(u), rz.index(v))
+                assert f(u, _negated(t, v)) == minus, (rz.index(u), rz.index(v))
+
+
+@pytest.mark.parametrize("name", ["A1~", "A2~", "C2~", "G2~", "B3~", "C3~"])
+def test_sweep_counts_the_signed_pairs(name):
+    rz = realization_for(preset(name))
+    _, ok, detail = check_affine_structure_constants(rz)
+    assert ok, detail
+    assert signed_sweep(rz) == (True, int(detail.split()[0]))
+
+
+MUTATIONS = {
+    "negated terms": lambda terms, form: (tuple((k, -c) for k, c in terms), form),
+    "doubled terms": lambda terms, form: (tuple((k, 2 * c) for k, c in terms), form),
+    "negated form": lambda terms, form: (terms, -form),
+}
+
+# memo mutations the sweep catches, per type: of one entry, and of an entry
+# together with its omega image
+CAUGHT = {"A1~": (14, 6), "A2~": (90, 42), "C2~": (120, 56), "G2~": (236, 112)}
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["entry", "omega pair"])
+@pytest.mark.parametrize("name", sorted(CAUGHT))
+def test_the_same_memo_mutations_fail(name, paired):
+    # every memo mutation that changes what it touches: the row over basis
+    # pairs fails exactly when the signed-index reference fails.  A mutation
+    # of one entry breaks the involution, which the kernel sees; one applied
+    # alike to [x, y] and [omega x, omega y] keeps every bracket fixed, so
+    # only the closed form can see it
+    t = build_chevalley(preset(name).finite_part())
+    rz = AffineRealization(preset(name), t)
+    for i in range(t.dim):
+        for j in range(t.dim):
+            t.entry(i, j)
+    caught = 0
+    for n in range(len(t._memo)):
+        i, j = divmod(n, t.dim)
+        slots = {n, t.partner[i] * t.dim + t.partner[j]} if paired else {n}
+        if min(slots) != n or len(slots) < 1 + paired:
+            continue
+        true = {s: t._memo[s] for s in slots}
+        for mutation, change in MUTATIONS.items():
+            wrong = {s: change(*entry) for s, entry in true.items()}
+            if wrong == true:
+                continue
+            for s in slots:
+                t._memo[s] = wrong[s]
+            try:
+                ok = check_affine_structure_constants(rz)[1]
+                assert ok == signed_sweep(rz)[0], (t.keys[i], t.keys[j], mutation)
+            finally:
+                for s in slots:
+                    t._memo[s] = true[s]
+            caught += not ok
+    assert caught == CAUGHT[name][paired]
+    assert check_affine_structure_constants(rz)[1]
+
+
+def test_sweep_calls_the_kernel_once_per_basis_pair(monkeypatch):
+    rz = realization_for(preset("C3~"))
+    calls = []
+    kernel = onsager.k_bracket_expand
+
+    def counted(t, x, y):
+        calls.append(1)
+        return kernel(t, x, y)
+
+    monkeypatch.setattr(onsager, "k_bracket_expand", counted)
+    _, ok, detail = check_affine_structure_constants(rz)
+    assert ok, detail
+    assert len(calls) == 51 ** 2 == 2601
+    assert detail.startswith("%d index pairs" % (2 * 51) ** 2)
+    calls.clear()
+    assert signed_sweep(rz) == (True, 10404)
+    assert len(calls) == 10404
 
 
 # ---------------------------------------------------------------------------
