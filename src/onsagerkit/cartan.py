@@ -14,19 +14,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import _closure
-from .exact_math import IdentityViolation, IncrementalSpan
+from .exact_math import BadInput, IdentityViolation, IncrementalSpan
 
 
-class NotGCM(ValueError):
+class NotGCM(BadInput):
     """The matrix violates the generalized-Cartan-matrix axioms."""
 
 
-class NotSymmetrizable(ValueError):
+class NotSymmetrizable(BadInput):
     """No positive diagonal matrix symmetrizes the given matrix."""
 
 
-class UnknownPreset(ValueError):
+class UnknownPreset(BadInput):
     """Preset name is not in the supported list."""
 
 
@@ -184,6 +183,37 @@ def _coroot_coords_raw(a, d, root):
     return tuple(coords)
 
 
+_CLOSURE_CAP = 250000
+
+
+def root_closure(a):
+    """All roots of the finite-type matrix `a`, closed under simple reflections.
+
+    Roots are integer tuples over the simple roots.  s_i(v) = v - <v, i> a_i
+    with pairing <v, i> = sum_j v_j a[i][j].  Only terminates for finite type;
+    a generous cap guards against misuse.
+    """
+    n = len(a)
+    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(n):
+                pairing = sum(v[j] * a[i][j] for j in range(n))
+                if pairing == 0:
+                    continue
+                w = tuple(v[j] - (pairing if j == i else 0) for j in range(n))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+        if len(seen) > _CLOSURE_CAP:
+            raise RuntimeError("reflection closure did not terminate: matrix is not of finite type")
+    return seen
+
+
 def _affine_node_matches(a, node):
     """Whether `a`, with `node` moved first, is the affine extension of the
     finite-type matrix left after deleting the node."""
@@ -280,8 +310,14 @@ def _finite_preset_matrix(family, r):
 
 
 def _affine_extension(fin):
-    """Extend a finite matrix by the standard affine node, placed first."""
-    theta = _closure.highest_root(fin)
+    """Extend a finite matrix by the standard affine node, placed first;
+    ValueError when the highest root is not unique (a decomposable matrix)."""
+    positive = [v for v in root_closure(fin) if min(v) >= 0]
+    top = max(map(sum, positive))
+    tops = [v for v in positive if sum(v) == top]
+    if len(tops) != 1:
+        raise ValueError("no unique highest root: matrix is decomposable")
+    theta = tops[0]
     d = symmetrizer(fin)
     ktheta = _coroot_coords_raw(fin, d, theta)
     r = len(fin)
@@ -412,7 +448,10 @@ def parse_matrix_text(text):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([int(tok) for tok in line.split()])
+        try:
+            rows.append([int(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise BadInput(str(exc)) from None
     if not rows:
-        raise ValueError("no matrix rows found")
+        raise BadInput("no matrix rows found")
     return rows

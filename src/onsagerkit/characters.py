@@ -17,12 +17,12 @@ from itertools import combinations
 
 from .cartan import CartanMatrix, preset
 from .chevalley import sp_structure_table
-from .exact_math import ExactMatrix, IdentityViolation, IncrementalSpan, add_into, nullspace_basis
+from .exact_math import BadInput, ExactMatrix, IdentityViolation, IncrementalSpan, add_into, nullspace_basis
 from .onsager import AffineRealization, FiniteRealization, Realization
 from .roots import AffineRoot, RootSystem
 
 
-class WindowTooSmall(ValueError):
+class WindowTooSmall(BadInput):
     """Height window leaves some basis vector untouched by any constraint."""
 
 

@@ -21,15 +21,16 @@ The N table is read-only, so a tabulated bracket never goes stale.
 
 Also here: explicit matrix realizations (special linear and symplectic), the
 fixed-subalgebra basis y_alpha = e_alpha - e_{-alpha}, and the isomorphism of
-the symplectic fixed subalgebra with gl_r.  The displayed symplectic table is
-the generic type-C table under a sign vector read off the displayed matrices.
+the symplectic fixed subalgebra with gl_r.  Each realization's table is the
+generic table of its type under a sign vector read off its displayed
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from operator import add, neg, sub
 from types import MappingProxyType
 
@@ -338,63 +339,57 @@ class MatrixRealization:
         return bad
 
 
-def _checked_once(build):
-    """Cache build(r), and also the IdentityViolation it raises: a failing
-    matrix realization is built and scanned once, and every later call
-    raises the same violation again."""
-
-    @lru_cache(maxsize=None)
-    def outcome(r):
-        try:
-            return build(r), None
-        except IdentityViolation as exc:
-            return None, str(exc)
-
-    @wraps(build)
-    def cached(r):
-        rz, error = outcome(r)
-        if error is not None:
-            raise IdentityViolation(error)
-        return rz
-
-    cached.cache_clear = outcome.cache_clear
-    return cached
+def _read_signs(generic: StructureTable, images):
+    """Signs s, with s_{-a} = s_a and s = 1 on the simple roots, such that the
+    displayed matrices satisfy [D_a, D_b] = s_a s_b s_{a+b} N[a, b] D_{a+b}
+    for the generic table N.  Each non-simple positive root reads its sign
+    off one commutator over its extraspecial pair."""
+    signs = {}
+    for gamma in generic.rs.positive_roots:
+        s = 1
+        if height(gamma) >= 2:
+            xi, eta = generic.rs.decompositions(gamma)[0]
+            comm = images[("e", xi)].commutator(images[("e", eta)])
+            want = signs[xi] * signs[eta] * generic.N[(xi, eta)] * images[("e", gamma)]
+            if comm == -want:
+                s = -1
+            elif comm != want:
+                raise IdentityViolation("[D%r, D%r] is not a signed N multiple of D%r" % (xi, eta, gamma))
+        signs[gamma] = signs[_vneg(gamma)] = s
+    return signs
 
 
-def _extend_images(table: StructureTable, images):
-    """Fill images of all root vectors from the simple-root images.
+def _twisted_table(generic: StructureTable, s) -> StructureTable:
+    """The generic table twisted by the signs s of _read_signs,
+    N'[a, b] = s_a s_b s_{a+b} N[a, b], so every sign-sensitive identity
+    downstream matches the displayed matrices."""
+    return StructureTable(generic.rs, {(a, b): s[a] * s[b] * s[_vadd(a, b)] * n
+                                       for (a, b), n in generic.N.items()})
 
-    Non-simple positive root vectors come from the extraspecial pair;
-    negatives are transposes, matching the involution being
-    X -> -X^T in both realizations here.
-    """
-    for gamma in table.rs.positive_roots:
-        if height(gamma) < 2:
-            continue
-        xi, eta = table.rs.decompositions(gamma)[0]
-        n = table.N[(xi, eta)]
-        m = images[("e", xi)].commutator(images[("e", eta)]) * Fraction(1, n)
-        images[("e", gamma)] = m
-        images[("e", _vneg(gamma))] = m.transpose()
+
+def _sl_images(r):
+    """The displayed (r+1) x (r+1) matrices of the type-A basis keys: E_{k,l}
+    for eps_k - eps_l = alpha_k + ... + alpha_{l-1}, E_{l,k} for its negative,
+    and h_i = E_ii - E_{i+1,i+1}."""
+
+    def unit(i, j):
+        return ExactMatrix(r + 1, r + 1, {(i, j): 1})
+
+    images = {("h", i): unit(i, i) - unit(i + 1, i + 1) for i in range(r)}
+    for alpha in preset_table("A%d" % r).rs._all:
+        support = [i for i, c in enumerate(alpha) if c]
+        k, l = support[0], support[-1] + 1
+        images[("e", alpha)] = unit(k, l) if alpha[k] > 0 else unit(l, k)
     return images
 
 
-@_checked_once
+@lru_cache(maxsize=None)
 def sl_realization(r) -> MatrixRealization:
-    """Trace-zero (r+1) x (r+1) matrices: e_i = E_{i,i+1}, f_i = E_{i+1,i}."""
-    table = preset_table("A%d" % r)
-    n = r + 1
-
-    def unit(i, j):
-        return ExactMatrix(n, n, {(i, j): 1})
-
-    images = {}
-    for i in range(r):
-        images[("h", i)] = unit(i, i) - unit(i + 1, i + 1)
-        simple = tuple(1 if k == i else 0 for k in range(r))
-        images[("e", simple)] = unit(i, i + 1)
-        images[("e", _vneg(simple))] = unit(i + 1, i)
-    return MatrixRealization(n, _extend_images(table, images), table)
+    """The displayed trace-zero (r+1) x (r+1) realization, bound to the A_r
+    table under the signs its matrices carry."""
+    generic = preset_table("A%d" % r)
+    images = _sl_images(r)
+    return MatrixRealization(r + 1, images, _twisted_table(generic, _read_signs(generic, images)))
 
 
 def _sp_eps_coords(r, alpha):
@@ -454,39 +449,18 @@ def _sp_images(r):
 
 @lru_cache(maxsize=None)
 def sp_sign_reconciliation(r):
-    """Signs s, with s_{-a} = s_a and s = 1 on the simple roots, such that the
-    displayed symplectic matrices satisfy [D_a, D_b] = s_a s_b s_{a+b} N[a, b]
-    D_{a+b} for the generic type-C table N.  Each non-simple positive root
-    reads its sign off one commutator over its extraspecial pair."""
-    generic = preset_table("C%d" % r)
-    images = _sp_images(r)
-    signs = {}
-    for gamma in generic.rs.positive_roots:
-        s = 1
-        if height(gamma) >= 2:
-            xi, eta = generic.rs.decompositions(gamma)[0]
-            comm = images[("e", xi)].commutator(images[("e", eta)])
-            want = signs[xi] * signs[eta] * generic.N[(xi, eta)] * images[("e", gamma)]
-            if comm == -want:
-                s = -1
-            elif comm != want:
-                raise IdentityViolation("[D%r, D%r] is not a signed N multiple of D%r" % (xi, eta, gamma))
-        signs[gamma] = signs[_vneg(gamma)] = s
-    return signs
+    """The signs of the displayed symplectic matrices against the generic
+    type-C table (see _read_signs)."""
+    return _read_signs(preset_table("C%d" % r), _sp_images(r))
 
 
 @lru_cache(maxsize=None)
 def sp_structure_table(r) -> StructureTable:
-    """The generic type-C table twisted by the signs s of
-    sp_sign_reconciliation, N'[a, b] = s_a s_b s_{a+b} N[a, b], so every
-    sign-sensitive identity downstream matches the displayed matrices."""
-    generic = preset_table("C%d" % r)
-    s = sp_sign_reconciliation(r)
-    return StructureTable(generic.rs, {(a, b): s[a] * s[b] * s[_vadd(a, b)] * n
-                                       for (a, b), n in generic.N.items()})
+    """The generic type-C table twisted by sp_sign_reconciliation."""
+    return _twisted_table(preset_table("C%d" % r), sp_sign_reconciliation(r))
 
 
-@_checked_once
+@lru_cache(maxsize=None)
 def sp_realization(r) -> MatrixRealization:
     """The displayed 2r x 2r symplectic realization, bound to its own table."""
     return MatrixRealization(2 * r, _sp_images(r), sp_structure_table(r))

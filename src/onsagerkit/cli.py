@@ -4,7 +4,8 @@ Subcommands: coeffs, relations, roots, structconst, verify, chars, eval.
 Matrix source is either --preset NAME (affine presets end in "~") or
 --matrix-file PATH (one row per line, whitespace-separated integers).
 Exit status: 0 all checks pass, 1 a check failed (or an identity broke while
-building a table), 2 usage error.
+building a table), 2 bad input (a `BadInput` or an `OSError`); any other
+exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -14,18 +15,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .cartan import (
-    FINITE,
-    UNTWISTED_AFFINE,
-    NotGCM,
-    NotSymmetrizable,
-    UnknownPreset,
-    parse_matrix_text,
-    preset,
-    validate,
-)
+from .cartan import FINITE, UNTWISTED_AFFINE, parse_matrix_text, preset, validate
 from .characters import (
-    WindowTooSmall,
     affine_character_realization,
     character_from_values,
     character_space,
@@ -34,8 +25,8 @@ from .characters import (
     even_column_set,
     finite_character_realization,
 )
-from .exact_math import GaussianRational, IdentityViolation, signed_sum
-from .freelie import ParseError, ad_power, parse_bracket
+from .exact_math import BadInput, GaussianRational, IdentityViolation, signed_sum
+from .freelie import ad_power, parse_bracket
 from .loop import YIndex
 from .onsager import psi_eval, realization_for
 from .roots import AffineData, AffineRoot, RootSystem, height, root_str
@@ -45,7 +36,7 @@ from .verify import check_onsager_structure, verification_suite
 SCHEMA = 1
 
 
-class UsageFault(Exception):
+class UsageFault(BadInput):
     pass
 
 
@@ -251,61 +242,38 @@ def print_verify(report):
 
 def chars_report(c, H=None):
     # exact preset C types get the closed-form columns, computed on the
-    # displayed symplectic basis the closed form refers to
-    c_finite = c.kind == FINITE and c.n >= 2 and c.a == preset("C%d" % c.n).a
-    c_affine = c.kind == UNTWISTED_AFFINE and c.n >= 2 and c.a == preset("C%d~" % (c.n - 1)).a
-    if c_finite:
-        rz = finite_character_realization(c.n)
-    elif c_affine:
-        rz = affine_character_realization(c.n - 1)
+    # displayed symplectic basis the closed form refers to; the generator
+    # values are keyed by the preset's labels, which a --matrix-file with
+    # the same rows does not share (it is labelled 1..n)
+    closed = None
+    if c.kind == FINITE and c.n >= 2 and c.a == preset("C%d" % c.n).a:
+        r = c.n
+        rz, gens = finite_character_realization(r), {r: Fraction(1)}
+
+        def closed(alpha):
+            return chi_finite(r, Fraction(1), alpha)
+    elif c.kind == UNTWISTED_AFFINE and c.n >= 2 and c.a == preset("C%d~" % (c.n - 1)).a:
+        r, s, t = c.n - 1, Fraction(1), Fraction(1, 2)
+        rz, gens = affine_character_realization(r), {0: s, r: t}
+
+        def closed(idx):
+            return chi_affine(r, s, t, idx.gamma, idx.i)
     else:
         rz = realization_for(c)
+    key_str = root_str if c.kind == FINITE else str
     ev = sorted(even_column_set(c))
     if c.kind == FINITE:
         H = H or rz.table.rs.max_height
     else:
         H = H or 2 * rz.affine.delta_height + 2
     space = character_space(rz, H)
-    values = []
-    # the generator values are keyed by the realization's labels, which are
-    # the preset's: a --matrix-file with the same rows is labelled 1..n
-    if c_finite:
-        r = c.n
-        func = character_from_values(space, {lab: (Fraction(1) if lab == r else 0) for lab in rz.labels})
-        for alpha in space.keys:
-            values.append(
-                {
-                    "basis": root_str(alpha),
-                    "value": frac_str(func.get(alpha, 0)),
-                    "closed_form": frac_str(chi_finite(r, Fraction(1), alpha)),
-                }
-            )
-    elif c_affine:
-        r = c.n - 1
-        s, t = Fraction(1), Fraction(1, 2)
-        func = character_from_values(
-            space, {lab: (s if lab == 0 else t if lab == r else 0) for lab in rz.labels}
-        )
-        for idx in space.keys:
-            values.append(
-                {
-                    "basis": str(idx),
-                    "value": frac_str(func.get(idx, 0)),
-                    "closed_form": frac_str(chi_affine(r, s, t, idx.gamma, idx.i)),
-                }
-            )
+    if closed:
+        func = character_from_values(space, {lab: gens.get(lab, 0) for lab in rz.labels})
+        values = [{"basis": key_str(key), "value": frac_str(func.get(key, 0)),
+                   "closed_form": frac_str(closed(key))} for key in space.keys]
     else:
-        for b, func in enumerate(space.basis):
-            for key in space.keys:
-                v = func.get(key, 0)
-                if v:
-                    values.append(
-                        {
-                            "basis": root_str(key) if c.kind == FINITE else str(key),
-                            "functional": b,
-                            "value": frac_str(v),
-                        }
-                    )
+        values = [{"basis": key_str(key), "functional": b, "value": frac_str(func[key])}
+                  for b, func in enumerate(space.basis) for key in space.keys if func.get(key, 0)]
     return {
         "schema": SCHEMA,
         "kind": "chars",
@@ -473,16 +441,7 @@ def main(argv=None) -> int:
     except IdentityViolation as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (
-        UsageFault,
-        UnknownPreset,
-        NotGCM,
-        NotSymmetrizable,
-        ParseError,
-        WindowTooSmall,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (BadInput, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -20,8 +20,13 @@ class IdentityViolation(Exception):
     """A mathematical identity the package checks does not hold.
 
     Raised explicitly, so the check survives python -O, and deliberately not
-    a ValueError, which the CLI reports as bad input.
+    a BadInput, which the CLI reports as bad input.
     """
+
+
+class BadInput(ValueError):
+    """The input is not one the program accepts: the only error the CLI
+    reports as bad input (exit status 2).  Any other ValueError is a fault."""
 
 
 class GaussianRational:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import functools
 
-from .exact_math import IdentityViolation, SparseElement, add_into, bilinear, signed_sum
+from .exact_math import BadInput, IdentityViolation, SparseElement, add_into, bilinear, signed_sum
 
 
-class ParseError(ValueError):
+class ParseError(BadInput):
     """Bracket-expression syntax error; `pos` is the byte offset."""
 
     def __init__(self, message, pos):
@@ -35,7 +35,7 @@ class NotALieElement(Exception):
     is not written in the Lyndon basis.
 
     A bug signal, not bad input: every element the program builds is in the
-    Lyndon basis.  So it is deliberately not a ValueError, which the CLI
+    Lyndon basis.  So it is deliberately not a BadInput, which the CLI
     reports as a usage error.
     """
 

@@ -36,7 +36,7 @@ class NotExpandable(Exception):
     """The element does not lie in the span of the fixed basis.
 
     A bug signal, not bad input: brackets of fixed elements always expand.
-    So it is deliberately not a ValueError, which the CLI reports as a usage
+    So it is deliberately not a BadInput, which the CLI reports as a usage
     error.
     """
 

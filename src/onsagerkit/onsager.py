@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix
 from .chevalley import StructureTable, _vneg, table_for
-from .exact_math import IncrementalSpan, add_into, bilinear
+from .exact_math import BadInput, IncrementalSpan, add_into, bilinear
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
 from .loop import YIndex, k_bracket_expand, y_key, y_number, y_terms
 from .roots import AffineData, AffineRoot, height
 from .serre_coeffs import serre_relation
 
 
-class NotRealized(ValueError):
+class NotRealized(BadInput):
     """The matrix is neither finite nor untwisted affine, so it has no
     realization here."""
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _closure
-from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, NotAffine, NotFinite, _coroot_coords_raw
+from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, NotAffine, NotFinite, _coroot_coords_raw, root_closure
+from .exact_math import BadInput
 
 
 class NotARoot(ValueError):
@@ -48,7 +48,7 @@ class RootSystem:
             raise NotFinite("root enumeration requires a finite-type matrix")
         self.cartan = cartan
         n = cartan.n
-        all_roots = _closure.root_closure(cartan.a)
+        all_roots = root_closure(cartan.a)
         self.positive_roots = sorted(
             (v for v in all_roots if all(c >= 0 for c in v)),
             key=lambda v: (height(v), v),
@@ -63,7 +63,7 @@ class RootSystem:
         )
         self.theta = self.positive_roots[-1]
         if self.form_value(self.theta, self.theta) != 2:
-            raise ValueError("highest root is not long; matrix is decomposable")
+            raise BadInput("highest root is not long; matrix is decomposable")
 
     @property
     def rank(self):

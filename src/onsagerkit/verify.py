@@ -184,11 +184,7 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     return name, True, "%d index pairs, levels |l| <= %d" % ((2 * len(basis)) ** 2, level_bound)
 
 
-# Building a matrix realization checks it; the IdentityViolation it raises
-# is the matrix row's FAIL detail.
-
-def check_gl_presentation(r):
-    name = "gl_%d presentation through the fixed-subalgebra isomorphism" % r
+def check_gl_presentation(name, r):
     try:
         rep = verify_gl_presentation(r)
     except IdentityViolation as exc:
@@ -196,12 +192,25 @@ def check_gl_presentation(r):
     return name, rep.passed, ("all %d relation checks" % len(rep.checks)) if rep.passed else str(rep.failures)
 
 
-def check_matrix_realization(name, build, r):
+def check_matrix_realization(c: CartanMatrix):
+    """The rows of the matrix realization of a finite A_r or of the preset
+    C_r, r <= 4.  Building the realization checks it, once: the
+    IdentityViolation it raises is the FAIL detail of every row that needs
+    it."""
+    name, r = c.typename or "", c.n
+    gl = "gl_%d presentation through the fixed-subalgebra isomorphism" % r
+    if r <= 4 and name.startswith("C") and c.a == preset("C%d" % r).a:
+        sp = "symplectic realization matches its table and reconciles with the generic one"
+        build, names = sp_realization, ([gl] if r >= 2 else []) + [sp]
+    elif r <= 4 and name.startswith("A"):
+        build, names = sl_realization, ["special linear matrix realization is a bracket homomorphism"]
+    else:
+        return []
     try:
         build(r)
     except IdentityViolation as exc:
-        return name, False, str(exc)
-    return name, True, "rank %d" % r
+        return [(row, False, str(exc)) for row in names]
+    return [check_gl_presentation(gl, r) if row == gl else (row, True, "rank %d" % r) for row in names]
 
 
 def verification_suite(c: CartanMatrix, jmax=None, height=None):
@@ -220,15 +229,7 @@ def verification_suite(c: CartanMatrix, jmax=None, height=None):
         rows.append(check_relations_killed(c, rz))
         rows += check_word_span(rz, jmax, height)
         rows.append(check_character_dimension(c, rz, maxht))
-        name = c.typename or ""
-        if name.startswith("C") and c.n <= 4 and c.a == preset("C%d" % c.n).a:
-            if c.n >= 2:
-                rows.append(check_gl_presentation(c.n))
-            rows.append(check_matrix_realization(
-                "symplectic realization matches its table and reconciles with the generic one", sp_realization, c.n))
-        if name.startswith("A") and c.n <= 4:
-            rows.append(check_matrix_realization(
-                "special linear matrix realization is a bracket homomorphism", sl_realization, c.n))
+        rows += check_matrix_realization(c)
     else:
         jmax = jmax or 6
         rows.append(check_relations_killed(c, rz))

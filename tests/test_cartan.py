@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -148,8 +149,7 @@ def test_random_gcm_classification_consistency():
     # determinant data and, if finite, with a terminating root closure
     import random
 
-    from onsagerkit import _closure
-    from onsagerkit.cartan import _det
+    from onsagerkit.cartan import _det, root_closure
 
     rng = random.Random(99)
     for _ in range(120):
@@ -165,7 +165,7 @@ def test_random_gcm_classification_consistency():
         except NotSymmetrizable:
             continue
         if c.kind == FINITE:
-            roots = _closure.positive_roots(c.a)
+            roots = [v for v in root_closure(c.a) if min(v) >= 0]
             assert 1 <= len(roots) < 250000
             assert _det(c.a) > 0
         elif c.kind == UNTWISTED_AFFINE:
@@ -232,3 +232,14 @@ def test_affine_node_found_at_every_position(name):
         assert c.kind == UNTWISTED_AFFINE
         assert c.typename == RENAMED.get((name, pos), name)
         assert c.affine_node == int(AFFINE_NODE[name][pos])
+
+
+# sha256 of repr([(name, rows), ...]) over the affine presets of
+# preset_names(8), in that order: the extension rows read the highest root
+AFFINE_ROWS_DIGEST = "b902de8585cf1d207675de1489d6033906eda4257b4a9a9acd1ffed1c1986f45"
+
+
+def test_affine_preset_rows_digest():
+    names = [n for n in preset_names(8) if n.endswith("~")]
+    rows = repr([(n, preset(n).a) for n in names])
+    assert hashlib.sha256(rows.encode()).hexdigest() == AFFINE_ROWS_DIGEST

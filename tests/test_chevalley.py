@@ -382,11 +382,10 @@ def test_sp_reconciliation_exists(r):
             assert signs[alpha] == 1
 
 
-def _matrix_n(r):
-    """Reference: every N entry of the displayed type-C table read off a full
-    commutator of the displayed symplectic matrices."""
-    images = _sp_images(r)
-    rs = preset_table("C%d" % r).rs
+def _matrix_n(images, rs):
+    """Reference: every N entry of a realization's table read off a full
+    commutator of its displayed matrices."""
+    dim = images[("h", 0)].rows
     n_table = {}
     for x in sorted(rs._all):
         mx = images[("e", x)]
@@ -395,7 +394,7 @@ def _matrix_n(r):
             comm = mx.commutator(images[("e", y)])
             if not any(s):
                 # [e_a, e_{-a}] must be h_a
-                want = ExactMatrix.zeros(2 * r, 2 * r)
+                want = ExactMatrix.zeros(dim, dim)
                 for i, k in enumerate(rs.coroot_coords(x)):
                     want = want + k * images[("h", i)]
                 assert comm == want, x
@@ -418,7 +417,36 @@ def test_twisted_table_matches_matrix_reference(r):
     # matrices give entry by entry
     t = sp_structure_table(r)
     assert t.rs is preset_table("C%d" % r).rs
-    assert dict(t.N) == _matrix_n(r)
+    assert dict(t.N) == _matrix_n(_sp_images(r), t.rs)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sl_images_are_unit_matrices(r):
+    # E_{k,l} for eps_k - eps_l = alpha_k + ... + alpha_{l-1}, E_{l,k} for
+    # its negative, h_i = E_ii - E_{i+1,i+1}
+    rz = sl_realization(r)
+
+    def unit(i, j):
+        return ExactMatrix(r + 1, r + 1, {(i, j): 1})
+
+    for k in range(r + 1):
+        for l in range(k + 1, r + 1):
+            alpha = tuple(1 if k <= i < l else 0 for i in range(r))
+            assert rz.images[("e", alpha)] == unit(k, l)
+            assert rz.images[("e", _neg(alpha))] == unit(l, k)
+    for i in range(r):
+        assert rz.images[("h", i)] == unit(i, i) - unit(i + 1, i + 1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sl_table_matches_matrix_reference(r):
+    # the A_r table under the signs of the displayed matrices is the table
+    # they give entry by entry; the signs are nontrivial from r = 2 on
+    rz = sl_realization(r)
+    generic = preset_table("A%d" % r)
+    assert rz.table.rs is generic.rs
+    assert dict(rz.table.N) == _matrix_n(rz.images, rz.table.rs)
+    assert (dict(rz.table.N) != dict(generic.N)) == (r >= 2)
 
 
 @pytest.fixture
@@ -443,6 +471,21 @@ def test_cold_twisted_table_makes_one_commutator_per_nonsimple_root(cold_matrix_
     sp_structure_table(3)
     nonsimple = [a for a in preset_table("C3").rs.positive_roots if height(a) >= 2]
     assert len(calls) == len(nonsimple) == 6
+
+
+def test_sl_sign_read_makes_one_commutator_per_nonsimple_root(monkeypatch):
+    images, generic = chevalley._sl_images(3), preset_table("A3")
+    calls = []
+    commutator = ExactMatrix.commutator
+
+    def counted(self, other):
+        calls.append(1)
+        return commutator(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "commutator", counted)
+    chevalley._read_signs(generic, images)
+    nonsimple = [a for a in generic.rs.positive_roots if height(a) >= 2]
+    assert len(calls) == len(nonsimple) == 3
 
 
 def test_sign_derivation_raises_on_a_wrong_display(cold_matrix_caches, monkeypatch):

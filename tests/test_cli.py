@@ -3,8 +3,14 @@ import json
 import pytest
 
 from onsagerkit import chevalley, cli, onsager, verify
+from onsagerkit.cartan import NotAffine, NotFinite, NotGCM, NotSymmetrizable, UnknownPreset, parse_matrix_text
+from onsagerkit.characters import WindowTooSmall
+from onsagerkit.chevalley import NotAPositiveRoot, NotFixedError
+from onsagerkit.exact_math import BadInput
+from onsagerkit.freelie import ParseError
 from onsagerkit.loop import NotExpandable
-from onsagerkit.roots import RootSystem
+from onsagerkit.onsager import NotRealized
+from onsagerkit.roots import NotARoot, RootSystem
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +203,32 @@ def test_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
     # as a process, the uncaught exception exits 1
     with pytest.raises(NotExpandable):
         cli.main(["eval", "--preset", "A1~", "[B0,B1]"])
+
+
+def test_only_input_errors_are_bad_input():
+    for exc in (cli.UsageFault, UnknownPreset, NotGCM, NotSymmetrizable, ParseError, WindowTooSmall, NotRealized):
+        assert issubclass(exc, BadInput), exc
+    for exc in (NotARoot, NotAPositiveRoot, NotFixedError, NotFinite, NotAffine):
+        assert issubclass(exc, ValueError) and not issubclass(exc, BadInput), exc
+
+
+def test_an_internal_value_error_is_not_bad_input(monkeypatch):
+    def broken(root):
+        raise NotARoot("forced")
+
+    monkeypatch.setattr(cli, "height", broken)
+    with pytest.raises(NotARoot):
+        cli.main(["roots", "--preset", "A2"])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2 x\n-1 2\n", "invalid literal for int() with base 10: 'x'"),
+    ("# nothing\n\n", "no matrix rows found"),
+])
+def test_unreadable_matrix_text_is_bad_input(text, message):
+    with pytest.raises(BadInput) as exc:
+        parse_matrix_text(text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("argv,err", [
