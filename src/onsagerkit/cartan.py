@@ -137,13 +137,15 @@ def _det(a):
 
     Row i reduced against the rows before it keeps its determinant and holds
     none of their pivot columns, so the determinant is the product of the
-    pivot entries, signed by the inversions of the pivot columns.
+    pivot entries, signed by the inversions of the pivot columns.  The rows
+    go in as Fractions, so every basis row has 1 at its pivot and reduce
+    returns the residue itself, not a multiple of it.
     """
     span = IncrementalSpan()
     det = Fraction(1)
     cols = []
     for row in a:
-        v = span.reduce(dict(enumerate(row)))
+        v = span.reduce({j: Fraction(c) for j, c in enumerate(row)})
         if not v:
             return 0
         p = min(v)

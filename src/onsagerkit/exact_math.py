@@ -7,13 +7,15 @@ divides.  `add_into` and `add_term` are the one place where they are summed,
 `bilinear` extends a bracket or product on basis-key pairs to vectors,
 `SparseElement` is the one implementation of element arithmetic,
 `signed_sum` is the one printer of a signed sum, and `IncrementalSpan` is
-the one eliminator.  No floating point appears
-anywhere; all downstream identities are checked as bit-exact equalities.
+the one eliminator, which eliminates integer vectors without dividing.  No
+floating point appears anywhere; all downstream identities are checked as
+bit-exact equalities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class IdentityViolation(Exception):
@@ -132,6 +134,21 @@ def _coerce(x):
     return None
 
 
+_EXACT = (int, Fraction, GaussianRational)
+
+
+def _exact(x):
+    """x as an int or Fraction when real, as a GaussianRational only when
+    not; TypeError for anything but an exact scalar."""
+    if isinstance(x, GaussianRational):
+        if x.im:
+            return x
+        x = x.re
+    elif not isinstance(x, (int, Fraction)):
+        raise TypeError("expected an exact scalar (int, Fraction or GaussianRational), got %r" % (x,))
+    return x.numerator if x.denominator == 1 else x
+
+
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -224,7 +241,10 @@ class SparseElement:
 
 
 class ExactMatrix:
-    """Sparse matrix over the Gaussian rationals; zero entries are never stored."""
+    """Sparse matrix over the Gaussian rationals; zero entries are never
+    stored.  Real entries are stored as int or Fraction, so a rational
+    matrix is multiplied and eliminated over Q; entry() still reads every
+    entry as a GaussianRational."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -236,11 +256,9 @@ class ExactMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError("entry (%d, %d) outside %dx%d matrix" % (i, j, rows, cols))
-                g = _coerce(v)
-                if g is None:
-                    raise TypeError("matrix entries must be exact scalars, got %r" % (v,))
-                if g:
-                    store[(i, j)] = g
+                v = _exact(v)
+                if v:
+                    store[(i, j)] = v
         self.entries = store
 
     @classmethod
@@ -264,7 +282,7 @@ class ExactMatrix:
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
     def entry(self, i, j):
-        return self.entries.get((i, j), ZERO)
+        return _coerce(self.entries.get((i, j), 0))
 
     def is_zero(self):
         return not self.entries
@@ -292,12 +310,10 @@ class ExactMatrix:
         return self + (-other)
 
     def __mul__(self, scalar):
-        g = _coerce(scalar)
-        if g is None:
+        if not isinstance(scalar, _EXACT):
             return NotImplemented
-        if not g:
-            return ExactMatrix(self.rows, self.cols)
-        return ExactMatrix(self.rows, self.cols, {k: v * g for k, v in self.entries.items()})
+        s = _exact(scalar)
+        return ExactMatrix(self.rows, self.cols, {k: v * s for k, v in self.entries.items()})
 
     __rmul__ = __mul__
 
@@ -333,13 +349,10 @@ class ExactMatrix:
         return self @ other - other @ self
 
     def row_dicts(self):
-        """The rows as sparse vectors.  Real entries are narrowed to int or
-        Fraction, so a rational matrix is eliminated over Q; only non-real
-        entries stay GaussianRational."""
-        out = [dict() for _ in range(self.rows)]
+        """The rows as sparse vectors of the stored entries: int or Fraction
+        when real, GaussianRational only when not."""
+        out = [{} for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
-            if not v.im:
-                v = v.re.numerator if v.re.denominator == 1 else v.re
             out[i][j] = v
         return out
 
@@ -347,34 +360,75 @@ class ExactMatrix:
         return "ExactMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
 
 
+def _eliminate(v, row, key):
+    """Clear key from v in place by v <- m*v - b*row with m > 0: m = 1 when
+    row[key] = 1, else (an int row) m = a/g and b = v[key]/g for a = row[key]
+    and g = gcd(a, v[key]), so int vectors are eliminated without dividing."""
+    a = row[key]
+    b = v[key]
+    if a != 1:
+        if type(b) is int:  # else g = 1
+            g = gcd(a, b)
+            a //= g
+            b //= g
+        if a != 1:
+            for k in v:
+                v[k] *= a
+    add_into(v, row, -b)
+
+
+def _basis_row(v, pivot):
+    """v as a basis row: primitive with a positive pivot when all its
+    entries are int, divided by its pivot otherwise."""
+    if all(type(c) is int for c in v.values()):
+        g = gcd(*v.values())
+        if v[pivot] < 0:
+            g = -g
+        return v if g == 1 else {k: c // g for k, c in v.items()}
+    p = v[pivot]
+    if isinstance(p, int):
+        p = Fraction(p)  # int / int would be a float
+    return {k: c / p for k, c in v.items()}
+
+
 class IncrementalSpan:
     """Echelon basis of a growing span of sparse vectors, over any exact field.
 
-    Vectors are dicts mapping comparable coordinate keys to nonzero scalars.
-    Each basis row has its minimum key (the pivot) with coefficient 1.  This
-    is the package's only eliminator: rank, nullspace, determinant and the
-    character solve are all read off it.
+    Vectors are dicts mapping comparable coordinate keys to nonzero exact
+    scalars (int, Fraction or GaussianRational; anything else is a
+    TypeError).  Each basis row has its minimum key as its pivot.  A row of
+    ints is stored primitive (content 1, positive pivot) and eliminated
+    fraction-free (Bareiss), so integer input stays int; any other row is
+    stored with 1 at its pivot.  This is the package's only eliminator:
+    rank, nullspace, determinant and the character solve are all read off
+    it.
     """
 
     def __init__(self):
-        self._pivot_rows = {}  # pivot key -> row dict with 1 at the pivot
+        self._pivot_rows = {}  # pivot key -> primitive int row, or row with 1 at the pivot
 
     @property
     def rank(self):
         return len(self._pivot_rows)
 
     def reduce(self, vec):
-        """Residue of vec after elimination against the current basis; it
-        holds no pivot key.  vec itself is not modified."""
+        """Residue of vec after elimination against the current basis, up to
+        a positive scalar multiple; it holds no pivot key, and it is all int
+        when vec is.  vec itself is not modified."""
+        for t in set(map(type, vec.values())):
+            if not issubclass(t, _EXACT):
+                raise TypeError("expected exact scalars (int, Fraction or GaussianRational), got %s"
+                                % t.__name__)
         v = {k: c for k, c in vec.items() if c}
+        rows = self._pivot_rows
         # Eliminating the smallest pivot key can only introduce larger keys
         # (pivot rows have their minimum at the pivot), so this terminates.
         while True:
-            hits = [k for k in v if k in self._pivot_rows]
+            hits = [k for k in v if k in rows]
             if not hits:
                 return v
             key = min(hits)
-            add_into(v, self._pivot_rows[key], -v[key])
+            _eliminate(v, rows[key], key)
 
     def add(self, vec):
         """Add vec to the span; returns True iff the rank grew."""
@@ -382,29 +436,26 @@ class IncrementalSpan:
         if not v:
             return False
         pivot = min(v)
-        inv = v[pivot]
-        if isinstance(inv, int):
-            inv = Fraction(inv)  # int / int would be a float
-        row = {k: c / inv for k, c in v.items()}
-        self._pivot_rows[pivot] = row
+        self._pivot_rows[pivot] = _basis_row(v, pivot)
         return True
 
     def reduced_rows(self):
-        """The basis in reduced echelon form, as {pivot key: row}.
-
-        Back-substitutes in place, so afterwards each pivot key appears only
-        in its own row; the span and later add/reduce calls are unaffected.
+        """The basis in reduced echelon form with 1 at each pivot, as a new
+        {pivot key: row}: each pivot key appears only in its own row.  The
+        span and later add/reduce calls are unaffected.
         """
-        rows = self._pivot_rows
-        # a row holds no key below its pivot, so only rows with a smaller
-        # pivot can hold p, and clearing the largest pivot first never brings
-        # a cleared pivot back
-        for p in sorted(rows, reverse=True):
-            row = rows[p]
-            for q, other in rows.items():
-                if q < p and p in other:
-                    add_into(other, row, -other[p])
-        return rows
+        cleared = {}
+        # a row holds no key below its pivot, so clearing the largest pivot
+        # first leaves each cleared row with no pivot key but its own, and
+        # clearing one pivot key from a row brings in no other
+        for p in sorted(self._pivot_rows, reverse=True):
+            row = dict(self._pivot_rows[p])
+            for q in [q for q in row if q in cleared]:
+                _eliminate(row, cleared[q], q)
+            cleared[p] = _basis_row(row, p)
+        # a row whose pivot is not 1 is all int
+        return {p: row if row[p] == 1 else {k: Fraction(c, row[p]) for k, c in row.items()}
+                for p, row in cleared.items()}
 
 
 def span_rank(vectors):

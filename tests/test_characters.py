@@ -233,3 +233,22 @@ def test_character_from_values_rejects_unreachable():
         character_from_values(space, {1: Fraction(1), 2: Fraction(0)})
     # the zero assignment is fine
     assert character_from_values(space, {1: 0, 2: 0}) == {}
+
+
+def test_c3_affine_solve_is_one_int_nullspace(monkeypatch):
+    # the chars window of C3~ is one 568 x 49 solve over the bracket rows,
+    # whose entries stay int (the structure constants are integers)
+    from onsagerkit import characters
+
+    seen = []
+    nullspace_basis = characters.nullspace_basis
+
+    def recording(m):
+        seen.append((m.rows, m.cols, {type(v) for v in m.entries.values()}))
+        return nullspace_basis(m)
+
+    monkeypatch.setattr(characters, "nullspace_basis", recording)
+    rz = affine_character_realization(3)
+    space = character_space(rz, 2 * rz.affine.delta_height + 2)
+    assert seen == [(568, 49, {int})]
+    assert len(space.basis) == len(even_column_set(preset("C3~")))

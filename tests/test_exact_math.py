@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onsagerkit.exact_math import (
     ExactMatrix,
@@ -176,6 +179,123 @@ def test_integer_vectors_are_eliminated_exactly():
     span = IncrementalSpan()
     span.add({0: 3, 1: 1})
     assert span.reduced_rows()[0][1] == Fraction(1, 3)
+
+
+def test_floats_are_rejected():
+    # float elimination left rank 2 here, although the exact rank is 1
+    with pytest.raises(TypeError):
+        span_rank([[0.1, 0.3], [0.3, 0.9]])
+    span = IncrementalSpan()
+    with pytest.raises(TypeError):
+        span.add({0: 0.1, 1: 0.2})
+    assert span.rank == 0
+    span.add({0: 1})
+    with pytest.raises(TypeError):
+        span.reduce({0: 2, 1: 0.5})
+    with pytest.raises(TypeError):
+        span.add({1: 0.0})  # even a zero float
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows([[1, 0.5]])
+
+
+def test_matrix_entries_are_narrowed_once():
+    m = ExactMatrix.from_rows([[GaussianRational(3), Fraction(4, 2)], [Fraction(1, 2), 2 + I]])
+    assert m.entries == {(0, 0): 3, (0, 1): 2, (1, 0): Fraction(1, 2), (1, 1): 2 + I}
+    assert [type(m.entries[k]) for k in sorted(m.entries)] == [int, int, Fraction, GaussianRational]
+    # entry() reads every entry, stored or not, as a GaussianRational
+    assert all(type(m.entry(i, j)) is GaussianRational for i in range(2) for j in range(2))
+    assert m.entry(0, 1) == GaussianRational(2) and not ExactMatrix.zeros(1, 1).entry(0, 0)
+    # int and Gaussian inputs give equal matrices, and arithmetic narrows too
+    g = ExactMatrix.from_rows([[GaussianRational(1), GaussianRational(2)], [GaussianRational(0), I]])
+    a = ExactMatrix.from_rows([[1, 2], [0, I]])
+    assert g == a
+    assert type((a @ a).entries[(0, 0)]) is int
+    assert ((I * a) * (-I)).entries == a.entries
+    assert type(((I * a) * (-I)).entries[(0, 1)]) is int
+    assert a.row_dicts() == [{0: 1, 1: 2}, {1: I}]
+
+
+class _PivotOneSpan:
+    """The pivot-1 eliminator the fraction-free one must agree with: every
+    basis row is divided by its pivot entry."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec):
+        v = {k: c for k, c in vec.items() if c}
+        while True:
+            hits = [k for k in v if k in self.rows]
+            if not hits:
+                return v
+            key = min(hits)
+            add_into(v, self.rows[key], -v[key])
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return False
+        pivot = min(v)
+        inv = v[pivot]
+        if isinstance(inv, int):
+            inv = Fraction(inv)
+        self.rows[pivot] = {k: c / inv for k, c in v.items()}
+        return True
+
+    def reduced_rows(self):
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            for q, other in rows.items():
+                if q < p and p in other:
+                    add_into(other, rows[p], -other[p])
+        return rows
+
+
+_SMALL = st.integers(-3, 3)
+_SCALARS = {
+    "int": _SMALL,
+    "fraction": st.builds(Fraction, _SMALL, st.integers(1, 4)),
+    "gaussian": st.builds(lambda re, im: re + im * I, st.builds(Fraction, _SMALL, st.integers(1, 3)), _SMALL),
+}
+_SCALARS["mixed"] = st.one_of(*_SCALARS.values())
+
+
+def _rows_of(scalar):
+    return st.lists(st.dictionaries(st.integers(0, 6), scalar, max_size=5), min_size=1, max_size=10)
+
+
+def _gauss(x):
+    return x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_SCALARS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), _rows_of(_SCALARS[kind]), _rows_of(_SCALARS[kind]))))
+def test_fraction_free_span_matches_pivot_one_elimination(case):
+    kind, vecs, probes = case
+    span, ref = IncrementalSpan(), _PivotOneSpan()
+    for v in vecs:
+        assert span.add(v) == ref.add(v)
+    assert span.rank == len(ref.rows)
+    assert sorted(span._pivot_rows) == sorted(ref.rows)
+    if kind == "int":
+        # int rows are stored primitive, with a positive pivot
+        for p, row in span._pivot_rows.items():
+            assert all(type(c) is int for c in row.values())
+            assert row[p] > 0 and gcd(*row.values()) == 1
+    for probe in probes:
+        before = dict(probe)
+        got, want = span.reduce(probe), ref.reduce(probe)
+        assert probe == before
+        # a positive multiple of the pivot-1 residue, all int for int input
+        assert sorted(got) == sorted(want)
+        ratios = {_gauss(got[k]) / _gauss(want[k]) for k in got}
+        assert len(ratios) <= 1 and all(r.is_rational and r.re > 0 for r in ratios)
+        if kind == "int":
+            assert all(type(c) is int for c in got.values())
+    stored = {p: dict(row) for p, row in span._pivot_rows.items()}
+    assert span.reduced_rows() == ref.reduced_rows()
+    assert span._pivot_rows == stored  # reduced_rows leaves the basis as it was
 
 
 def test_sparse_element_drops_cancelled_keys():
