@@ -61,12 +61,13 @@ class CharacterSpace:
 def character_space(rz: Realization, H: int) -> CharacterSpace:
     """Solve chi([u, v]) = 0 over all window pairs; return the solution basis.
 
-    The solve runs on basis numbers; the space is reported on basis keys.  A
-    window at or above the realization's top height holds the whole
-    algebra, so the solve is exact; a window below a finite top raises
-    WindowTooSmall.  A window of an infinite basis raises WindowTooSmall
-    unless some in-window bracket lands in it and every basis vector of
-    height <= H-1 appears in the expansion of one.
+    The solve runs on basis numbers, one row per distinct in-window
+    bracket; the space is reported on basis keys.  A window at or above the
+    realization's top height holds the whole algebra, so the solve is exact;
+    a window below a finite top raises WindowTooSmall.  A window of an
+    infinite basis raises WindowTooSmall unless some in-window bracket lands
+    in it and every basis vector of height <= H-1 appears in the expansion
+    of one.
     """
     top = rz.top_height
     if top is not None and H < top:
@@ -75,7 +76,8 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
     keys = [k for k, _ in keyed]
     nums = [rz.number(k) for k in keys]
     col = {n: j for j, n in enumerate(nums)}
-    rows = []
+    # the distinct rows, in the order first met: many brackets repeat a row
+    rows = {}
     touched = set()
     for u, v in combinations(nums, 2):
         coords = rz.basis_bracket(u, v)
@@ -84,7 +86,7 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
         if any(n not in col for n in coords):
             continue
         touched.update(coords)
-        rows.append({col[n]: c for n, c in coords.items()})
+        rows.setdefault(tuple(sorted((col[n], c) for n, c in coords.items())))
     if top is None:
         if not rows:
             raise WindowTooSmall("no bracket of two basis vectors lands in window %d" % H)
@@ -95,7 +97,7 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
                 % (H, len(missing), min((rz.index(n) for n in missing), key=str))
             )
     matrix = ExactMatrix(len(rows), len(keys), {
-        (r, j): c for r, row in enumerate(rows) for j, c in row.items()
+        (r, j): c for r, row in enumerate(rows) for j, c in row
     })
     basis = []
     for vec in nullspace_basis(matrix):

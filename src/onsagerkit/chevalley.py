@@ -17,7 +17,10 @@ each key's omega partner.  Its one bracket memo is keyed by number pairs:
 together with the invariant form (k_i, k_j), filled on first use.
 `bracket_keys` and `form_keys` read the same memo on tuple keys, and every
 element-level bracket, form and matrix image is their bilinear extension.
-The N table is read-only, so a tabulated bracket never goes stale.
+The N table is read-only, so a tabulated bracket never goes stale.  A table
+also keeps N on key numbers (`numbered_n`, built once from N and never from
+the memo), and root pairings and coroot coordinates per key number, for
+closed forms that must not read the memo they are checked against.
 
 Also here: explicit matrix realizations (special linear and symplectic), the
 fixed-subalgebra basis y_alpha = e_alpha - e_{-alpha}, and the isomorphism of
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, neg, sub
 from types import MappingProxyType
 
@@ -149,6 +152,27 @@ class StructureTable:
     # -- structure ------------------------------------------------------------
     def n_value(self, alpha, beta):
         return self.N.get((tuple(alpha), tuple(beta)), 0)
+
+    @cached_property
+    def numbered_n(self):
+        """N on key numbers, built once from N, never from the memo: at
+        i * dim + j, for the keys e_a, e_b numbered i and j, the pair
+        (N[a, b], number of e_{a+b}); absent where N is 0."""
+        number, dim = self.number, self.dim
+        return {number["e", a] * dim + number["e", b]: (n, number["e", _vadd(a, b)])
+                for (a, b), n in self.N.items()}
+
+    @cached_property
+    def pairings(self):
+        """Per key number: (a(h_1), ..., a(h_r)) for e_a, None for h_i."""
+        rs = self.rs
+        return tuple(None if kind == "h" else tuple(rs.pairing(v, i) for i in range(rs.rank))
+                     for kind, v in self.keys)
+
+    @cached_property
+    def coroots(self):
+        """Per key number: the coroot coordinates of a for e_a, None for h_i."""
+        return tuple(None if kind == "h" else self.rs.coroot_coords(v) for kind, v in self.keys)
 
     def entry(self, i, j):
         """(terms, form) of the keys numbered i and j: [k_i, k_j] as int

@@ -196,16 +196,17 @@ def y_key(t: StructureTable, n):
     return t.keys[k], level
 
 
-def y_vector(t: StructureTable, key, level):
-    """The fixed vector key[level] - omega(key)[-level] over the fixed basis
-    by number, {n: +-1}: y_{-gamma} = -y_gamma, and an imaginary root at
-    level 0 gives the zero vector {}."""
-    k = t.number[key]
+def y_vector(t: StructureTable, k, level):
+    """The fixed vector x[level] - omega(x)[-level], x the key numbered k,
+    over the fixed basis by number, {n: +-1}: y_{-gamma} = -y_gamma, and an
+    imaginary root at level 0 gives the zero vector {}."""
     if level > 0 or (level == 0 and k in t.positive):
-        return {y_number(t, key, level): 1}
-    if level == 0 and key[0] == "h":
+        return {level * t.dim + k: 1}
+    p = t.partner[k]
+    if level == 0 and p == k:
+        # h_i is its own omega partner
         return {}
-    return {y_number(t, t.keys[t.partner[k]], -level): -1}
+    return {-level * t.dim + p: -1}
 
 
 def y_terms(t: StructureTable, n):

@@ -6,25 +6,19 @@ the identity that broke.
 
 The affine structure sweep brackets basis pairs only, but reports the count
 of signed index pairs, (2 * |basis|)^2: both sides of each check are odd in
-each argument, so one basis pair settles the four signed pairs it stands for
-(see `check_affine_structure_constants`).
+each argument, so one basis pair settles the four signed pairs it stands for.
+The kernel runs on every ordered basis pair; the closed form runs once per
+unordered pair, and the sign laws of N mirror it onto the other order (see
+`check_affine_structure_constants`).
 """
 
 from __future__ import annotations
 
 from .cartan import FINITE, CartanMatrix, preset
 from .characters import character_space, even_column_set
-from .chevalley import (
-    _vadd,
-    _vneg,
-    _vsub,
-    preset_table,
-    sl_realization,
-    sp_realization,
-    verify_gl_presentation,
-)
+from .chevalley import preset_table, sl_realization, sp_realization, verify_gl_presentation
 from .exact_math import IdentityViolation, add_into
-from .loop import NotExpandable, bracket_loop, onsager_basis, y_key, y_number, y_vector
+from .loop import NotExpandable, bracket_loop, onsager_basis, y_number, y_vector
 from .onsager import Realization, filtration_dims, psi_eval, realization_for
 from .serre_coeffs import serre_relation
 
@@ -101,42 +95,48 @@ def check_onsager_structure(bound=4):
     return "classical A/G bracket table", True, "|k|,|l|,m,n <= %d" % bound
 
 
-def _expected_y_bracket(t, idx1, idx2):
-    """Closed-form bracket of the fixed vectors numbered idx1 and idx2 (see
-    `loop`), over the fixed basis by number.  It reads the table's N values,
-    root pairings and coroot coordinates, never its bracket memo:
+def _expected_y_bracket(t, u, v):
+    """Closed-form bracket of the fixed vectors numbered u and v (see
+    `loop`), over the fixed basis by number.  It reads the table's N values
+    on key numbers (`numbered_n`), its pairings and coroot coordinates per
+    key number, never its bracket memo:
 
         [y_{a+l d}, y_{b+m d}] = N(a,b) y_{a+b+(l+m)d} - N(a,-b) y_{a-b+(l-m)d},
         [y_{a+l d}, y_{a+m d}] = sum_i k_i(a) y_{(m-l)d}^(i),  and (m+l) for b = -a,
         [y_{l d}^(i), y_{a+m d}] = a(h_i) (y_{a+(l+m)d} - y_{a+(m-l)d}).
     """
-    rs = t.rs
-    (kind1, alpha), l = y_key(t, idx1)
-    (kind2, beta), m = y_key(t, idx2)
+    l, a = divmod(u, t.dim)
+    m, b = divmod(v, t.dim)
+    # the keys numbered below the rank are h_1..h_r
+    rank = t.rs.rank
     out = {}
     sign = 1
-    if kind2 == "h" and kind1 == "e":
-        kind1, alpha, l, kind2, beta, m, sign = kind2, beta, m, kind1, alpha, l, -1
+    if b < rank <= a:
+        a, l, b, m, sign = b, m, a, l, -1
 
-    def put(kind, v, level, coeff):
-        # coeff * y_{v + level*delta}; when N = 0, v need not be a root
+    def put(k, level, coeff):
+        # coeff * y_{k + level*delta}, k a key number
         if coeff:
-            add_into(out, y_vector(t, (kind, v), level), sign * coeff)
+            add_into(out, y_vector(t, k, level), sign * coeff)
 
-    if kind1 == "h":
-        if kind2 == "e":
-            p = rs.pairing(beta, alpha)
-            put("e", beta, l + m, p)
-            put("e", beta, m - l, -p)
+    if a < rank:
+        if b >= rank:
+            p = t.pairings[b][a]
+            put(b, l + m, p)
+            put(b, m - l, -p)
         return out
-    nbeta = _vneg(beta)
-    if beta == alpha or nbeta == alpha:
-        level = m - l if beta == alpha else m + l
-        for i, k in enumerate(rs.coroot_coords(alpha)):
-            put("h", i, level, k)
+    if b == a or b == t.partner[a]:
+        level = m - l if b == a else m + l
+        for i, k in enumerate(t.coroots[a]):
+            put(i, level, k)
         return out
-    put("e", _vadd(alpha, beta), l + m, t.n_value(alpha, beta))
-    put("e", _vsub(alpha, beta), l - m, -t.n_value(alpha, nbeta))
+    n_of = t.numbered_n
+    hit = n_of.get(a * t.dim + b)
+    if hit:
+        put(hit[1], l + m, hit[0])
+    hit = n_of.get(a * t.dim + t.partner[b])
+    if hit:
+        put(hit[1], l - m, -hit[0])
     return out
 
 
@@ -156,6 +156,13 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     the four signed pairs it covers, and the count reported is that of the
     signed pairs, (2 * |basis|)^2.
 
+    The kernel runs on every ordered basis pair, so each is checked for
+    expandability and integrality.  The closed form runs once per unordered
+    pair: it is also odd under swapping its arguments, through
+    N(b,a) = -N(a,b) and N(-a,-b) = -N(a,b) (Carter, Simple groups of Lie
+    type, 1972, ch. 4), so the second of (u, v) and (v, u) is compared
+    against the negated closed form of the first.
+
     Both sides read the realization's structure table: the expansion through
     its bracket memo, the closed form through its N values.  So this checks
     the closed form relative to the table.  A table that keeps its sign laws
@@ -169,6 +176,8 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     basis = [y_number(t, ("e", alpha), l) for alpha in sorted(t.rs._all) for l in levels
              if l > 0 or (l == 0 and min(alpha) >= 0)]
     basis += [y_number(t, ("h", i), l) for i in range(t.rs.rank) for l in levels if l > 0]
+    # (v, u) -> minus the closed form of [u, v], for the later visit of (v, u)
+    mirrored = {}
     for idx1 in basis:
         for idx2 in basis:
             try:
@@ -179,7 +188,12 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
             for coeff in got.values():
                 if type(coeff) is not int and coeff.denominator != 1:
                     return name, False, "non-integer coefficient in [%s, %s]" % (rz.index(idx1), rz.index(idx2))
-            if got != _expected_y_bracket(t, idx1, idx2):
+            want = mirrored.pop((idx1, idx2), None)
+            if want is None:
+                want = _expected_y_bracket(t, idx1, idx2)
+                if idx1 != idx2:
+                    mirrored[idx2, idx1] = {k: -c for k, c in want.items()}
+            if got != want:
                 return name, False, "[%s, %s] expansion differs" % (rz.index(idx1), rz.index(idx2))
     return name, True, "%d index pairs, levels |l| <= %d" % ((2 * len(basis)) ** 2, level_bound)
 

@@ -16,7 +16,7 @@ from onsagerkit.characters import (
     finite_character_realization,
 )
 from onsagerkit.chevalley import _sp_eps_coords, sp_structure_table
-from onsagerkit.exact_math import GaussianRational, I
+from onsagerkit.exact_math import ExactMatrix, GaussianRational, I, IncrementalSpan, nullspace_basis
 from onsagerkit.loop import YIndex
 from onsagerkit.onsager import realization_for
 from onsagerkit.roots import AffineRoot
@@ -236,8 +236,9 @@ def test_character_from_values_rejects_unreachable():
 
 
 def test_c3_affine_solve_is_one_int_nullspace(monkeypatch):
-    # the chars window of C3~ is one 568 x 49 solve over the bracket rows,
-    # whose entries stay int (the structure constants are integers)
+    # the chars window of C3~ is one 182 x 49 solve over the distinct rows
+    # of its 568 bracket rows, whose entries stay int (the structure
+    # constants are integers)
     from onsagerkit import characters
 
     seen = []
@@ -250,5 +251,47 @@ def test_c3_affine_solve_is_one_int_nullspace(monkeypatch):
     monkeypatch.setattr(characters, "nullspace_basis", recording)
     rz = affine_character_realization(3)
     space = character_space(rz, 2 * rz.affine.delta_height + 2)
-    assert seen == [(568, 49, {int})]
+    assert seen == [(182, 49, {int})]
     assert len(space.basis) == len(even_column_set(preset("C3~")))
+
+
+def _every_row(rz, H):
+    """The solve's rows over every in-window bracket of two window vectors,
+    repeats included, in bracket order."""
+    nums = [rz.number(k) for k, _ in rz.basis(H)]
+    col = {n: j for j, n in enumerate(nums)}
+    rows = []
+    for i, u in enumerate(nums):
+        for v in nums[i + 1:]:
+            coords = rz.basis_bracket(u, v)
+            if coords and all(n in col for n in coords):
+                rows.append({col[n]: c for n, c in coords.items()})
+    return rows
+
+
+# bracket rows of the default chars window: (every row, distinct rows)
+ROWS = {"A2": (3, 3), "G2": (12, 10), "E7": (1008, 125), "A2~": (144, 78), "C3~": (568, 182), "D4~": (1008, 242)}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_the_solve_takes_each_distinct_row_once(name, monkeypatch):
+    # the span receives each distinct bracket row once, in the order first
+    # met, and solves to the basis of the solve over every row
+    rz = realization_for(preset(name))
+    H = rz.top_height or 2 * rz.affine.delta_height + 2
+    rows = _every_row(rz, H)
+    distinct = []
+    for row in rows:
+        if row not in distinct:
+            distinct.append(row)
+    assert (len(rows), len(distinct)) == ROWS[name]
+    added = []
+    add = IncrementalSpan.add
+    monkeypatch.setattr(IncrementalSpan, "add", lambda self, vec: added.append(dict(vec)) or add(self, vec))
+    space = character_space(rz, H)
+    monkeypatch.undo()
+    assert added == distinct
+    keys = [k for k, _ in rz.basis(H)]
+    every = ExactMatrix(len(rows), len(keys), {(r, j): c for r, row in enumerate(rows) for j, c in row.items()})
+    want = [{k: v.re for k, v in zip(keys, vec) if v} for vec in nullspace_basis(every)]
+    assert space.basis == want

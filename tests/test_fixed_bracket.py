@@ -170,7 +170,7 @@ def test_y_vector_matches_the_loop_element(name):
                 idx = YIndex(AffineRoot(zero, level), v + 1)
             else:
                 idx = YIndex(AffineRoot(v, level))
-            got = {rz.index(n): c for n, c in y_vector(t, (kind, v), level).items()}
+            got = {rz.index(n): c for n, c in y_vector(t, t.number[(kind, v)], level).items()}
             assert got == y_coordinates(y_affine(idx), rz.affine.rank), idx
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import onsagerkit
-from onsagerkit import chevalley, cli
+from onsagerkit import chevalley, cli, verify
 from onsagerkit.cartan import preset
 from onsagerkit.characters import character_space
 from onsagerkit.chevalley import MatrixRealization, StructureTable, build_chevalley
@@ -28,14 +28,14 @@ from onsagerkit.verify import _expected_y_bracket, check_affine_structure_consta
 PAIR = (YIndex(AffineRoot((1, 0), 0)), YIndex(AffineRoot((0, 1), 1)))
 
 
-def _corrupted(change):
-    """A C2~ realization whose basis_bracket applies change at PAIR only."""
+def _corrupted(change, pair=PAIR):
+    """A C2~ realization whose basis_bracket applies change at pair only."""
     rz = realization_for(preset("C2~"))
     exact = rz.basis_bracket
 
     def basis_bracket(u, v):
         got = exact(u, v)
-        return change(got) if (rz.index(u), rz.index(v)) == PAIR else got
+        return change(got) if (rz.index(u), rz.index(v)) == pair else got
 
     rz.basis_bracket = basis_bracket
     return rz
@@ -57,6 +57,17 @@ def test_sweep_reports_a_halved_coefficient():
     _, ok, detail = check_affine_structure_constants(_corrupted(halve))
     assert not ok
     assert detail == "non-integer coefficient in [%s, %s]" % PAIR
+
+
+def test_sweep_names_a_pair_negated_at_its_first_visit():
+    # the sweep meets (PAIR[1], PAIR[0]) first, since the root (0, 1) sorts
+    # before (1, 0), and evaluates the closed form there; at PAIR, the later
+    # visit, it compares against that closed form negated
+    first = PAIR[::-1]
+    rz = _corrupted(lambda got: {k: -c for k, c in got.items()}, first)
+    _, ok, detail = check_affine_structure_constants(rz)
+    assert not ok
+    assert detail == "[%s, %s] expansion differs" % first
 
 
 def _neg(a):
@@ -199,6 +210,39 @@ def test_sweep_counts_the_signed_pairs(name):
     _, ok, detail = check_affine_structure_constants(rz)
     assert ok, detail
     assert signed_sweep(rz) == (True, int(detail.split()[0]))
+
+
+def test_the_closed_form_reads_no_memo_entry(monkeypatch):
+    # on a fresh table, the closed form of every signed pair comes out with
+    # the memo unreadable, and equals the kernel's expansion
+    t = build_chevalley(preset("C3"))
+    rz = AffineRealization(preset("C3~"), t)
+    indices = _signed_indices(t)
+
+    def unreadable(self, i, j):
+        raise RuntimeError("memo entry (%d, %d) read" % (i, j))
+
+    monkeypatch.setattr(StructureTable, "entry", unreadable)
+    closed = {(u, v): _expected_y_bracket(t, u, v) for u in indices for v in indices}
+    assert t._memo == [None] * (t.dim * t.dim)
+    monkeypatch.undo()
+    assert len(closed) == 102 ** 2
+    for (u, v), want in closed.items():
+        assert rz.basis_bracket(u, v) == want, (rz.index(u), rz.index(v))
+
+
+def test_sweep_evaluates_the_closed_form_once_per_unordered_pair(monkeypatch):
+    rz = realization_for(preset("C3~"))
+    kernel_calls, closed_calls = [], []
+    kernel, closed = onsager.k_bracket_expand, verify._expected_y_bracket
+    monkeypatch.setattr(onsager, "k_bracket_expand",
+                        lambda t, x, y: kernel_calls.append(1) or kernel(t, x, y))
+    monkeypatch.setattr(verify, "_expected_y_bracket",
+                        lambda t, u, v: closed_calls.append(1) or closed(t, u, v))
+    _, ok, detail = check_affine_structure_constants(rz)
+    assert ok, detail
+    assert len(kernel_calls) == 51 ** 2 == 2601
+    assert len(closed_calls) == 51 * 52 // 2 == 1326
 
 
 MUTATIONS = {
