@@ -41,7 +41,7 @@ from .onsager import (
     realization_for,
     relations,
 )
-from .roots import AffineRoot, RootSystem, affine_positive_roots
+from .roots import AffineRoot, RootSystem
 from .serre_coeffs import CoeffRow, c0_closed_form, coeff_row, coeff_table, serre_relation
 
 __version__ = "0.1.0"

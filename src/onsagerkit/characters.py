@@ -108,7 +108,7 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
                     raise IdentityViolation("non-real character value at %s" % (k,))
                 func[k] = vec[j].re
         basis.append(func)
-    return CharacterSpace(H, keys, basis, {lab: rz.generator_key(lab) for lab in rz.labels})
+    return CharacterSpace(H, keys, basis, {lab: rz.index(n) for lab, n in rz.generators.items()})
 
 
 @dataclass
@@ -143,12 +143,15 @@ def character_from_values(space: CharacterSpace, values: dict):
 
     Solves for the coefficients x_j over space.basis: one row per generator,
     with the value in column nb = len(space.basis).  A pivot at nb means no
-    combination attains the values; free coefficients are 0.
+    combination attains the values; free coefficients are 0.  A label
+    outside the realization's raises ValueError.
     """
     nb = len(space.basis)
     span = IncrementalSpan()
     for lab in sorted(values):
-        key = space.generator_keys[lab]
+        key = space.generator_keys.get(lab)
+        if key is None:
+            raise ValueError("generator label %r outside %r" % (lab, tuple(space.generator_keys)))
         row = {j: b[key] for j, b in enumerate(space.basis) if key in b}
         row[nb] = values[lab]
         span.add(row)

@@ -11,10 +11,11 @@ resulting table automatically satisfies N[-a,-b] = -N[a,b], which makes
 h -> -h, e_alpha -> -e_{-alpha} an involutive automorphism.
 
 Elements are sparse combinations of basis keys ('h', i) and ('e', root).
-A table numbers its basis keys once, in `basis_keys()` order, and records
-each key's omega partner.  Its one bracket memo is keyed by number pairs:
-`entry(i, j)` holds [k_i, k_j] as int terms ((k, c), ...) over key numbers
-together with the invariant form (k_i, k_j), filled on first use.
+A table numbers its basis keys once, in `keys` order (h_1..h_r, then
+e_alpha in sorted root order), and records each key's omega partner.  Its
+one bracket memo is keyed by number pairs: `entry(i, j)` holds [k_i, k_j] as
+int terms ((k, c), ...) over key numbers together with the invariant form
+(k_i, k_j), filled on first use.
 `bracket_keys` and `form_keys` read the same memo on tuple keys, and every
 element-level bracket, form and matrix image is their bilinear extension.
 The N table is read-only, so a tabulated bracket never goes stale.  A table
@@ -31,7 +32,6 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, neg, sub
@@ -141,18 +141,7 @@ class StructureTable:
         alpha = tuple(alpha)
         return ChevElement({("e", alpha): 1, ("e", _vneg(alpha)): -1})
 
-    def basis_keys(self):
-        """h_1..h_r, then e_alpha in sorted root order: key number n is
-        basis_keys()[n]."""
-        return list(self.keys)
-
-    def element_for_key(self, key):
-        return ChevElement({key: 1})
-
     # -- structure ------------------------------------------------------------
-    def n_value(self, alpha, beta):
-        return self.N.get((tuple(alpha), tuple(beta)), 0)
-
     @cached_property
     def numbered_n(self):
         """N on key numbers, built once from N, never from the memo: at
@@ -346,7 +335,7 @@ class MatrixRealization:
                                     % ", ".join("[%r, %r]" % pair for pair in bad[:3]))
 
     def matrix_of(self, x: ChevElement) -> ExactMatrix:
-        out = ExactMatrix.zeros(self.dim, self.dim)
+        out = ExactMatrix(self.dim, self.dim)
         for k, c in x.terms.items():
             out = out + c * self.images[k]
         return out
@@ -354,7 +343,7 @@ class MatrixRealization:
     def homomorphism_failures(self):
         """Basis pairs where bracket-of-images differs from image-of-bracket."""
         bad = []
-        keys = self.table.basis_keys()
+        keys = self.table.keys
         for k1 in keys:
             for k2 in keys:
                 z = ChevElement(self.table.bracket_keys(k1, k2))
@@ -506,24 +495,10 @@ def eta(r, x: ChevElement) -> ExactMatrix:
     return b + I * c
 
 
-@dataclass
-class GlPresentationReport:
-    r: int
-    checks: list
-
-    @property
-    def passed(self):
-        return all(ok for _, ok in self.checks)
-
-    @property
-    def failures(self):
-        return [name for name, ok in self.checks if not ok]
-
-
-def verify_gl_presentation(r) -> GlPresentationReport:
+def verify_gl_presentation(r):
     """Check the gl_r relations satisfied by the images K_j of the fixed
     generators, plus the expression of K_r through the center and the
-    diagonal elements."""
+    diagonal elements, as (name, ok) pairs."""
     if r < 2:
         raise ValueError("the gl_r presentation needs r >= 2, got %r" % (r,))
     table = sp_structure_table(r)
@@ -532,7 +507,7 @@ def verify_gl_presentation(r) -> GlPresentationReport:
         return tuple(1 if i == k else 0 for i in range(r))
 
     K = [eta(r, table.y_basis(simple(k))) for k in range(r)]
-    zero = ExactMatrix.zeros(r, r)
+    zero = ExactMatrix(r, r)
     checks = []
     for j in range(r):
         for k in range(j + 2, r):
@@ -552,10 +527,10 @@ def verify_gl_presentation(r) -> GlPresentationReport:
     )
     # K_r = (i/r)(Z - sum_j j * (E_jj - E_{j+1,j+1}))
     Z = ExactMatrix.identity(r)
-    acc = ExactMatrix.zeros(r, r)
+    acc = ExactMatrix(r, r)
     for j in range(1, r):
         acc = acc + j * (ExactMatrix(r, r, {(j - 1, j - 1): 1}) - ExactMatrix(r, r, {(j, j): 1}))
     rhs = (I * Fraction(1, r)) * (Z - acc)
     checks.append(("K%d = (i/%d)(Z - sum j*diag_j)" % (r, r), K[r - 1] == rhs))
     checks.append(("K%d = i*E_%d%d" % (r, r, r), K[r - 1] == ExactMatrix(r, r, {(r - 1, r - 1): I})))
-    return GlPresentationReport(r, checks)
+    return checks

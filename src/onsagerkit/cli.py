@@ -25,12 +25,12 @@ from .characters import (
     even_column_set,
     finite_character_realization,
 )
-from .exact_math import BadInput, GaussianRational, IdentityViolation, signed_sum
+from .exact_math import BadInput, IdentityViolation, signed_sum
 from .freelie import ad_power, parse_bracket
 from .loop import YIndex
 from .onsager import psi_eval, realization_for
 from .roots import AffineData, AffineRoot, RootSystem, height, root_str
-from .serre_coeffs import coeff_table
+from .serre_coeffs import coeff_row, coeff_table
 from .verify import check_onsager_structure, verification_suite
 
 SCHEMA = 1
@@ -43,12 +43,6 @@ class UsageFault(BadInput):
 # ---------------------------------------------------------------------------
 # formatting helpers
 # ---------------------------------------------------------------------------
-
-def frac_str(x):
-    if isinstance(x, GaussianRational):
-        return str(x)
-    return str(Fraction(x))
-
 
 def yindex_json(idx):
     return {"finite": list(idx.gamma.finite), "level": idx.gamma.level, "i": idx.i}
@@ -79,7 +73,7 @@ def relations_report(c):
             if i == j:
                 continue
             a = c.entry(i, j)
-            row = coeff_table(a, 1 - a)[1 - a]
+            row = coeff_row(a, 1 - a)
             out.append({"i": i, "j": j, "a": a, "coeffs": list(row.c)})
     return {"schema": SCHEMA, "kind": "relations", "relations": out}
 
@@ -95,6 +89,7 @@ def print_relations(report):
 def roots_report(c, H):
     if c.kind == FINITE:
         rs = RootSystem(c)
+        H = H or rs.max_height
         return {
             "schema": SCHEMA,
             "kind": "roots",
@@ -102,6 +97,7 @@ def roots_report(c, H):
             "roots": [
                 {"coords": list(a), "height": height(a), "mult": 1}
                 for a in rs.positive_roots
+                if height(a) <= H
             ],
         }
     ad = AffineData(c)
@@ -140,7 +136,7 @@ def structconst_report(c, H):
         for a in sorted(rz.table.N):
             alpha, beta = a
             entries.append({"alpha": list(alpha), "beta": list(beta), "N": rz.table.N[a]})
-        keys = [k for k, _ in rz.basis(rz.table.rs.max_height)]
+        keys = [k for k, _ in rz.basis(H or rz.top_height)]
         nums = [rz.number(k) for k in keys]
         pairs = []
         for i, alpha in enumerate(keys):
@@ -269,10 +265,10 @@ def chars_report(c, H=None):
     space = character_space(rz, H)
     if closed:
         func = character_from_values(space, {lab: gens.get(lab, 0) for lab in rz.labels})
-        values = [{"basis": key_str(key), "value": frac_str(func.get(key, 0)),
-                   "closed_form": frac_str(closed(key))} for key in space.keys]
+        values = [{"basis": key_str(key), "value": str(Fraction(func.get(key, 0))),
+                   "closed_form": str(Fraction(closed(key)))} for key in space.keys]
     else:
-        values = [{"basis": key_str(key), "functional": b, "value": frac_str(func[key])}
+        values = [{"basis": key_str(key), "functional": b, "value": str(Fraction(func[key]))}
                   for b, func in enumerate(space.basis) for key in space.keys if func.get(key, 0)]
     return {
         "schema": SCHEMA,

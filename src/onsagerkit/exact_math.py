@@ -274,10 +274,6 @@ class ExactMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 

@@ -64,11 +64,6 @@ class BracketExpr:
     def is_leaf(self):
         return self.label is not None
 
-    def degree(self):
-        if self.is_leaf:
-            return 1
-        return self.left.degree() + self.right.degree()
-
     def labels(self):
         if self.is_leaf:
             return {self.label}

@@ -209,22 +209,22 @@ def y_vector(t: StructureTable, k, level):
     return {-level * t.dim + p: -1}
 
 
-def y_terms(t: StructureTable, n):
-    """Loop terms (key number, level, coeff) of the fixed vector numbered n."""
-    level, k = divmod(n, t.dim)
-    return (k, level, 1), (t.partner[k], -level, -1)
+def k_bracket_expand(t: StructureTable, u, v):
+    """Bracket of the fixed vectors numbered u and v, expanded over the fixed
+    basis by number.
 
-
-def k_bracket_expand(t: StructureTable, x, y):
-    """Bracket of two fixed vectors given by their loop terms
-    (key number, level, coeff), expanded over the fixed basis by number.
-
-    Brackets every pair of terms through the table's numbered memo, in int
-    arithmetic, and makes the checks of y_coordinates: NotExpandable when the
-    central coefficient is nonzero or a term's omega partner does not carry
-    the opposite coefficient (a level-0 Cartan term is its own partner).
+    The vector numbered level * t.dim + k has the loop terms
+    (k, level, +1) and (partner[k], -level, -1).  Brackets every pair of
+    terms through the table's numbered memo, in int arithmetic, and makes
+    the checks of y_coordinates: NotExpandable when the central coefficient
+    is nonzero or a term's omega partner does not carry the opposite
+    coefficient (a level-0 Cartan term is its own partner).
     """
     dim, partner, memo = t.dim, t.partner, t._memo
+    lu, ku = divmod(u, dim)
+    lv, kv = divmod(v, dim)
+    x = (ku, lu, 1), (partner[ku], -lu, -1)
+    y = (kv, lv, 1), (partner[kv], -lv, -1)
     acc = {}
     central = 0
     for a, la, ca in x:
@@ -233,23 +233,23 @@ def k_bracket_expand(t: StructureTable, x, y):
             terms, form = memo[row + b] or t.entry(a, b)
             c = ca * cb
             base = (la + lb) * dim
-            for k, v in terms:
+            for k, w in terms:
                 n = base + k
-                acc[n] = acc.get(n, 0) + c * v
+                acc[n] = acc.get(n, 0) + c * w
             if form and la == -lb and la:
                 central += la * c * form
     if central:
         raise NotExpandable("nonzero central coefficient")
     positive = t.positive
     out = {}
-    for n, v in acc.items():
-        if not v:
+    for n, w in acc.items():
+        if not w:
             continue
         level, k = divmod(n, dim)
-        if acc.get(partner[k] - level * dim, 0) != -v:
+        if acc.get(partner[k] - level * dim, 0) != -w:
             raise NotExpandable("element is not involution-fixed")
         if level > 0 or (level == 0 and k in positive):
-            out[n] = v
+            out[n] = w
     return out
 
 

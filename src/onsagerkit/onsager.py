@@ -17,7 +17,7 @@ from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix
 from .chevalley import StructureTable, _vneg, table_for
 from .exact_math import BadInput, IncrementalSpan, add_into, bilinear
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
-from .loop import YIndex, k_bracket_expand, y_key, y_number, y_terms
+from .loop import YIndex, k_bracket_expand, y_key, y_number
 from .roots import AffineData, AffineRoot, height
 from .serre_coeffs import serre_relation
 
@@ -32,15 +32,16 @@ class Realization:
     basis their brackets expand over.
 
     A fixed vector is an int dict {basis number: coeff} (numbers as in
-    `loop`), and each generator Y_i is one basis number.  `basis_bracket(u,
-    v)` brackets the basis vectors numbered u and v and expands the result
-    over the basis by number; it raises NotExpandable when the result is not
-    fixed.  `bracket` extends it to fixed vectors.  A subclass fixes the basis
-    keys: `basis(H)` (the keys of height <= H with their heights, in
-    (height, key) order), `top_height` (the largest height of a basis key,
-    None when the basis is infinite), and `number(key)`/`index(n)`, which
-    translate between a key and its number; keys are built only to report a
-    result.
+    `loop`), and each generator Y_i is one basis number (`generators` maps
+    label -> number).  `basis_bracket(u, v)` is `loop.k_bracket_expand` on
+    the realization's table: it brackets the basis vectors numbered u and v
+    and expands the result over the basis by number, and raises
+    NotExpandable when the result is not fixed.  `bracket` extends it to
+    fixed vectors.  A subclass fixes the basis keys: `basis(H)` (the keys of
+    height <= H with their heights, in (height, key) order), `top_height`
+    (the largest height of a basis key, None when the basis is infinite),
+    and `number(key)`/`index(n)`, which translate between a key and its
+    number; keys are built only to report a result.
     """
 
     def __init__(self, cartan, table, generators):
@@ -58,14 +59,8 @@ class Realization:
         except KeyError:
             raise IndexError("generator label %r outside %r" % (label, self.labels))
 
-    def generator_key(self, label):
-        """The basis key of a generator."""
-        (n,) = self.generator(label)
-        return self.index(n)
-
     def basis_bracket(self, u, v):
-        t = self.table
-        return k_bracket_expand(t, y_terms(t, u), y_terms(t, v))
+        return k_bracket_expand(self.table, u, v)
 
     def bracket(self, x, y):
         return bilinear(self.basis_bracket, x, y)
@@ -184,10 +179,6 @@ class FiltrationReport:
     @property
     def matches(self):
         return self.dims == self.expected
-
-    def __str__(self):
-        tag = "match" if self.matches else "MISMATCH"
-        return "filtration dims %s expected %s [%s]" % (self.dims, self.expected, tag)
 
 
 @dataclass

@@ -173,16 +173,6 @@ class AffineData:
         """Height over the affine simple roots (delta = alpha_0 + theta)."""
         return gamma.level * self.delta_height + height(gamma.finite)
 
-    def multiplicity(self, gamma: AffineRoot):
-        return self.rank if gamma.is_imaginary else 1
-
-    def is_positive(self, gamma: AffineRoot):
-        if gamma.level > 0:
-            return gamma.is_imaginary or self.rootsystem.is_root(gamma.finite)
-        if gamma.level == 0:
-            return self.rootsystem.is_positive(gamma.finite) and any(gamma.finite)
-        return False
-
     def simple_root(self, label):
         """Affine simple root for a generator label (0 = -theta + delta)."""
         if label == 0:
@@ -211,8 +201,3 @@ class AffineData:
             k += 1
         out.sort(key=lambda pair: (self.height(pair[0]), pair[0]))
         return out
-
-
-def affine_positive_roots(c: CartanMatrix, H: int):
-    """Positive affine roots of height <= H as (root, multiplicity) pairs."""
-    return AffineData(c).positive_up_to(H)

@@ -202,8 +202,8 @@ def test_step_identity(r):
         eps_g = tuple((1 if m == j - 2 else -1 if m == j - 1 else 0) for m in range(r))
         beta = _root_from_eps(r, eps_b)
         gamma = _root_from_eps(r, eps_g)
-        assert t.n_value(beta, gamma) == 2
-        assert t.n_value(beta, tuple(-c for c in gamma)) == 2
+        assert t.N.get((beta, gamma), 0) == 2
+        assert t.N.get((beta, tuple(-c for c in gamma)), 0) == 2
         u, v = rz.number(YIndex(AffineRoot(beta, 1))), rz.number(YIndex(AffineRoot(gamma, 0)))
         got = {rz.index(n): c for n, c in rz.basis_bracket(u, v).items()}
         twoeps_j = _root_from_eps(r, tuple((2 if m == j - 1 else 0) for m in range(r)))
@@ -223,6 +223,8 @@ def test_solve_character_wrapper():
     assert chi((0, 1)) == 4 and chi((1, 0)) == 0
     with pytest.raises(ValueError):
         solve_character(rz, 3, {1: Fraction(1), 2: 0})
+    with pytest.raises(ValueError, match="generator label 9 outside"):
+        solve_character(rz, 3, {9: 0, 2: Fraction(4)})
 
 
 def test_character_from_values_rejects_unreachable():

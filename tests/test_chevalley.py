@@ -40,9 +40,9 @@ def _simple(rs, i):
 
 def test_n_magnitudes():
     t = preset_table("A2")
-    assert abs(t.n_value((1, 0), (0, 1))) == 1
+    assert abs(t.N.get(((1, 0), (0, 1)), 0)) == 1
     t2 = preset_table("C2")
-    assert abs(t2.n_value((1, 0), (1, 1))) == 2
+    assert abs(t2.N.get(((1, 0), (1, 1)), 0)) == 2
 
 
 @pytest.mark.parametrize("name", TEST_PRESETS)
@@ -73,23 +73,23 @@ def test_cartan_action_and_sl2_triples():
 def test_bracket_alternating_random():
     rng = random.Random(17)
     t = preset_table("B3")
-    keys = t.basis_keys()
+    keys = t.keys
     for _ in range(20):
         x = ChevElement()
         for key in rng.sample(keys, 4):
-            x = x + rng.randint(-3, 3) * t.element_for_key(key)
+            x = x + rng.randint(-3, 3) * ChevElement({key: 1})
         assert t.bracket(x, x).is_zero()
 
 
 def test_bracket_keys_antisymmetric():
     t = preset_table("G2")
-    keys = t.basis_keys()
+    keys = t.keys
     kinds = set()
     for k1 in keys:
         for k2 in keys:
             z = t.bracket_keys(k1, k2)
             assert z == {k: -c for k, c in t.bracket_keys(k2, k1).items()}, (k1, k2)
-            assert t.bracket(t.element_for_key(k1), t.element_for_key(k2)) == ChevElement(z)
+            assert t.bracket(ChevElement({k1: 1}), ChevElement({k2: 1})) == ChevElement(z)
             kinds.add((k1[0], k2[0], "".join(sorted({k[0] for k in z}))))
     # every branch: h-h, h-e, e-h, then e-e with e_{-a}, a root sum, no root sum
     assert {("h", "h", ""), ("h", "e", "e"), ("e", "h", "e"),
@@ -111,8 +111,8 @@ def test_tabulated_bracket_is_per_table():
     # the generic and the displayed symplectic C2 tables share their keys and
     # differ in some signs; tabulating one first must not leak into the other
     generic, display = preset_table("C2"), sp_structure_table(2)
-    keys = generic.basis_keys()
-    assert keys == display.basis_keys() and set(generic.N) == set(display.N)
+    keys = generic.keys
+    assert keys == display.keys and set(generic.N) == set(display.N)
     pairs = list(itertools.product(keys, repeat=2))
     first = {p: dict(generic.bracket_keys(*p)) for p in pairs}
     differs = {(("e", a), ("e", b)) for (a, b), n in generic.N.items() if display.N[a, b] != n}
@@ -184,9 +184,9 @@ def test_sign_laws(name):
 @pytest.mark.parametrize("name", ["A2", "C2", "B3", "G2"])
 def test_jacobi_on_basis(name):
     t = preset_table(name)
-    keys = t.basis_keys()
+    keys = t.keys
     for k1, k2, k3 in itertools.combinations(keys, 3):
-        x, y, z = (t.element_for_key(k) for k in (k1, k2, k3))
+        x, y, z = (ChevElement({k: 1}) for k in (k1, k2, k3))
         total = (
             t.bracket(x, t.bracket(y, z))
             + t.bracket(y, t.bracket(z, x))
@@ -198,14 +198,14 @@ def test_jacobi_on_basis(name):
 @pytest.mark.parametrize("name", TEST_PRESETS)
 def test_omega_is_involutive_automorphism(name):
     t = preset_table(name)
-    keys = t.basis_keys()
+    keys = t.keys
     for k in keys:
-        x = t.element_for_key(k)
+        x = ChevElement({k: 1})
         assert t.omega(t.omega(x)) == x
     for k1 in keys:
-        x = t.element_for_key(k1)
+        x = ChevElement({k1: 1})
         for k2 in keys:
-            y = t.element_for_key(k2)
+            y = ChevElement({k2: 1})
             assert t.omega(t.bracket(x, y)) == t.bracket(t.omega(x), t.omega(y))
 
 
@@ -239,11 +239,11 @@ def test_y_structure_constants(name):
             want = ChevElement()
             s = tuple(x + y for x, y in zip(alpha, beta))
             d = tuple(x - y for x, y in zip(alpha, beta))
-            if t.n_value(alpha, beta):
-                want = want + t.n_value(alpha, beta) * t.y_any(s)
+            if t.N.get((alpha, beta), 0):
+                want = want + t.N.get((alpha, beta), 0) * t.y_any(s)
             nb = tuple(-x for x in beta)
-            if t.n_value(alpha, nb):
-                want = want - t.n_value(alpha, nb) * t.y_any(d)
+            if t.N.get((alpha, nb), 0):
+                want = want - t.N.get((alpha, nb), 0) * t.y_any(d)
             assert got == want, (alpha, beta)
 
 
@@ -339,8 +339,8 @@ def test_sl_serre_relations_as_matrices(r):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_omega_compatibility_matrices(r):
     for rz in (sl_realization(r), sp_realization(r)):
-        for key in rz.table.basis_keys():
-            x = rz.table.element_for_key(key)
+        for key in rz.table.keys:
+            x = ChevElement({key: 1})
             assert rz.matrix_of(rz.table.omega(x)) == -rz.matrix_of(x).transpose()
         for i in range(rz.table.rs.rank):
             assert all(p == q for (p, q) in rz.images[("h", i)].entries)
@@ -394,7 +394,7 @@ def _matrix_n(images, rs):
             comm = mx.commutator(images[("e", y)])
             if not any(s):
                 # [e_a, e_{-a}] must be h_a
-                want = ExactMatrix.zeros(dim, dim)
+                want = ExactMatrix(dim, dim)
                 for i, k in enumerate(rs.coroot_coords(x)):
                     want = want + k * images[("h", i)]
                 assert comm == want, x
@@ -565,13 +565,12 @@ def test_eta_rejects_unfixed():
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_gl_presentation(r):
-    rep = verify_gl_presentation(r)
-    assert rep.passed, rep.failures
+    checks = verify_gl_presentation(r)
+    assert all(ok for _, ok in checks), [name for name, ok in checks if not ok]
 
 
 def test_gl_presentation_specific_relations():
-    rep = verify_gl_presentation(3)
-    names = dict(rep.checks)
+    names = dict(verify_gl_presentation(3))
     assert names["[K1,K3] = 0"]
     assert names["[K2,[K2,K1]] = -K1"]
     assert names["[K2,[K2,[K2,K3]]] = -4[K2,K3]"]
@@ -593,12 +592,12 @@ def test_invariant_form_values():
 def test_form_invariance_finite(name):
     rng = random.Random(23)
     t = preset_table(name)
-    keys = t.basis_keys()
+    keys = t.keys
 
     def rand_elt():
         x = ChevElement()
         for key in rng.sample(keys, 3):
-            x = x + rng.randint(-2, 2) * t.element_for_key(key)
+            x = x + rng.randint(-2, 2) * ChevElement({key: 1})
         return x
 
     for _ in range(25):

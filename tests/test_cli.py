@@ -247,6 +247,18 @@ def test_chars_a1_window_above_the_top(capsys):
                                    "character space dimension: 1 (window height 2)"]
 
 
+def test_height_bounds_finite_roots_and_structconst_pairs(capsys):
+    code, out, _ = run_cli(capsys, "roots", "--preset", "A2", "--height", "1")
+    assert code == 0
+    assert out.splitlines() == ["ht  1  a2", "ht  1  a1"]
+    # the N table stays whole; only the fixed-basis pairs stop at the height
+    code, out, _ = run_cli(capsys, "structconst", "--preset", "A2", "--height", "1", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert len(rep["ntable"]) == 12
+    assert rep["ybrackets"] == [{"lhs": [[0, 1], [1, 0]], "rhs": [{"coords": [1, 1], "coeff": "1"}]}]
+
+
 def test_chars_closed_form_columns(capsys):
     code, out, _ = run_cli(capsys, "chars", "--preset", "C2~")
     assert code == 0

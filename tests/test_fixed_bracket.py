@@ -17,7 +17,7 @@ import pytest
 import onsagerkit
 
 from onsagerkit.cartan import preset, preset_names
-from onsagerkit.chevalley import _omega_key
+from onsagerkit.chevalley import _omega_key, build_chevalley
 from onsagerkit.loop import (
     NotExpandable,
     YIndex,
@@ -25,7 +25,7 @@ from onsagerkit.loop import (
     k_bracket_expand,
     y_affine,
     y_coordinates,
-    y_terms,
+    y_number,
     y_vector,
 )
 from onsagerkit.onsager import FiniteRealization, all_bracket_words, psi_eval, realization_for
@@ -140,21 +140,35 @@ def test_numbering_round_trips_over_the_basis(name):
 
 
 def test_kernel_rejects_a_non_fixed_input():
-    rz = realization_for(preset("C2~"))
-    t = rz.table
-    e_a = t.number[("e", (1, 0))]
-    y_b = y_terms(t, rz.number(YIndex(AffineRoot((0, 1), 1))))
-    # e_a[0] alone is not fixed, and neither is its bracket with y_b
-    with pytest.raises(NotExpandable, match="involution-fixed"):
-        k_bracket_expand(t, ((e_a, 0, 1),), y_b)
-    # [e_a[1], e_{-a}[-1]] = h_a[0] + (e_a, e_{-a}) c
+    # each NotExpandable branch, reached through one corrupted memo entry of
+    # a fresh C2~ table (the shared table must stay exact)
+    a, minus_a, b = ("e", (1, 0)), ("e", (-1, 0)), ("e", (0, 1))
+
+    def corrupted(k1, k2, change):
+        t = build_chevalley(preset("C2~").finite_part())
+        i, j = t.number[k1], t.number[k2]
+        t._memo[i * t.dim + j] = change(*t.entry(i, j))
+        return t
+
+    # [y_{a+d}, y_{a+d}] = 0: the central parts of [e_a[1], e_{-a}[-1]] and
+    # [e_{-a}[-1], e_a[1]] cancel, unless the form (e_a, e_{-a}) is off
+    t = corrupted(a, minus_a, lambda terms, form: (terms, 2 * form))
+    y = y_number(t, a, 1)
     with pytest.raises(NotExpandable, match="central"):
-        k_bracket_expand(t, ((e_a, 1, 1),), ((t.partner[e_a], -1, 1),))
-    # h_1[0] is its own omega partner, so [h_1, y_a] = a(h_1)(e_a + e_{-a}) fails
+        k_bracket_expand(t, y, y)
+    # [y_a, y_{b+d}] without e_{a+b}[1] keeps its partner term e_{-a-b}[-1]
+    t = corrupted(a, b, lambda terms, form: ((), form))
     with pytest.raises(NotExpandable, match="involution-fixed"):
-        k_bracket_expand(t, ((t.number[("h", 0)], 0, 1),), y_terms(t, e_a))
+        k_bracket_expand(t, y_number(t, a, 0), y_number(t, b, 1))
+    # [y_a, y_a] = 0: the level-0 Cartan terms -h_a and +h_a cancel, unless
+    # [e_a, e_{-a}] is off; h_a[0] is its own omega partner
+    t = corrupted(a, minus_a, lambda terms, form: (tuple((k, 2 * c) for k, c in terms), form))
+    y = y_number(t, a, 0)
+    with pytest.raises(NotExpandable, match="involution-fixed"):
+        k_bracket_expand(t, y, y)
     # the fixed vectors themselves expand
-    assert k_bracket_expand(t, y_terms(t, e_a), y_b)
+    t = build_chevalley(preset("C2~").finite_part())
+    assert k_bracket_expand(t, y_number(t, a, 0), y_number(t, b, 1))
 
 
 @pytest.mark.parametrize("name", ["A1~", "C2~", "G2~"])

@@ -49,7 +49,7 @@ def test_derivation_and_center():
 
 
 def _random_loop(rng, t, with_cd=True):
-    keys = t.basis_keys()
+    keys = t.keys
     x = LoopElement()
     for _ in range(3):
         key = rng.choice(keys)
@@ -97,7 +97,7 @@ def test_omega_tilde_examples():
 @pytest.mark.parametrize("name", ["A1", "C2"])
 def test_omega_tilde_is_automorphism(name):
     t = preset_table(name)
-    keys = t.basis_keys()
+    keys = t.keys
     elems = [LoopElement({(key, k): 1}) for key in keys for k in (-2, -1, 0, 1, 2)]
     elems += [central(), derivation()]
     for x in elems:

@@ -49,7 +49,7 @@ def test_psi_single_term_example():
     rz = FiniteRealization(preset("A2"))
     val = psi_eval(rz, parse_bracket("[B1,B2]"))
     coords = {rz.index(k): c for k, c in val.items()}
-    n = rz.table.n_value((1, 0), (0, 1))
+    n = rz.table.N.get(((1, 0), (0, 1)), 0)
     assert coords == {(1, 1): n}
     assert abs(n) == 1
 
@@ -229,7 +229,7 @@ def test_generator_key_is_the_generators_basis_vector(a, labels):
     c = validate(a, labels=labels)
     rz = realization_for(c)
     for lab in c.labels:
-        key = rz.generator_key(lab)
+        key = rz.index(rz.generators[lab])
         assert rz.generator(lab) == {rz.number(key): 1}
         if c.kind == FINITE:
             assert rz.table.y_basis(key) == element_generators(rz)[lab]

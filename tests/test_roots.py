@@ -7,7 +7,6 @@ from onsagerkit.roots import (
     AffineRoot,
     NotARoot,
     RootSystem,
-    affine_positive_roots,
     height,
 )
 
@@ -84,7 +83,7 @@ def test_coroot_integrality(name):
 
 
 def test_affine_examples_a1():
-    roots2 = affine_positive_roots(preset("A1~"), 2)
+    roots2 = AffineData(preset("A1~")).positive_up_to(2)
     as_set = {(g.finite, g.level, m) for g, m in roots2}
     assert as_set == {((1,), 0, 1), ((-1,), 1, 1), ((0,), 1, 1)}
     ad = AffineData(preset("A1~"))
