@@ -9,7 +9,7 @@ long simple root, so a[r-1][r] = -2 and a[r][r-1] = -1 (0-based rows).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -42,16 +42,11 @@ UNTWISTED_AFFINE = "UntwistedAffine"
 OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """A validated generalized Cartan matrix with symmetrizer and type tag."""
+class CartanMatrix(namedtuple("CartanMatrix", "a d kind labels typename affine_node", defaults=(None, None))):
+    """A validated generalized Cartan matrix (rows a) with symmetrizer d, type
+    tag and labels; typename and affine_node are None when not known."""
 
-    a: tuple
-    d: tuple
-    kind: str
-    labels: tuple
-    typename: str | None = None
-    affine_node: int | None = None
+    __slots__ = ()
 
     @property
     def n(self):
@@ -163,7 +158,16 @@ def _submatrix(a, keep):
 
 
 def _leading_minors_positive(a):
-    return all(_det(_submatrix(a, range(k + 1))) > 0 for k in range(len(a)))
+    """Whether every leading principal minor is positive, in one pass: while
+    rows 0..k-1 have pivots 0..k-1, row k reduced against them holds no key
+    below k and a positive multiple of minor_{k+1} / minor_k at k."""
+    span = IncrementalSpan()
+    for k, row in enumerate(a):
+        v = span.reduce(dict(enumerate(row)))
+        if v.get(k, 0) <= 0:
+            return False
+        span.add(v)
+    return True
 
 
 def _coroot_coords_raw(a, d, root):

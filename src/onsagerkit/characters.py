@@ -11,7 +11,7 @@ realization, so the solve does not branch on the kind of matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -44,14 +44,11 @@ def even_column_set(c: CartanMatrix):
     return frozenset(out)
 
 
-@dataclass
-class CharacterSpace:
-    """Solution space of the abelianization constraints on a height window."""
+class CharacterSpace(namedtuple("CharacterSpace", "window keys basis generator_keys")):
+    """Solution space of the abelianization constraints on a height window: its
+    ordered keys, functionals {key: Fraction} and each generator label's key."""
 
-    window: int
-    keys: list          # fixed-basis indices inside the window, ordered
-    basis: list         # list of functionals, each a dict key -> Fraction
-    generator_keys: dict  # generator label -> fixed-basis key
+    __slots__ = ()
 
     @property
     def dimension(self):
@@ -111,13 +108,12 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
     return CharacterSpace(H, keys, basis, {lab: rz.index(n) for lab, n in rz.generators.items()})
 
 
-@dataclass
-class Character:
+class Character(namedtuple("Character", "values functional")):
     """A one-dimensional representation, determined by its values on the
-    generators (necessarily zero off the even-column set)."""
+    generators (necessarily zero off the even-column set): values maps
+    generator labels, functional fixed-basis keys, to scalars."""
 
-    values: dict      # generator label -> scalar
-    functional: dict  # fixed-basis key -> scalar
+    __slots__ = ()
 
     def __call__(self, key):
         return self.functional.get(key, 0)

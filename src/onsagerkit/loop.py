@@ -23,7 +23,7 @@ numbers at level 0 are the finite fixed basis y_alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -122,13 +122,11 @@ def omega_tilde(x: LoopElement) -> LoopElement:
     return LoopElement({k if k in CD else (_omega_key(k[0]), -k[1]): -v for k, v in x.terms.items()})
 
 
-@dataclass(frozen=True, order=True)
-class YIndex:
-    """Index of a fixed-basis vector: a positive affine root plus a slot
-    1..r used only at imaginary roots."""
+class YIndex(namedtuple("YIndex", "gamma i", defaults=(1,))):
+    """Index of a fixed-basis vector: a positive affine root gamma plus a
+    slot i in 1..r used only at imaginary roots."""
 
-    gamma: AffineRoot
-    i: int = 1
+    __slots__ = ()
 
     def __str__(self):
         if self.gamma.is_imaginary:

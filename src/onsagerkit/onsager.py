@@ -11,7 +11,7 @@ all-bracketings mode exists for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix
 from .chevalley import StructureTable, _vneg, table_for
@@ -170,22 +170,16 @@ def psi_eval(rz: Realization, e):
     raise TypeError("cannot evaluate %r" % (e,))
 
 
-@dataclass
-class FiltrationReport:
-    jmax: int
-    dims: list
-    expected: list
+class FiltrationReport(namedtuple("FiltrationReport", "jmax dims expected")):
+    __slots__ = ()
 
     @property
     def matches(self):
         return self.dims == self.expected
 
 
-@dataclass
-class GenerationReport:
-    height: int
-    rank: int
-    expected: int
+class GenerationReport(namedtuple("GenerationReport", "height rank expected")):
+    __slots__ = ()
 
     @property
     def matches(self):

@@ -8,7 +8,7 @@ multiplicity 1 (real) or r (imaginary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, NotAffine, NotFinite, _coroot_coords_raw, root_closure
@@ -131,13 +131,11 @@ class RootSystem:
 # affine roots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class AffineRoot:
+class AffineRoot(namedtuple("AffineRoot", "finite level")):
     """finite part + level * delta; the finite part is the all-zero tuple for
     imaginary roots."""
 
-    finite: tuple
-    level: int
+    __slots__ = ()
 
     @property
     def is_imaginary(self):

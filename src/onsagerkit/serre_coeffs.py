@@ -11,7 +11,7 @@ entry has the closed form c_0[2l] = (-1)^l prod_{k=1..l} (2k-1)(2k-2+a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import CartanMatrix
 from .exact_math import IdentityViolation
@@ -22,15 +22,19 @@ class SameIndexError(ValueError):
     """Relations are only defined for ordered pairs of distinct nodes."""
 
 
-@dataclass(frozen=True)
-class CoeffRow:
-    a: int
-    r: int
-    c: tuple
+class CoeffRow(namedtuple("CoeffRow", "a r c")):
+    """The row c = (c_0[r], ..., c_r[r]) for the Cartan entry a."""
 
-    def __post_init__(self):
-        if len(self.c) != self.r + 1:
-            raise IdentityViolation("coefficient row r=%d has %d entries" % (self.r, len(self.c)))
+    __slots__ = ()
+
+    def __new__(cls, a, r, c):
+        if len(c) != r + 1:
+            raise IdentityViolation("coefficient row r=%d has %d entries" % (r, len(c)))
+        return super().__new__(cls, a, r, c)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks the length too
+        return cls(*iterable)
 
 
 def coeff_table(a, rmax):

@@ -75,4 +75,4 @@ def test_child_calls_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
     # child.py prints these fields of the all-words report
-    assert {"dims", "expected"} <= set(FiltrationReport.__dataclass_fields__)
+    assert {"dims", "expected"} <= set(FiltrationReport._fields)

@@ -187,14 +187,27 @@ def _leibniz_det(a):
     return total
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(
+SQUARE_INT_MATRICES = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
-))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SQUARE_INT_MATRICES)
 def test_det_matches_leibniz_expansion(a):
     from onsagerkit.cartan import _det
 
     assert _det(a) == _leibniz_det(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SQUARE_INT_MATRICES)
+def test_leading_minor_signs_match_determinants(a):
+    # one elimination pass against the determinant of each leading submatrix
+    from onsagerkit.cartan import _det, _leading_minors_positive, _submatrix
+
+    want = all(_det(_submatrix(a, range(k + 1))) > 0 for k in range(len(a)))
+    assert _leading_minors_positive(a) == want
 
 
 def test_affine_precheck_rejects_extended_g2_plus_a1():

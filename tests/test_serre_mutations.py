@@ -6,7 +6,6 @@ pairs whose relation no longer evaluates to zero under psi.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -39,7 +38,7 @@ def swapped_pair(c):
     a = [list(row) for row in c.a]
     i, j = next((i, j) for i in range(c.n) for j in range(i + 1, c.n) if a[i][j] != a[j][i])
     a[i][j], a[j][i] = a[j][i], a[i][j]
-    return dataclasses.replace(c, a=tuple(map(tuple, a)))
+    return c._replace(a=tuple(map(tuple, a)))
 
 
 @contextlib.contextmanager

@@ -78,13 +78,13 @@ def test_sweep_builds_no_index_objects(monkeypatch):
     # the sweep brackets by number; a YIndex is built only for a FAIL message
     rz = realization_for(preset("C3~"))
     made = []
-    init = YIndex.__init__
+    new = YIndex.__new__
 
-    def counted(self, *args, **kwargs):
+    def counted(cls, *args, **kwargs):
         made.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(YIndex, "__init__", counted)
+    monkeypatch.setattr(YIndex, "__new__", counted)
     _, ok, detail = check_affine_structure_constants(rz)
     assert ok, detail
     assert made == []
