@@ -4,7 +4,8 @@ Subcommands: coeffs, relations, roots, structconst, verify, chars, eval.
 Matrix source is either --preset NAME (affine presets end in "~") or
 --matrix-file PATH (one row per line, whitespace-separated integers).
 Exit status: 0 all checks pass, 1 a check failed (or an identity broke while
-building a table), 2 bad input (a `BadInput` or an `OSError`); any other
+building a table), 2 bad input (a `BadInput` or an `OSError`), 141 the reader
+of stdout closed it early (as a shell reports a SIGPIPE death); any other
 exception is a fault and propagates.
 """
 
@@ -12,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cartan import FINITE, UNTWISTED_AFFINE, parse_matrix_text, preset, validate
 from .characters import (
@@ -49,7 +52,7 @@ def yindex_json(idx):
 
 
 # ---------------------------------------------------------------------------
-# report builders (plain JSON-native dicts; emit = json.dumps)
+# report builders (plain JSON-native dicts; --json output is write_json)
 # ---------------------------------------------------------------------------
 
 def coeffs_report(a, rmax):
@@ -317,20 +320,34 @@ def print_eval(report):
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# the command table: every subcommand and option, declared once
 # ---------------------------------------------------------------------------
 
-def _add_matrix_source(p):
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--preset", help="named Cartan matrix, e.g. A2, C3, G2, A1~, C2~")
-    grp.add_argument("--matrix-file", help="path to a whitespace-separated integer matrix")
+# an option is add_argument's name and keywords; a name without "--" is the
+# command's one positional argument
+JSON = ("--json", {"action": "store_true"})
+HEIGHT = ("--height", {"type": int})
+SOURCES = [
+    ("--preset", {"help": "named Cartan matrix, e.g. A2, C3, G2, A1~, C2~"}),
+    ("--matrix-file", {"help": "path to a whitespace-separated integer matrix"}),
+]
 
-
-def _load_matrix(args):
-    if args.preset:
-        return preset(args.preset)
-    with open(args.matrix_file) as fh:
-        return validate(parse_matrix_text(fh.read()))
+# command -> (help, takes one of SOURCES, options in help order after it)
+COMMANDS = {
+    "coeffs": ("relation coefficient table for one Cartan entry", False, [
+        ("--a", {"type": int, "required": True, "help": "Cartan entry a_ij"}),
+        ("--rmax", {"type": int, "default": 5}),
+        JSON,
+    ]),
+    "relations": ("defining relations of the algebra", True, [JSON]),
+    "roots": ("positive roots with heights and multiplicities", True, [HEIGHT, JSON]),
+    "structconst": ("structure constants over the fixed basis", True, [HEIGHT, JSON]),
+    "verify": ("run all applicable identity checks", True,
+               [("--jmax", {"type": int}), HEIGHT, JSON]),
+    "chars": ("one-dimensional representation report", True, [HEIGHT, JSON]),
+    "eval": ("evaluate a bracket expression in the fixed subalgebra", True,
+             [("expr", {"help": "e.g. \"[B1,[B1,B2]]\""}), JSON]),
+}
 
 
 def build_parser():
@@ -339,42 +356,74 @@ def build_parser():
         description="exact construction and verification of generalized Onsager algebras",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("coeffs", help="relation coefficient table for one Cartan entry")
-    pc.add_argument("--a", type=int, required=True, help="Cartan entry a_ij")
-    pc.add_argument("--rmax", type=int, default=5)
-    pc.add_argument("--json", action="store_true")
-
-    pr = sub.add_parser("relations", help="defining relations of the algebra")
-    _add_matrix_source(pr)
-    pr.add_argument("--json", action="store_true")
-
-    po = sub.add_parser("roots", help="positive roots with heights and multiplicities")
-    _add_matrix_source(po)
-    po.add_argument("--height", type=int, default=None)
-    po.add_argument("--json", action="store_true")
-
-    ps = sub.add_parser("structconst", help="structure constants over the fixed basis")
-    _add_matrix_source(ps)
-    ps.add_argument("--height", type=int, default=None)
-    ps.add_argument("--json", action="store_true")
-
-    pv = sub.add_parser("verify", help="run all applicable identity checks")
-    _add_matrix_source(pv)
-    pv.add_argument("--jmax", type=int, default=None)
-    pv.add_argument("--height", type=int, default=None)
-    pv.add_argument("--json", action="store_true")
-
-    pch = sub.add_parser("chars", help="one-dimensional representation report")
-    _add_matrix_source(pch)
-    pch.add_argument("--height", type=int, default=None)
-    pch.add_argument("--json", action="store_true")
-
-    pe = sub.add_parser("eval", help="evaluate a bracket expression in the fixed subalgebra")
-    _add_matrix_source(pe)
-    pe.add_argument("expr", help="e.g. \"[B1,[B1,B2]]\"")
-    pe.add_argument("--json", action="store_true")
+    for command, (text, sourced, options) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if sourced:
+            grp = sp.add_mutually_exclusive_group(required=True)
+            for name, kw in SOURCES:
+                grp.add_argument(name, **kw)
+        for name, kw in options:
+            sp.add_argument(name, **kw)
     return p
+
+
+def read_plain_argv(argv):
+    """The Namespace that build_parser().parse_args(argv) gives, read without
+    building the parser, or None when argv is not plain.
+
+    Plain is: the command, then exact full option names, each at most once,
+    exactly one matrix source where the command takes one, every required
+    option and positional present, no value or positional starting with "-",
+    and int values that int() reads.  Everything else (abbreviations,
+    --opt=value, -h, repeats, bad values, usage errors) is left to argparse,
+    the one source of help, usage and error text.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, sourced, options = COMMANDS[argv[0]]
+    spec = dict(SOURCES + options if sourced else options)
+    positionals = [name for name in spec if not name.startswith("-")]
+    values = {}
+    rest = iter(argv[1:])
+    for tok in rest:
+        if not tok.startswith("-"):
+            if not positionals:
+                return None
+            values[positionals.pop(0)] = tok
+            continue
+        kw = spec.get(tok)
+        if kw is None or tok in values:
+            return None
+        if "action" in kw:
+            values[tok] = True
+            continue
+        value = next(rest, "-")  # a missing value is declined like "-..."
+        if value.startswith("-"):
+            return None
+        try:
+            values[tok] = kw.get("type", str)(value)
+        except ValueError:
+            return None
+    if positionals or sum(name in values for name, _ in SOURCES) != sourced:
+        return None
+    if any(kw.get("required") and name not in values for name, kw in options):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for name, kw in spec.items():
+        default = False if "action" in kw else kw.get("default")
+        setattr(args, name.lstrip("-").replace("-", "_"), values.get(name, default))
+    return args
+
+
+def _load_matrix(args):
+    if args.matrix_file is None:
+        return preset(args.preset)
+    try:
+        with open(args.matrix_file, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageFault("%s is not UTF-8 text: %s" % (args.matrix_file, exc)) from None
+    return validate(parse_matrix_text(text))
 
 
 def run(args) -> int:
@@ -422,18 +471,80 @@ def run(args) -> int:
     raise UsageFault("unknown command %r" % args.command)
 
 
+BATCH = 4096  # chunks per write, so a large report is never one string
+
+
+def write_json(value, write):
+    """Write json.dumps(value, indent=2, sort_keys=True) and a newline through
+    write(), byte for byte, in batches of BATCH chunks.  Dict keys are str."""
+    chunks = []
+
+    def walk(x, nl):
+        if type(x) is str:
+            chunks.append(encode_basestring_ascii(x))
+        elif type(x) is int:
+            chunks.append(int.__repr__(x))
+        elif isinstance(x, dict):
+            if not x:
+                chunks.append("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key in sorted(x):
+                chunks.append(sep)
+                chunks.append(encode_basestring_ascii(key))
+                chunks.append(": ")
+                walk(x[key], inner)
+                sep = "," + inner
+            chunks.append(nl + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                chunks.append("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in x:
+                chunks.append(sep)
+                walk(item, inner)
+                sep = "," + inner
+            chunks.append(nl + "]")
+        else:
+            chunks.append(json.dumps(x))
+            return
+        if len(chunks) >= BATCH:
+            write("".join(chunks))
+            chunks.clear()
+
+    walk(value, "\n")
+    chunks.append("\n")
+    write("".join(chunks))
+
+
 def _emit(report, as_json, printer):
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        write_json(report, sys.stdout.write)
     else:
         printer(report)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_plain_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone (`| head`): point stdout at the null
+        # device so the interpreter's last flush is quiet, and exit as a
+        # shell reports a process killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except IdentityViolation as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

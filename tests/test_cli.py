@@ -152,6 +152,18 @@ def test_matrix_file_source(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_matrix_file_that_is_not_utf8_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"\xff\xfe 2")
+    code, out, err = run_cli(capsys, "verify", "--matrix-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s is not UTF-8 text: " % path) and err.count("\n") == 1
+
+
+def test_an_empty_preset_name_is_bad_input(capsys):
+    assert run_cli(capsys, "verify", "--preset", "") == (2, "", "error: cannot parse preset name ''\n")
+
+
 @pytest.mark.parametrize("name", ["C2~", "A1~"])
 def test_chars_closed_form_from_matrix_file(tmp_path, capsys, name):
     # the file's labels are 1..n, the closed-form realization's those of the
