@@ -127,32 +127,6 @@ def symmetrizer(a):
     return tuple(int(v) for v in vals)
 
 
-def _det(a):
-    """Exact determinant of an integer matrix.
-
-    Row i reduced against the rows before it keeps its determinant and holds
-    none of their pivot columns, so the determinant is the product of the
-    pivot entries, signed by the inversions of the pivot columns.  The rows
-    go in as Fractions, so every basis row has 1 at its pivot and reduce
-    returns the residue itself, not a multiple of it.
-    """
-    span = IncrementalSpan()
-    det = Fraction(1)
-    cols = []
-    for row in a:
-        v = span.reduce({j: Fraction(c) for j, c in enumerate(row)})
-        if not v:
-            return 0
-        p = min(v)
-        det *= v[p]
-        cols.append(p)
-        span.add(v)
-    inversions = sum(1 for i in range(len(cols)) for j in range(i) if cols[j] > cols[i])
-    if det.denominator != 1:
-        raise IdentityViolation("non-integer determinant %s of an integer matrix" % det)
-    return int(det) * (-1) ** inversions
-
-
 def _submatrix(a, keep):
     return tuple(tuple(a[i][j] for j in keep) for i in keep)
 
@@ -220,26 +194,14 @@ def root_closure(a):
     return seen
 
 
-def _affine_node_matches(a, node):
-    """Whether `a`, with `node` moved first, is the affine extension of the
-    finite-type matrix left after deleting the node."""
-    order = [node] + [i for i in range(len(a)) if i != node]
-    sub = _submatrix(a, order[1:])
-    if not _leading_minors_positive(sub):
-        return False
-    try:
-        return _submatrix(a, order) == _affine_extension(sub)
-    except (ValueError, RuntimeError, NotSymmetrizable):
-        return False
-
-
 def validate(a, labels=None):
     """Validate an integer matrix and classify it.
 
     Finite iff all leading principal minors are positive.  UntwistedAffine iff
-    the determinant is 0, every proper principal submatrix is of finite type,
-    and some node completes an extended finite matrix.  Everything else is
-    Other.
+    every one-node deletion is of finite type (so is every proper principal
+    submatrix) and some node completes the affine extension of its deletion,
+    which puts delta in the null space, so no determinant is taken.
+    Everything else is Other.
     """
     a = tuple(tuple(int(x) for x in row) for row in a)
     _check_gcm_axioms(a)
@@ -252,25 +214,20 @@ def validate(a, labels=None):
         raise ValueError("labels must be %d distinct values" % n)
 
     if _leading_minors_positive(a):
-        name = _match_finite_name(a)
-        return CartanMatrix(a, d, FINITE, labels, typename=name)
+        return CartanMatrix(a, d, FINITE, labels, typename=_match_finite_name(a))
 
-    if _det(a) == 0 and all(
-        _leading_minors_positive(_submatrix(a, [i for i in range(n) if i != k]))
-        for k in range(n)
-    ):
-        for node in range(n):
-            if _affine_node_matches(a, node):
-                keep = [i for i in range(n) if i != node]
-                name = _match_finite_name(_submatrix(a, keep))
-                return CartanMatrix(
-                    a,
-                    d,
-                    UNTWISTED_AFFINE,
-                    labels,
-                    typename=(name + "~") if name else None,
-                    affine_node=node,
-                )
+    rest = [[i for i in range(n) if i != k] for k in range(n)]
+    subs = [_submatrix(a, keep) for keep in rest]
+    if all(map(_leading_minors_positive, subs)):
+        for node, sub in enumerate(subs):
+            try:
+                extends = _submatrix(a, [node] + rest[node]) == _affine_extension(sub)
+            except (ValueError, RuntimeError):
+                continue
+            if extends:
+                name = _match_finite_name(sub)
+                return CartanMatrix(a, d, UNTWISTED_AFFINE, labels,
+                                    typename=(name + "~") if name else None, affine_node=node)
     return CartanMatrix(a, d, OTHER, labels)
 
 

@@ -12,14 +12,13 @@ realization, so the solve does not branch on the kind of matrix.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations
 
 from .cartan import CartanMatrix, preset
-from .chevalley import sp_structure_table
+from .chevalley import preset_table, sp_structure_table
 from .exact_math import BadInput, ExactMatrix, IdentityViolation, IncrementalSpan, add_into, nullspace_basis
 from .onsager import AffineRealization, FiniteRealization, Realization
-from .roots import AffineRoot, RootSystem
+from .roots import AffineRoot
 
 
 class WindowTooSmall(BadInput):
@@ -166,15 +165,10 @@ def character_from_values(space: CharacterSpace, values: dict):
 # closed forms for the symplectic types
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _c_rootsystem(r):
-    return RootSystem(preset("C%d" % r))
-
-
 def chi_finite(r, t, alpha):
     """Character normalized by chi(Y_r) = t on the type-C fixed basis:
     t on long positive roots, 0 on short ones."""
-    rs = _c_rootsystem(r)
+    rs = preset_table("C%d" % r).rs
     alpha = tuple(alpha)
     if len(alpha) != r or not rs.is_positive(alpha):
         raise NotCType("%r is not a positive type-C%d root" % (alpha, r))
@@ -188,7 +182,7 @@ def chi_affine(r, s, t, gamma: AffineRoot, i=1):
     Long finite part alpha at even delta level: sign(alpha) * t; at odd
     level: -sign(alpha) * s; short finite parts and imaginary roots: 0.
     """
-    rs = _c_rootsystem(r)
+    rs = preset_table("C%d" % r).rs
     if len(gamma.finite) != r:
         raise NotCAffine("root has rank %d, expected %d" % (len(gamma.finite), r))
     if gamma.is_imaginary:

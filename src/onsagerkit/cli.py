@@ -135,61 +135,41 @@ def print_roots(report):
 def structconst_report(c, H):
     rz = realization_for(c)
     if c.kind == FINITE:
-        entries = []
-        for a in sorted(rz.table.N):
-            alpha, beta = a
-            entries.append({"alpha": list(alpha), "beta": list(beta), "N": rz.table.N[a]})
-        keys = [k for k, _ in rz.basis(H or rz.top_height)]
-        nums = [rz.number(k) for k in keys]
-        pairs = []
-        for i, alpha in enumerate(keys):
-            for beta, v in zip(keys[i + 1 :], nums[i + 1 :]):
-                coords = rz.basis_bracket(nums[i], v)
-                pairs.append(
-                    {
-                        "lhs": [list(alpha), list(beta)],
-                        "rhs": [
-                            {"coords": list(k), "coeff": str(Fraction(c))}
-                            for k, c in sorted((rz.index(n), c) for n, c in coords.items())
-                        ],
-                    }
-                )
-        return {
-            "schema": SCHEMA,
-            "kind": "structconst",
-            "type": "finite",
-            "ntable": entries,
-            "ybrackets": pairs,
-        }
-    ad = rz.affine
-    H = H or ad.delta_height + 1
-    if c.typename == "A1~":
+        H = H or rz.top_height
+        key_json, field, coeff_json = list, "coords", lambda v: str(Fraction(v))
+    elif c.typename == "A1~":
+        if H is not None:
+            raise UsageFault("--height does not apply to the A1~ Onsager table (|k|, |l| <= 2)")
         _, ok, detail = check_onsager_structure(2)
         if not ok:
             raise IdentityViolation(detail)
         table = [{"lhs": ["A%d" % k, "A%d" % l], "rhs": "G%d" % (l - k)}
                  for k in range(-2, 3) for l in range(-2, 3)]
         return {"schema": SCHEMA, "kind": "structconst", "type": "onsager", "brackets": table}
-    indices = [k for k, _ in rz.basis(H)]
-    rank = {k: j for j, k in enumerate(sorted(indices))}
-    keyed = [(k, rz.number(k), rank[k]) for k in indices]
+    else:
+        H = H or rz.affine.delta_height + 1
+        key_json, field, coeff_json = yindex_json, "idx", int
+    keys = [k for k, _ in rz.basis(H)]
+    nums = [rz.number(k) for k in keys]
+    # each unordered pair once, first member earlier: in basis order for a
+    # finite basis, in key order for an affine one
+    rank = {k: j for j, k in enumerate(keys if c.kind == FINITE else sorted(keys))}
     pairs = []
-    for a1, n1, r1 in keyed:
-        for a2, n2, r2 in keyed:
-            # each unordered pair once, with a1 < a2
-            if r2 <= r1:
+    for k1, n1 in zip(keys, nums):
+        for k2, n2 in zip(keys, nums):
+            if rank[k2] <= rank[k1]:
                 continue
             coords = rz.basis_bracket(n1, n2)
-            pairs.append(
-                {
-                    "lhs": [yindex_json(a1), yindex_json(a2)],
-                    "rhs": [
-                        {"idx": yindex_json(k), "coeff": int(c)}
-                        for k, c in sorted((rz.index(n), c) for n, c in coords.items())
-                    ],
-                }
-            )
-    return {"schema": SCHEMA, "kind": "structconst", "type": "affine", "brackets": pairs}
+            pairs.append({
+                "lhs": [key_json(k1), key_json(k2)],
+                "rhs": [{field: key_json(k), "coeff": coeff_json(v)}
+                        for k, v in sorted((rz.index(n), v) for n, v in coords.items())],
+            })
+    if c.kind != FINITE:
+        return {"schema": SCHEMA, "kind": "structconst", "type": "affine", "brackets": pairs}
+    entries = [{"alpha": list(alpha), "beta": list(beta), "N": rz.table.N[alpha, beta]}
+               for alpha, beta in sorted(rz.table.N)]
+    return {"schema": SCHEMA, "kind": "structconst", "type": "finite", "ntable": entries, "ybrackets": pairs}
 
 
 def print_structconst(report):
@@ -302,16 +282,12 @@ def eval_report(c, text):
     rz = realization_for(c)
     coords = {rz.index(n): v for n, v in psi_eval(rz, expr).items()}
     if c.kind == FINITE:
-        rhs = [
-            {"basis": "y(%s)" % root_str(k), "coords": list(k), "coeff": str(Fraction(v))}
-            for k, v in sorted(coords.items())
-        ]
+        name, field, key_json = (lambda k: "y(%s)" % root_str(k)), "coords", list
     else:
-        rhs = [
-            {"basis": str(k), "idx": yindex_json(k), "coeff": str(Fraction(v))}
-            for k, v in sorted(coords.items())
-        ]
-    return {"schema": SCHEMA, "kind": "eval", "expr": text, "terms": rhs}
+        name, field, key_json = str, "idx", yindex_json
+    terms = [{"basis": name(k), field: key_json(k), "coeff": str(Fraction(v))}
+             for k, v in sorted(coords.items())]
+    return {"schema": SCHEMA, "kind": "eval", "expr": text, "terms": terms}
 
 
 def print_eval(report):
@@ -432,43 +408,34 @@ def run(args) -> int:
         if val is not None and val < (0 if bound == "rmax" else 1):
             raise UsageFault("--%s must be positive" % bound)
     if args.command == "coeffs":
-        report = coeffs_report(args.a, args.rmax)
-        _emit(report, args.json, print_coeffs)
-        return 0
-
-    c = _load_matrix(args)
-    if args.command == "relations":
-        report = relations_report(c)
-        _emit(report, args.json, print_relations)
-        return 0
-    # every other command works in a realization of a finite or affine type
-    if c.kind not in (FINITE, UNTWISTED_AFFINE):
-        raise UsageFault("%s needs a finite or untwisted affine matrix; this one classifies as %s"
-                         % (args.command, c.kind))
-    if args.command == "roots":
-        report = roots_report(c, args.height)
-        _emit(report, args.json, print_roots)
-        return 0
-    if args.command == "structconst":
-        report = structconst_report(c, args.height)
-        _emit(report, args.json, print_structconst)
-        return 0
-    if args.command == "verify":
-        report = verify_report(c, jmax=args.jmax, H=args.height)
-        _emit(report, args.json, print_verify)
-        return 0 if all(row["pass"] for row in report["checks"]) else 1
-    if args.command == "chars":
-        report = chars_report(c, args.height)
-        _emit(report, args.json, print_chars)
-        ok = all(
-            row.get("closed_form", row["value"]) == row["value"] for row in report["values"]
-        )
-        return 0 if ok else 1
-    if args.command == "eval":
-        report = eval_report(c, args.expr)
-        _emit(report, args.json, print_eval)
-        return 0
-    raise UsageFault("unknown command %r" % args.command)
+        report, printer = coeffs_report(args.a, args.rmax), print_coeffs
+    else:
+        c = _load_matrix(args)
+        # every command but relations works in a realization of a finite or
+        # affine type
+        if args.command != "relations" and c.kind not in (FINITE, UNTWISTED_AFFINE):
+            raise UsageFault("%s needs a finite or untwisted affine matrix; this one classifies as %s"
+                             % (args.command, c.kind))
+        if args.command == "relations":
+            report, printer = relations_report(c), print_relations
+        elif args.command == "roots":
+            report, printer = roots_report(c, args.height), print_roots
+        elif args.command == "structconst":
+            report, printer = structconst_report(c, args.height), print_structconst
+        elif args.command == "verify":
+            report, printer = verify_report(c, jmax=args.jmax, H=args.height), print_verify
+        elif args.command == "chars":
+            report, printer = chars_report(c, args.height), print_chars
+        else:
+            report, printer = eval_report(c, args.expr), print_eval
+    if args.json:
+        write_json(report, sys.stdout.write)
+    else:
+        printer(report)
+    # a failed verify row or a chars value off its closed form
+    ok = all(row["pass"] for row in report.get("checks", ())) and all(
+        row.get("closed_form", row["value"]) == row["value"] for row in report.get("values", ()))
+    return 0 if ok else 1
 
 
 BATCH = 4096  # chunks per write, so a large report is never one string
@@ -518,13 +485,6 @@ def write_json(value, write):
     walk(value, "\n")
     chunks.append("\n")
     write("".join(chunks))
-
-
-def _emit(report, as_json, printer):
-    if as_json:
-        write_json(report, sys.stdout.write)
-    else:
-        printer(report)
 
 
 def main(argv=None) -> int:

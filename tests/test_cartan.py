@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,43 @@ from onsagerkit.cartan import (
     NotGCM,
     NotSymmetrizable,
     UnknownPreset,
+    _affine_extension,
+    _leading_minors_positive,
+    _match_finite_name,
+    _submatrix,
     parse_matrix_text,
     preset,
     preset_names,
     symmetrizer,
     validate,
 )
-from onsagerkit.exact_math import ExactMatrix, nullspace_basis
+from onsagerkit.exact_math import ExactMatrix, IdentityViolation, IncrementalSpan, nullspace_basis
+
+
+def _det(a):
+    """Exact determinant of an integer matrix.
+
+    Row i reduced against the rows before it keeps its determinant and holds
+    none of their pivot columns, so the determinant is the product of the
+    pivot entries, signed by the inversions of the pivot columns.  The rows
+    go in as Fractions, so every basis row has 1 at its pivot and reduce
+    returns the residue itself, not a multiple of it.
+    """
+    span = IncrementalSpan()
+    det = Fraction(1)
+    cols = []
+    for row in a:
+        v = span.reduce({j: Fraction(c) for j, c in enumerate(row)})
+        if not v:
+            return 0
+        p = min(v)
+        det *= v[p]
+        cols.append(p)
+        span.add(v)
+    inversions = sum(1 for i in range(len(cols)) for j in range(i) if cols[j] > cols[i])
+    if det.denominator != 1:
+        raise IdentityViolation("non-integer determinant %s of an integer matrix" % det)
+    return int(det) * (-1) ** inversions
 
 
 def test_preset_a1_affine():
@@ -102,16 +133,12 @@ def test_validate_preset_roundtrip(name):
 
 @pytest.mark.parametrize("name", [n for n in preset_names(max_rank=5) if not n.endswith("~")])
 def test_finite_presets_positive_definite(name):
-    from onsagerkit.cartan import _det
-
     c = preset(name)
     assert _det(c.a) > 0
 
 
 @pytest.mark.parametrize("name", [n for n in preset_names(max_rank=5) if n.endswith("~")])
 def test_affine_presets_null_vector(name):
-    from onsagerkit.cartan import _det
-
     c = preset(name)
     assert _det(c.a) == 0
     basis = nullspace_basis(ExactMatrix.from_rows(c.a))
@@ -149,7 +176,7 @@ def test_random_gcm_classification_consistency():
     # determinant data and, if finite, with a terminating root closure
     import random
 
-    from onsagerkit.cartan import _det, root_closure
+    from onsagerkit.cartan import root_closure
 
     rng = random.Random(99)
     for _ in range(120):
@@ -195,8 +222,6 @@ SQUARE_INT_MATRICES = st.integers(1, 4).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(SQUARE_INT_MATRICES)
 def test_det_matches_leibniz_expansion(a):
-    from onsagerkit.cartan import _det
-
     assert _det(a) == _leibniz_det(a)
 
 
@@ -204,8 +229,6 @@ def test_det_matches_leibniz_expansion(a):
 @given(SQUARE_INT_MATRICES)
 def test_leading_minor_signs_match_determinants(a):
     # one elimination pass against the determinant of each leading submatrix
-    from onsagerkit.cartan import _det, _leading_minors_positive, _submatrix
-
     want = all(_det(_submatrix(a, range(k + 1))) > 0 for k in range(len(a)))
     assert _leading_minors_positive(a) == want
 
@@ -213,9 +236,64 @@ def test_leading_minor_signs_match_determinants(a):
 def test_affine_precheck_rejects_extended_g2_plus_a1():
     # G2~ (+) A1: deleting node 3 leaves G2 (+) A1, and row/column 3 extend
     # its G2 part, so the node test alone would call this affine at node 3;
-    # the pre-check (det 0, every proper principal submatrix finite) rejects
-    # it, because deleting node 2 leaves G2~
+    # the test that every one-node deletion is finite rejects it, because
+    # deleting node 2 leaves G2~
     assert validate([[2, -1, 0, -1], [-3, 2, 0, 0], [0, 0, 2, 0], [-1, 0, 0, 2]]).kind == OTHER
+
+
+def _reference_classification(a):
+    """(kind, typename, affine_node) by the rule that takes a determinant:
+    untwisted affine iff det(a) == 0, every one-node deletion is finite and
+    some node's deletion extends to a."""
+    n = len(a)
+    if _leading_minors_positive(a):
+        return FINITE, _match_finite_name(a), None
+    rest = [[i for i in range(n) if i != k] for k in range(n)]
+    if _det(a) == 0 and all(_leading_minors_positive(_submatrix(a, keep)) for keep in rest):
+        for node in range(n):
+            sub = _submatrix(a, rest[node])
+            try:
+                extends = _submatrix(a, [node] + rest[node]) == _affine_extension(sub)
+            except (ValueError, RuntimeError):
+                extends = False
+            if extends:
+                name = _match_finite_name(sub)
+                return UNTWISTED_AFFINE, (name + "~") if name else None, node
+    return OTHER, None, None
+
+
+# (a_ij, a_ji) of an edge: every finite and affine rank-2 block
+EDGES = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-4, -1)]
+SMALL_PRESETS = [name for name in preset_names(6) if preset(name).n <= 6]
+
+
+@st.composite
+def small_gcms(draw):
+    """A GCM of rank <= 6: a preset or a diagonal of 2s, some of its zero
+    pairs joined by random edges, renumbered, so that finite, affine and
+    Other matrices all come up."""
+    if draw(st.booleans()):
+        a = [list(row) for row in preset(draw(st.sampled_from(SMALL_PRESETS))).a]
+    else:
+        n = draw(st.integers(1, 6))
+        a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] == 0 and draw(st.integers(0, 3)) == 0:
+                a[i][j], a[j][i] = draw(st.sampled_from(EDGES))
+    order = draw(st.permutations(range(n)))
+    return [[a[i][j] for j in order] for i in order]
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_gcms())
+def test_validate_matches_the_determinant_rule(a):
+    try:
+        c = validate(a)
+    except NotSymmetrizable:
+        return
+    assert (c.kind, c.typename, c.affine_node) == _reference_classification(c.a)
 
 
 # the node validate reports for each affine preset with its extra node moved to

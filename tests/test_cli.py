@@ -271,6 +271,50 @@ def test_height_bounds_finite_roots_and_structconst_pairs(capsys):
     assert rep["ybrackets"] == [{"lhs": [[0, 1], [1, 0]], "rhs": [{"coords": [1, 1], "coeff": "1"}]}]
 
 
+@pytest.mark.parametrize("height", ["1", "9"])
+def test_structconst_height_does_not_apply_to_the_onsager_table(capsys, height):
+    # the A1~ table is the fixed |k|, |l| <= 2 block of the Onsager relations
+    assert run_cli(capsys, "structconst", "--preset", "A1~", "--height", height) == (
+        2, "", "error: --height does not apply to the A1~ Onsager table (|k|, |l| <= 2)\n")
+
+
+def test_chars_value_off_its_closed_form_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "chi_finite", lambda r, t, alpha: t + 1)
+    code, out, _ = run_cli(capsys, "chars", "--preset", "C2")
+    assert code == 1
+    assert "DIFFERS" in out
+
+
+BUILDER_ARGV = {
+    "coeffs_report": ["coeffs", "--a", "-2"],
+    "relations_report": ["relations", "--preset", "A2"],
+    "roots_report": ["roots", "--preset", "A2"],
+    "structconst_report": ["structconst", "--preset", "A2"],
+    "verify_report": ["verify", "--preset", "A2"],
+    "chars_report": ["chars", "--preset", "A2"],
+    "eval_report": ["eval", "--preset", "A2", "[B1,B2]"],
+}
+
+
+def test_main_calls_each_report_builder_by_its_module_name(capsys, monkeypatch):
+    # a wrapper bound to the builder's name on the cli module (as a tracer
+    # binds one) must see the call
+    calls = []
+
+    def recording(name, builder):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return builder(*args, **kwargs)
+        return wrapper
+
+    for name in BUILDER_ARGV:
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    for argv in BUILDER_ARGV.values():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+    assert calls == list(BUILDER_ARGV)
+
+
 def test_chars_closed_form_columns(capsys):
     code, out, _ = run_cli(capsys, "chars", "--preset", "C2~")
     assert code == 0
