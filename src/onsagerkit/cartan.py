@@ -334,74 +334,36 @@ def preset_names(max_rank=8):
 # type recognition (naming only; classification never depends on it)
 # ---------------------------------------------------------------------------
 
-def _node_invariant(a, i):
-    n = len(a)
-    return tuple(sorted((a[i][j], a[j][i]) for j in range(n) if j != i and a[i][j] != 0))
-
-
-def _perm_match(a, b):
-    """A permutation sigma with a[sigma[i]][sigma[j]] == b[i][j], else None."""
-    n = len(a)
-    if len(b) != n:
-        return None
-    inv_a = [_node_invariant(a, i) for i in range(n)]
-    inv_b = [_node_invariant(b, i) for i in range(n)]
-    if sorted(inv_a) != sorted(inv_b):
-        return None
-    sigma = [None] * n
-    used = [False] * n
-
-    def extend(i):
-        if i == n:
-            return True
-        for cand in range(n):
-            if used[cand] or inv_a[cand] != inv_b[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if a[cand][sigma[j]] != b[i][j] or a[sigma[j]][cand] != b[j][i]:
-                    ok = False
-                    break
-            if ok:
-                sigma[i] = cand
-                used[cand] = True
-                if extend(i + 1):
-                    return True
-                used[cand] = False
-        return False
-
-    return tuple(sigma) if extend(0) else None
-
-
-def _finite_candidates(n):
-    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
-        if n >= lo:
-            yield family, n
-    if n in (6, 7, 8):
-        yield "E", n
-    if n == 4:
-        yield "F", 4
-    if n == 2:
-        yield "G", 2
-
-
 def _match_finite_name(a):
+    """The type of a finite-type matrix, read off its Dynkin diagram.
+
+    The diagram is a forest, so it is connected iff it has n - 1 bonds;
+    None when it is not.  A triple bond (a_ij a_ji = 3) is G2.  A double
+    bond inside the chain is F4; at an end node it is B_n when that node is
+    short (a = -2 in its row), else C_n, and in rank 2 the end is the second
+    node, so B2 and C2 keep their Bourbaki names.  A simply laced tree is
+    A_n without a branch node, D_n when two of its three arms are single
+    nodes and E_n when one is.
+    """
     n = len(a)
-    candidates = []
-    for family, r in _finite_candidates(n):
-        try:
-            candidates.append(("%s%d" % (family, r), _finite_preset_matrix(family, r)))
-        except UnknownPreset:
-            continue
-    # exact match first so that e.g. B2 and C2 (isomorphic diagrams) keep
-    # their own names; isomorphism search only for renumbered input
-    for name, cand in candidates:
-        if a == tuple(tuple(row) for row in cand):
-            return name
-    for name, cand in candidates:
-        if _perm_match(a, cand) is not None:
-            return name
-    return None
+    nbrs = [[j for j in range(n) if j != i and a[i][j]] for i in range(n)]
+    if sum(map(len, nbrs)) != 2 * (n - 1):
+        return None
+    # per bond a_ij a_ji, its (i, j) of largest i
+    bonds = {a[i][j] * a[j][i]: (i, j) for i in range(n) for j in nbrs[i]}
+    if 3 in bonds:
+        return "G2"
+    if 2 in bonds:
+        i, j = bonds[2]
+        if len(nbrs[i]) > 1:
+            i, j = j, i
+        if len(nbrs[i]) > 1:
+            return "F4"
+        return ("B%d" if a[i][j] == -2 else "C%d") % n
+    for i in range(n):
+        if len(nbrs[i]) == 3:
+            return ("D%d" if sum(len(nbrs[j]) == 1 for j in nbrs[i]) > 1 else "E%d") % n
+    return "A%d" % n
 
 
 def parse_matrix_text(text):

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .cartan import CartanMatrix, preset
 from .chevalley import preset_table, sp_structure_table
-from .exact_math import BadInput, ExactMatrix, IdentityViolation, IncrementalSpan, add_into, nullspace_basis
+from .exact_math import BadInput, ExactMatrix, IncrementalSpan, add_into, nullspace_basis
 from .onsager import AffineRealization, FiniteRealization, Realization
 from .roots import AffineRoot
 
@@ -45,7 +45,7 @@ def even_column_set(c: CartanMatrix):
 
 class CharacterSpace(namedtuple("CharacterSpace", "window keys basis generator_keys")):
     """Solution space of the abelianization constraints on a height window: its
-    ordered keys, functionals {key: Fraction} and each generator label's key."""
+    ordered keys, functionals {key: int or Fraction} and each generator label's key."""
 
     __slots__ = ()
 
@@ -95,15 +95,7 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
     matrix = ExactMatrix(len(rows), len(keys), {
         (r, j): c for r, row in enumerate(rows) for j, c in row
     })
-    basis = []
-    for vec in nullspace_basis(matrix):
-        func = {}
-        for j, k in enumerate(keys):
-            if vec[j]:
-                if not vec[j].is_rational:
-                    raise IdentityViolation("non-real character value at %s" % (k,))
-                func[k] = vec[j].re
-        basis.append(func)
+    basis = [{keys[j]: c for j, c in vec.items()} for vec in nullspace_basis(matrix)]
     return CharacterSpace(H, keys, basis, {lab: rz.index(n) for lab, n in rz.generators.items()})
 
 

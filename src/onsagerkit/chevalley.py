@@ -380,103 +380,61 @@ def _twisted_table(generic: StructureTable, s) -> StructureTable:
                                        for (a, b), n in generic.N.items()})
 
 
-def _sl_images(r):
-    """The displayed (r+1) x (r+1) matrices of the type-A basis keys: E_{k,l}
-    for eps_k - eps_l = alpha_k + ... + alpha_{l-1}, E_{l,k} for its negative,
-    and h_i = E_ii - E_{i+1,i+1}."""
-
-    def unit(i, j):
-        return ExactMatrix(r + 1, r + 1, {(i, j): 1})
-
-    images = {("h", i): unit(i, i) - unit(i + 1, i + 1) for i in range(r)}
-    for alpha in preset_table("A%d" % r).rs._all:
-        support = [i for i, c in enumerate(alpha) if c]
-        k, l = support[0], support[-1] + 1
-        images[("e", alpha)] = unit(k, l) if alpha[k] > 0 else unit(l, k)
-    return images
+def _unit(n, i, j):
+    return ExactMatrix(n, n, {(i, j): 1})
 
 
 @lru_cache(maxsize=None)
-def sl_realization(r) -> MatrixRealization:
-    """The displayed trace-zero (r+1) x (r+1) realization, bound to the A_r
-    table under the signs its matrices carry."""
-    generic = preset_table("A%d" % r)
-    images = _sl_images(r)
-    return MatrixRealization(r + 1, images, _twisted_table(generic, _read_signs(generic, images)))
+def _display(name):
+    """(images, table) of the displayed matrices of preset A_r or C_r.
 
+    With alpha_k = eps_k - eps_{k+1}, except alpha_r = 2 eps_r in C_r, and
+    G(k, l) = E_{k,l} in sl_{r+1}, E_{k,l} - E_{r+l,r+k} in sp_{2r}: e_alpha
+    for alpha > 0 is G(k, l) for eps_k - eps_l, E_{k,r+l} + E_{l,r+k} for
+    eps_k + eps_l and E_{k,r+k} for 2 eps_k; e_{-alpha} is its transpose;
+    h_i = G(i, i) - G(i+1, i+1), and h_r = G(r, r) in C_r.  The table is the
+    generic one under the signs the matrices carry.
+    """
+    generic = preset_table(name)
+    r, sp = generic.rs.rank, name[0] == "C"
+    n = 2 * r if sp else r + 1
 
-def _sp_eps_coords(r, alpha):
-    """epsilon-coordinates of a type-C root: alpha_k = eps_k - eps_{k+1}
-    (k < r), alpha_r = 2 eps_r."""
-    eps = [0] * r
-    for k, c in enumerate(alpha):
-        if k < r - 1:
+    def g(k, l):
+        return _unit(n, k, l) - _unit(n, r + l, r + k) if sp else _unit(n, k, l)
+
+    images = {("h", i): g(i, i) - g(i + 1, i + 1) for i in range(r - 1)}
+    images["h", r - 1] = g(r - 1, r - 1) if sp else g(r - 1, r - 1) - g(r, r)
+    for alpha in generic.rs.positive_roots:
+        eps = [0] * (r + 1)
+        for k, c in enumerate(alpha):
             eps[k] += c
             eps[k + 1] -= c
-        else:
-            eps[r - 1] += 2 * c
-    return tuple(eps)
+        if sp:  # alpha_r = 2 eps_r
+            eps[r - 1] -= eps.pop()
+        pos = [k for k, c in enumerate(eps) if c > 0]
+        neg = [k for k, c in enumerate(eps) if c < 0]
+        k, l = pos[0], (neg or pos)[-1]
+        # one entry when k = l, for 2 eps_k
+        m = g(k, l) if neg else ExactMatrix(n, n, {(k, r + l): 1, (l, r + k): 1})
+        images["e", alpha] = m
+        images["e", _vneg(alpha)] = m.transpose()
+    return images, _twisted_table(generic, _read_signs(generic, images))
 
 
-def _sp_display_matrix(r, eps):
-    """The displayed 2r x 2r symplectic root vector for a type-C root."""
-
-    def unit(i, j):
-        return ExactMatrix(2 * r, 2 * r, {(i, j): 1})
-
-    pos = [j for j, c in enumerate(eps) if c > 0]
-    neg = [j for j, c in enumerate(eps) if c < 0]
-    if len(pos) == 1 and len(neg) == 1:
-        k, l = pos[0], neg[0]  # eps_k - eps_l
-        return unit(k, l) - unit(r + l, r + k)
-    if len(neg) == 0:
-        if len(pos) == 1:
-            j = pos[0]  # 2 eps_j
-            return unit(j, r + j)
-        k, l = pos  # eps_k + eps_l
-        return unit(k, r + l) + unit(l, r + k)
-    if len(pos) == 0:
-        if len(neg) == 1:
-            j = neg[0]
-            return unit(r + j, j)
-        k, l = neg
-        return unit(r + k, l) + unit(r + l, k)
-    raise ValueError("not a type-C root pattern: %r" % (eps,))
+def sl_realization(r) -> MatrixRealization:
+    """The displayed trace-zero (r+1) x (r+1) realization, bound to its own table."""
+    return MatrixRealization(r + 1, *_display("A%d" % r))
 
 
-@lru_cache(maxsize=None)
-def _sp_images(r):
-    """The displayed symplectic matrices of the type-C basis keys."""
-
-    def unit(i, j):
-        return ExactMatrix(2 * r, 2 * r, {(i, j): 1})
-
-    images = {}
-    for j in range(r - 1):
-        images[("h", j)] = unit(j, j) - unit(j + 1, j + 1) - unit(r + j, r + j) + unit(r + j + 1, r + j + 1)
-    images[("h", r - 1)] = unit(r - 1, r - 1) - unit(2 * r - 1, 2 * r - 1)
-    for alpha in sorted(preset_table("C%d" % r).rs._all):
-        images[("e", alpha)] = _sp_display_matrix(r, _sp_eps_coords(r, alpha))
-    return images
-
-
-@lru_cache(maxsize=None)
-def sp_sign_reconciliation(r):
-    """The signs of the displayed symplectic matrices against the generic
-    type-C table (see _read_signs)."""
-    return _read_signs(preset_table("C%d" % r), _sp_images(r))
-
-
-@lru_cache(maxsize=None)
 def sp_structure_table(r) -> StructureTable:
-    """The generic type-C table twisted by sp_sign_reconciliation."""
-    return _twisted_table(preset_table("C%d" % r), sp_sign_reconciliation(r))
+    """The generic type-C table under the signs of the displayed symplectic matrices."""
+    return _display("C%d" % r)[1]
 
 
 @lru_cache(maxsize=None)
 def sp_realization(r) -> MatrixRealization:
     """The displayed 2r x 2r symplectic realization, bound to its own table."""
-    return MatrixRealization(2 * r, _sp_images(r), sp_structure_table(r))
+    return MatrixRealization(2 * r, *_display("C%d" % r))
 
 
 def eta(r, x: ChevElement) -> ExactMatrix:

@@ -150,8 +150,6 @@ def _exact(x):
 
 
 I = GaussianRational(0, 1)
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +472,8 @@ def rank(m):
 
 
 def nullspace_basis(m):
-    """Basis of the right kernel of an ExactMatrix, as dense tuples.
+    """Basis of the right kernel of an ExactMatrix, as sparse {column: value}
+    vectors like IncrementalSpan's rows.
 
     One vector per free column f of the reduced echelon form: 1 at f, minus
     the f-entry of each pivot row at that row's pivot.  Empty list iff
@@ -484,15 +483,5 @@ def nullspace_basis(m):
     for row in m.row_dicts():
         span.add(row)
     pivots = span.reduced_rows()
-    basis = []
-    for f in range(m.cols):
-        if f in pivots:
-            continue
-        vec = [ZERO] * m.cols
-        vec[f] = ONE
-        for p, row in pivots.items():
-            coeff = row.get(f)
-            if coeff:
-                vec[p] = _coerce(-coeff)
-        basis.append(tuple(vec))
-    return basis
+    return [{f: 1, **{p: -row[f] for p, row in pivots.items() if f in row}}
+            for f in range(m.cols) if f not in pivots]

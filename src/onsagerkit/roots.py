@@ -12,7 +12,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, NotAffine, NotFinite, _coroot_coords_raw, root_closure
-from .exact_math import BadInput
 
 
 class NotARoot(ValueError):
@@ -62,8 +61,6 @@ class RootSystem:
             for i in range(n)
         )
         self.theta = self.positive_roots[-1]
-        if self.form_value(self.theta, self.theta) != 2:
-            raise BadInput("highest root is not long; matrix is decomposable")
 
     @property
     def rank(self):

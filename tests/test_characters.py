@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
-from onsagerkit.cartan import preset
+from onsagerkit.cartan import FINITE, OTHER, UNTWISTED_AFFINE, NotSymmetrizable, preset, preset_names, validate
 from onsagerkit.characters import (
     NotCAffine,
     NotCType,
@@ -15,19 +17,22 @@ from onsagerkit.characters import (
     even_column_set,
     finite_character_realization,
 )
-from onsagerkit.chevalley import _sp_eps_coords, sp_structure_table
+from onsagerkit.chevalley import sp_structure_table
 from onsagerkit.exact_math import ExactMatrix, GaussianRational, I, IncrementalSpan, nullspace_basis
 from onsagerkit.loop import YIndex
 from onsagerkit.onsager import realization_for
 from onsagerkit.roots import AffineRoot
+from onsagerkit.serre_coeffs import serre_relation
 
 
 def _root_from_eps(r, eps):
-    t = sp_structure_table(r)
-    for alpha in t.rs._all:
-        if _sp_eps_coords(r, alpha) == eps:
-            return alpha
-    raise AssertionError(eps)
+    """The type-C root with these eps coordinates: alpha_k = eps_k - eps_{k+1}
+    (k < r) and alpha_r = 2 eps_r give coordinates the partial sums of eps,
+    the last one halved."""
+    sums = list(accumulate(eps))
+    alpha = tuple(sums[:-1]) + (sums[-1] // 2,)
+    assert sp_structure_table(r).rs.is_root(alpha), eps
+    return alpha
 
 
 def test_even_column_sets():
@@ -50,6 +55,42 @@ def test_finite_character_dimension(name):
     rz = realization_for(c)
     space = character_space(rz, rz.table.rs.max_height)
     assert space.dimension == len(even_column_set(c))
+
+
+def _free_by_relations(c):
+    """The labels j that no relation (i, j) ties to zero through its length-1
+    term c_0[1 - a_ij] B_j: a character kills every bracket, so it leaves
+    only that term of each relation, and is free exactly on these labels."""
+    return frozenset(j for j in c.labels
+                     if not any(serre_relation(c, i, j).terms.get((j,)) for i in c.labels if i != j))
+
+
+def test_relations_free_the_even_columns_of_random_gcms():
+    rng = random.Random(16)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.6:
+                    a[i][j], a[j][i] = -rng.randint(1, 4), -rng.randint(1, 4)
+        try:
+            c = validate(a)
+        except NotSymmetrizable:
+            continue
+        kinds.add(c.kind)
+        assert _free_by_relations(c) == even_column_set(c), c
+    assert kinds == {FINITE, UNTWISTED_AFFINE, OTHER}
+
+
+@pytest.mark.parametrize("name", [n for n in preset_names(4) if preset(n).n <= 4])
+def test_relations_free_as_many_labels_as_the_character_solve(name):
+    c = preset(name)
+    rz = realization_for(c)
+    H = rz.top_height or 2 * rz.affine.delta_height + 2
+    assert _free_by_relations(c) == even_column_set(c)
+    assert len(_free_by_relations(c)) == character_space(rz, H).dimension
 
 
 @pytest.mark.parametrize("name,H_extra", [("A1~", 0), ("C2~", 0), ("C3~", 0)])
@@ -295,5 +336,5 @@ def test_the_solve_takes_each_distinct_row_once(name, monkeypatch):
     assert added == distinct
     keys = [k for k, _ in rz.basis(H)]
     every = ExactMatrix(len(rows), len(keys), {(r, j): c for r, row in enumerate(rows) for j, c in row.items()})
-    want = [{k: v.re for k, v in zip(keys, vec) if v} for vec in nullspace_basis(every)]
+    want = [{keys[j]: v for j, v in vec.items()} for vec in nullspace_basis(every)]
     assert space.basis == want

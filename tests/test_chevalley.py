@@ -17,13 +17,11 @@ from onsagerkit.chevalley import (
     NotAPositiveRoot,
     NotFixedError,
     StructureTable,
-    _sp_images,
     build_chevalley,
     eta,
     preset_table,
     sl_realization,
     sp_realization,
-    sp_sign_reconciliation,
     sp_structure_table,
     verify_gl_presentation,
 )
@@ -375,7 +373,8 @@ def test_sp_fixed_point_block_shape(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_sp_reconciliation_exists(r):
-    signs = sp_sign_reconciliation(r)
+    generic = preset_table("C%d" % r)
+    signs = chevalley._read_signs(generic, chevalley._display("C%d" % r)[0])
     assert all(v in (1, -1) for v in signs.values())
     for alpha in preset_table("C%d" % r).rs.positive_roots:
         if height(alpha) == 1:
@@ -417,7 +416,7 @@ def test_twisted_table_matches_matrix_reference(r):
     # matrices give entry by entry
     t = sp_structure_table(r)
     assert t.rs is preset_table("C%d" % r).rs
-    assert dict(t.N) == _matrix_n(_sp_images(r), t.rs)
+    assert dict(t.N) == _matrix_n(chevalley._display("C%d" % r)[0], t.rs)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -451,7 +450,7 @@ def test_sl_table_matches_matrix_reference(r):
 
 @pytest.fixture
 def cold_matrix_caches():
-    caches = (sp_sign_reconciliation, sp_structure_table, sp_realization)
+    caches = (chevalley._display, sp_realization)
     for f in caches:
         f.cache_clear()
     yield
@@ -474,7 +473,7 @@ def test_cold_twisted_table_makes_one_commutator_per_nonsimple_root(cold_matrix_
 
 
 def test_sl_sign_read_makes_one_commutator_per_nonsimple_root(monkeypatch):
-    images, generic = chevalley._sl_images(3), preset_table("A3")
+    images, generic = chevalley._display("A3")[0], preset_table("A3")
     calls = []
     commutator = ExactMatrix.commutator
 
@@ -488,13 +487,12 @@ def test_sl_sign_read_makes_one_commutator_per_nonsimple_root(monkeypatch):
     assert len(calls) == len(nonsimple) == 3
 
 
-def test_sign_derivation_raises_on_a_wrong_display(cold_matrix_caches, monkeypatch):
+def test_sign_derivation_raises_on_a_wrong_display():
     # a displayed matrix that is no multiple of the commutator it should be
-    images = dict(_sp_images(2))
+    images = dict(chevalley._display("C2")[0])
     images[("e", (1, 1))] = 2 * images[("e", (1, 1))]
-    monkeypatch.setattr(chevalley, "_sp_images", lambda r: images)
     with pytest.raises(IdentityViolation, match="is not a signed N multiple"):
-        sp_sign_reconciliation(2)
+        chevalley._read_signs(preset_table("C2"), images)
 
 
 def test_realization_names_failing_pairs():
@@ -527,13 +525,12 @@ def test_eta_root_vector_images():
     r = 3
 
     def root_from_eps(eps):
-        from onsagerkit.chevalley import _sp_eps_coords
-
-        t = sp_structure_table(r)
-        for alpha in t.rs._all:
-            if _sp_eps_coords(r, alpha) == eps:
-                return alpha
-        raise AssertionError(eps)
+        # alpha_k = eps_k - eps_{k+1} (k < r) and alpha_r = 2 eps_r give
+        # coordinates the partial sums of eps, the last one halved
+        sums = list(itertools.accumulate(eps))
+        alpha = tuple(sums[:-1]) + (sums[-1] // 2,)
+        assert sp_structure_table(r).rs.is_root(alpha), eps
+        return alpha
 
     t = sp_structure_table(r)
     # eta(y_{eps_j - eps_k}) = E_jk - E_kj

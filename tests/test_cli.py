@@ -399,8 +399,7 @@ def test_verify_builds_one_word_span(capsys, monkeypatch):
 
 def _clear_tables():
     chevalley._TABLES.clear()
-    for f in (chevalley.sp_sign_reconciliation, chevalley.sp_structure_table,
-              chevalley.sp_realization, chevalley.sl_realization):
+    for f in (chevalley._display, chevalley.sp_realization):
         f.cache_clear()
 
 

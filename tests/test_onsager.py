@@ -1,7 +1,7 @@
 import pytest
 
 from onsagerkit import onsager
-from onsagerkit.cartan import FINITE, preset, validate
+from onsagerkit.cartan import FINITE, preset, preset_names, validate
 from onsagerkit.chevalley import _vneg
 from onsagerkit.freelie import parse_bracket, to_lyndon
 from onsagerkit.loop import e_at, y_affine
@@ -251,3 +251,41 @@ def element_generators(rz):
             theta = rz.affine.theta
             out[lab] = e_at(_vneg(theta), 1) - e_at(theta, -1)
     return out
+
+
+# the exponents of each finite type, by hand
+EXPONENTS = {"G2": (1, 5), "F4": (1, 5, 7, 11), "E6": (1, 4, 5, 7, 8, 11),
+             "E7": (1, 5, 7, 9, 11, 13, 17), "E8": (1, 7, 11, 13, 17, 19, 23, 29)}
+EXPONENTS.update({"A%d" % r: tuple(range(1, r + 1)) for r in range(1, 9)})
+EXPONENTS.update({"%s%d" % (f, r): tuple(range(1, 2 * r, 2)) for f in "BC" for r in range(1, 9)})
+EXPONENTS.update({"D%d" % r: tuple(sorted([*range(1, 2 * r - 2, 2), r - 1])) for r in range(4, 9)})
+
+
+def _kostant_mults(exps, affine, H):
+    """Basis vectors per height 1..H from the exponents (Kostant, 1959): a
+    finite type has #{e >= k} positive roots of height k; in the affine
+    extension, with h = max(e) + 1, height k = qh + r (0 < r < h) has
+    #{e >= r} + #{e >= h - r} real roots and height qh rank-many imaginary
+    vectors."""
+    h = max(exps) + 1
+
+    def at_least(k):
+        return sum(e >= k for e in exps)
+
+    if not affine:
+        return [at_least(k) for k in range(1, H + 1)]
+    return [len(exps) if k % h == 0 else at_least(k % h) + at_least(h - k % h) for k in range(1, H + 1)]
+
+
+@pytest.mark.parametrize("name", preset_names(8))
+def test_heights_from_exponents(name):
+    affine = name.endswith("~")
+    exps = EXPONENTS[name.rstrip("~")]
+    h = max(exps) + 1
+    H = 3 * h if affine else h
+    mults = realization_for(preset(name)).height_mults(H)
+    assert mults == _kostant_mults(exps, affine, H)
+    # the test has teeth: bumping any one exponent changes the answer
+    for k in range(len(exps)):
+        bumped = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
+        assert _kostant_mults(bumped, affine, H) != mults

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from onsagerkit import serre_coeffs
 from onsagerkit.cartan import preset, validate
 from onsagerkit.freelie import parse_bracket, to_lyndon
 from onsagerkit.serre_coeffs import (
@@ -132,3 +133,35 @@ def _bench_library(name):
 ])
 def test_serre_ad_word_span_ranks(name, depth, ranks):
     assert _bench_library("serre-span")(name, depth) == {"ranks": ranks}
+
+
+def _spectrum_polynomial(a):
+    """Coefficients, lowest degree first, of prod_m (x - i m) over the sl_2
+    weights m = a, a + 2, ..., -a of the e_i-string through e_j, on which
+    ad(y_i) acts with eigenvalues i m: prod_{m > 0} (x^2 + m^2) over
+    m = -a, -a - 2, ..., times x when a is even."""
+    poly = [0, 1] if a % 2 == 0 else [1]
+    for m in range(-a, 0, -2):
+        # times x^2 + m^2
+        poly = [m * m * p + q for p, q in zip(poly + [0, 0], [0, 0] + poly)]
+    return tuple(poly)
+
+
+def spectrum_mismatches():
+    """The a in 0 .. -11 whose Serre row coeff_row(a, 1 - a) differs from
+    its sl_2 spectrum polynomial (read through the module, so a replaced
+    coeff_row is the one checked)."""
+    return [a for a in range(0, -12, -1) if serre_coeffs.coeff_row(a, 1 - a).c != _spectrum_polynomial(a)]
+
+
+def test_spectrum_polynomial_examples():
+    assert _spectrum_polynomial(0) == (0, 1)
+    assert _spectrum_polynomial(-1) == (1, 0, 1)
+    # Dolan-Grady: x^3 + 4x
+    assert _spectrum_polynomial(-2) == (0, 4, 0, 1)
+    # (x^2 + 9)(x^2 + 1)
+    assert _spectrum_polynomial(-3) == (9, 0, 10, 0, 1)
+
+
+def test_serre_rows_are_the_sl2_spectrum_polynomials():
+    assert spectrum_mismatches() == []

@@ -19,6 +19,7 @@ import onsagerkit
 from onsagerkit import cli, serre_coeffs, verify
 from onsagerkit.cartan import preset
 from onsagerkit.serre_coeffs import CoeffRow
+from test_serre_coeffs import spectrum_mismatches
 
 SERRE_FAIL = "FAIL  inhomogeneous Serre relations evaluate to zero (nonzero image for generator pairs %s)"
 
@@ -93,6 +94,11 @@ SWAPPED = {
 @pytest.mark.parametrize("name", sorted(BUMPED))
 def test_a_bumped_serre_coefficient_fails_the_serre_row(name):
     assert bumped_case(name) == [1, [SERRE_FAIL % BUMPED[name]]]
+
+
+def test_a_bumped_serre_coefficient_fails_the_spectrum_rows():
+    with _replaced(serre_coeffs, "coeff_row", bumped_row):
+        assert spectrum_mismatches() == list(range(0, -12, -1))
 
 
 @pytest.mark.parametrize("name", sorted(SWAPPED))

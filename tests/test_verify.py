@@ -350,15 +350,15 @@ MATRIX_PINS = {
     )],
 }
 
-_TRUE_SIGNS = chevalley.sp_sign_reconciliation
+_TRUE_SIGNS = chevalley._read_signs
 _TRUE_TABLE = chevalley.preset_table
 
 
-def _flipped_signs(r):
+def _flipped_signs(generic, images):
     """The true sign vector with s_gamma = s_{-gamma} negated for the first
     positive root of height 2; the twisted table keeps its sign laws."""
-    signs = dict(_TRUE_SIGNS(r))
-    gamma = next(a for a in _TRUE_TABLE("C%d" % r).rs.positive_roots if height(a) == 2)
+    signs = dict(_TRUE_SIGNS(generic, images))
+    gamma = next(a for a in generic.rs.positive_roots if height(a) == 2)
     signs[gamma] = signs[_neg(gamma)] = -signs[gamma]
     return signs
 
@@ -375,13 +375,13 @@ def _flipped_orbit_table(name):
 
 # case -> (the chevalley name replaced, its replacement, the rows that must FAIL)
 MUTATED = {
-    "verify --preset C3": ("sp_sign_reconciliation", _flipped_signs, ["gl_3 presentation", "symplectic realization"]),
+    "verify --preset C3": ("_read_signs", _flipped_signs, ["gl_3 presentation", "symplectic realization"]),
     "verify --preset A3": ("preset_table", _flipped_orbit_table, ["special linear matrix realization"]),
 }
 
 
 def _clear_matrix_caches():
-    for f in (_TRUE_SIGNS, chevalley.sp_structure_table, chevalley.sp_realization, chevalley.sl_realization):
+    for f in (chevalley._display, chevalley.sp_realization):
         f.cache_clear()
 
 
@@ -451,7 +451,7 @@ def test_matrix_rows_under_optimize():
 
 def test_flipped_sign_keeps_the_sign_laws_and_fails_the_realization():
     true_n = chevalley.sp_structure_table(3).N
-    with _replaced("sp_sign_reconciliation", _flipped_signs):
+    with _replaced("_read_signs", _flipped_signs):
         t = chevalley.sp_structure_table(3)  # StructureTable checks the sign laws
         assert t.N != true_n
         with pytest.raises(IdentityViolation, match="bracket of images differs"):
@@ -495,6 +495,34 @@ def test_one_table_per_matrix(case, monkeypatch):
     finally:
         _clear_all_tables()
     assert len(builds) == 1
+
+
+def test_every_chevalley_cache_is_hit_by_verify_c3():
+    # a cache that verify --preset C3 never hits is not worth keeping
+    caches = {name: f for name, f in vars(chevalley).items() if hasattr(f, "cache_info")}
+    assert {"_display", "sp_realization"} <= set(caches)
+    _clear_all_tables()
+    for f in caches.values():
+        f.cache_clear()
+    try:
+        assert _run("verify --preset C3")[0] == 0
+        assert {name: f.cache_info().hits > 0 for name, f in caches.items()} == dict.fromkeys(caches, True)
+    finally:
+        _clear_all_tables()
+
+
+@pytest.mark.parametrize("blocks", [("A1", "A1"), ("A3", "C2"), ("C2", "A3"), ("A5", "G2"), ("G2", "A5")])
+def test_decomposable_finite_matrices_pass_in_either_order(blocks, tmp_path):
+    x, y = (preset(b).a for b in blocks)
+    rows = [list(r) + [0] * len(y) for r in x] + [[0] * len(x) + list(r) for r in y]
+    path = tmp_path / "matrix.txt"
+    path.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--matrix-file", str(path)])
+    lines = out.getvalue().splitlines()
+    assert code == 0 and len(lines) == 4, out.getvalue()
+    assert all(line.startswith("PASS  ") for line in lines), out.getvalue()
 
 
 def test_explicit_tables_are_not_cached():
