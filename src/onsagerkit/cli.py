@@ -32,7 +32,7 @@ from .exact_math import BadInput, IdentityViolation, signed_sum
 from .freelie import ad_power, parse_bracket
 from .loop import YIndex
 from .onsager import psi_eval, realization_for
-from .roots import AffineData, AffineRoot, RootSystem, height, root_str
+from .roots import AffineRoot, RootSystem, height, root_str
 from .serre_coeffs import coeff_row, coeff_table
 from .verify import check_onsager_structure, verification_suite
 
@@ -103,21 +103,21 @@ def roots_report(c, H):
                 if height(a) <= H
             ],
         }
-    ad = AffineData(c)
-    H = H or 2 * ad.delta_height
+    rs = RootSystem(c.finite_part())
+    H = H or 2 * rs.delta_height
     return {
         "schema": SCHEMA,
         "kind": "roots",
         "type": "affine",
-        "delta_height": ad.delta_height,
+        "delta_height": rs.delta_height,
         "roots": [
             {
                 "finite": list(g.finite),
                 "level": g.level,
-                "height": ad.height(g),
+                "height": rs.affine_height(g),
                 "mult": m,
             }
-            for g, m in ad.positive_up_to(H)
+            for g, m in rs.affine_roots_up_to(H)
         ],
     }
 

@@ -18,7 +18,7 @@ from .chevalley import StructureTable, _vneg, table_for
 from .exact_math import BadInput, IncrementalSpan, add_into, bilinear
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
 from .loop import YIndex, k_bracket_expand, y_key, y_number
-from .roots import AffineData, AffineRoot, height
+from .roots import AffineRoot, height
 from .serre_coeffs import serre_relation
 
 
@@ -105,22 +105,23 @@ class AffineRealization(Realization):
     top_height = None
 
     def __init__(self, c: CartanMatrix, table: StructureTable = None):
-        self.affine = aff = AffineData(c)
         if table is None:
-            table = table_for(aff.finite_cartan)
+            table = table_for(c.finite_part())
+        # the finite root system the affine roots and heights are read from
+        self.affine = rs = table.rs
         gens = {}
         finite_pos = 0
         for pos, label in enumerate(c.labels):
             if pos == c.affine_node:
-                gens[label] = y_number(table, ("e", _vneg(aff.theta)), 1)
+                gens[label] = y_number(table, ("e", _vneg(rs.theta)), 1)
             else:
-                gens[label] = y_number(table, ("e", tuple(int(k == finite_pos) for k in range(aff.rank))), 0)
+                gens[label] = y_number(table, ("e", tuple(int(k == finite_pos) for k in range(rs.rank))), 0)
                 finite_pos += 1
         super().__init__(c, table, gens)
 
     def basis(self, H):
-        aff = self.affine
-        return [(YIndex(g, i), aff.height(g)) for g, m in aff.positive_up_to(H) for i in range(1, m + 1)]
+        rs = self.affine
+        return [(YIndex(g, i), rs.affine_height(g)) for g, m in rs.affine_roots_up_to(H) for i in range(1, m + 1)]
 
     def number(self, idx):
         gamma = idx.gamma
@@ -134,13 +135,13 @@ class AffineRealization(Realization):
         return YIndex(AffineRoot(v, level))
 
 
-def realization_for(c: CartanMatrix, table=None) -> Realization:
+def realization_for(c: CartanMatrix) -> Realization:
     """The realization of a finite or untwisted affine matrix; NotRealized
     for any other kind."""
     if c.kind == FINITE:
-        return FiniteRealization(c, table)
+        return FiniteRealization(c)
     if c.kind == UNTWISTED_AFFINE:
-        return AffineRealization(c, table)
+        return AffineRealization(c)
     raise NotRealized("a realization needs a finite or untwisted affine matrix; "
                       "this one classifies as %s" % c.kind)
 

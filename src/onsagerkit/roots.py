@@ -3,7 +3,7 @@
 Roots are integer coordinate tuples over the simple roots.  The bilinear form
 is normalized so long roots have squared length 2; all other lengths follow
 from the symmetrizer.  Affine roots are (finite part, delta level) pairs with
-multiplicity 1 (real) or r (imaginary).
+multiplicity 1 (real) or r (imaginary), read off the finite root system.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, NotAffine, NotFinite, _coroot_coords_raw, root_closure
+from .cartan import FINITE, CartanMatrix, NotFinite, _coroot_coords_raw, root_closure
 
 
 class NotARoot(ValueError):
@@ -40,7 +40,7 @@ def root_str(root):
 
 
 class RootSystem:
-    """Positive roots of a finite-type Cartan matrix plus the normalized form."""
+    """Positive roots of a finite-type Cartan matrix, the normalized form and the affine roots."""
 
     def __init__(self, cartan: CartanMatrix):
         if cartan.kind != FINITE:
@@ -76,6 +76,34 @@ class RootSystem:
     @property
     def max_height(self):
         return height(self.theta)
+
+    @property
+    def delta_height(self):
+        """Height of delta = alpha_0 + theta in the affine extension."""
+        return 1 + self.max_height
+
+    def affine_height(self, gamma):
+        """Height of an AffineRoot over the affine simple roots."""
+        return gamma.level * self.delta_height + height(gamma.finite)
+
+    def affine_roots_up_to(self, H):
+        """All positive affine roots of height <= H with multiplicities."""
+        out = []
+        zero = (0,) * self.rank
+        for alpha in self.positive_roots:
+            if height(alpha) <= H:
+                out.append((AffineRoot(alpha, 0), 1))
+        k = 1
+        while k * self.delta_height - self.max_height <= H:
+            if k * self.delta_height <= H:
+                out.append((AffineRoot(zero, k), self.rank))
+            for alpha in sorted(self._all):
+                ht = k * self.delta_height + height(alpha)
+                if 1 <= ht <= H:
+                    out.append((AffineRoot(alpha, k), 1))
+            k += 1
+        out.sort(key=lambda pair: (self.affine_height(pair[0]), pair[0]))
+        return out
 
     def form_value(self, alpha, beta):
         """(alpha, beta) for arbitrary lattice vectors."""
@@ -149,50 +177,3 @@ class AffineRoot(namedtuple("AffineRoot", "finite level")):
             return fin
         lv = "%+dd" % self.level if abs(self.level) != 1 else ("+d" if self.level > 0 else "-d")
         return fin + lv
-
-
-class AffineData:
-    """Finite part and bookkeeping of an untwisted affine Cartan matrix."""
-
-    def __init__(self, cartan: CartanMatrix):
-        if cartan.kind != UNTWISTED_AFFINE:
-            raise NotAffine("expected an untwisted affine matrix")
-        self.cartan = cartan
-        self.finite_cartan = cartan.finite_part()
-        self.rootsystem = RootSystem(self.finite_cartan)
-        self.theta = self.rootsystem.theta
-        self.delta_height = 1 + height(self.theta)
-        self.rank = self.finite_cartan.n
-
-    def height(self, gamma: AffineRoot):
-        """Height over the affine simple roots (delta = alpha_0 + theta)."""
-        return gamma.level * self.delta_height + height(gamma.finite)
-
-    def simple_root(self, label):
-        """Affine simple root for a generator label (0 = -theta + delta)."""
-        if label == 0:
-            return AffineRoot(tuple(-c for c in self.theta), 1)
-        unit = tuple(1 if i == label - 1 else 0 for i in range(self.rank))
-        return AffineRoot(unit, 0)
-
-    def positive_up_to(self, H):
-        """All positive affine roots of height <= H with multiplicities."""
-        if H < 1:
-            return []
-        out = []
-        rs = self.rootsystem
-        zero = (0,) * self.rank
-        for alpha in rs.positive_roots:
-            if height(alpha) <= H:
-                out.append((AffineRoot(alpha, 0), 1))
-        k = 1
-        while k * self.delta_height - rs.max_height <= H:
-            if k * self.delta_height <= H:
-                out.append((AffineRoot(zero, k), self.rank))
-            for alpha in sorted(rs._all):
-                ht = k * self.delta_height + height(alpha)
-                if 1 <= ht <= H:
-                    out.append((AffineRoot(alpha, k), 1))
-            k += 1
-        out.sort(key=lambda pair: (self.height(pair[0]), pair[0]))
-        return out

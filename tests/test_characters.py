@@ -226,7 +226,7 @@ def test_shift_invariance_in_window():
         for k in range(-2, 3):
             up = AffineRoot(alpha, k + 1)
             down = AffineRoot(alpha, k - 1)
-            if rz.affine.height(up) > H or abs(rz.affine.height(down)) > H:
+            if rz.affine.affine_height(up) > H or abs(rz.affine.affine_height(down)) > H:
                 continue
             assert chi(up) == chi(down), (alpha, k)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from onsagerkit import chevalley, cli, onsager, verify
+from onsagerkit import cartan, chevalley, cli, onsager, verify
 from onsagerkit.cartan import NotAffine, NotFinite, NotGCM, NotSymmetrizable, UnknownPreset, parse_matrix_text
 from onsagerkit.characters import WindowTooSmall
 from onsagerkit.chevalley import NotAPositiveRoot, NotFixedError
@@ -431,3 +431,23 @@ def test_a_broken_onsager_table_exits_one(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: [A_-2,A_-1] != G_1\n"
+
+
+@pytest.mark.parametrize("name", ["A2", "C3", "G2~", "C3~"])
+@pytest.mark.parametrize("argv", [("roots",), ("verify",), ("chars", "--json"), ("structconst", "--json"),
+                                  ("eval", "[B1,B2]")], ids=lambda argv: argv[0])
+def test_each_command_builds_one_root_system(name, argv, monkeypatch, capsys):
+    # an affine run reads its roots and heights off the finite root system
+    # of its structure table; C3~ chars takes the symplectic display's table
+    _clear_tables()
+    cartan.preset.cache_clear()
+    init, built = RootSystem.__init__, []
+
+    def counted(self, c):
+        built.append(c.a)
+        init(self, c)
+
+    monkeypatch.setattr(RootSystem, "__init__", counted)
+    code, _, _ = run_cli(capsys, argv[0], "--preset", name, *argv[1:])
+    assert code == 0
+    assert len(built) == 1, built

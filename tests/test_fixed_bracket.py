@@ -84,6 +84,23 @@ def test_affine_kernel_matches_the_element_bracket_on_a_sample(name):
     _check_affine_pairs(rz, [(rng.choice(indices), rng.choice(indices)) for _ in range(2000)])
 
 
+@pytest.mark.parametrize("name", ["A1~", "A2~", "C2~", "G2~", "B3~", "C3~", "D4~"])
+def test_affine_kernel_is_height_graded(name):
+    # [y_u, y_v] has terms only at heights h_u + h_v and |h_u - h_v|, and
+    # one above the window H exactly when h_u + h_v > H and the table entry
+    # of the two leading keys is nonzero
+    rz = realization_for(preset(name))
+    t, rs, hd = rz.table, rz.affine, rz.affine.delta_height
+    for H in (hd + 1, 2 * hd + 1, 2 * hd + 2):
+        window = [(rz.number(key), h) for key, h in rz.basis(H)]
+        for pos, (u, hu) in enumerate(window):
+            for v, hv in window[pos:]:
+                heights = {rs.affine_height(rz.index(n).gamma) for n in rz.basis_bracket(u, v)}
+                assert heights <= {hu + hv, abs(hu - hv)}, (H, rz.index(u), rz.index(v))
+                leading = t.entry(u % t.dim, v % t.dim)[0]
+                assert (max(heights, default=0) > H) == (hu + hv > H and bool(leading)), (H, u, v)
+
+
 @pytest.mark.parametrize("name", ["G2", "C3", "F4"])
 def test_finite_kernel_matches_the_element_bracket(name):
     rz = FiniteRealization(preset(name))

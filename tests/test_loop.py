@@ -23,7 +23,7 @@ from onsagerkit.loop import (
     y_imag,
 )
 from onsagerkit.onsager import realization_for
-from onsagerkit.roots import AffineData, AffineRoot
+from onsagerkit.roots import AffineRoot, RootSystem
 
 
 def test_central_extension_bracket():
@@ -183,7 +183,7 @@ def test_k_bracket_expand_keeps_exact_coefficients():
     # stay ints, never a float or a Fraction
     t = preset_table("C2")
     rz = realization_for(preset("C2~"))
-    indices = [YIndex(g, i) for g, m in AffineData(preset("C2~")).positive_up_to(5)
+    indices = [YIndex(g, i) for g, m in RootSystem(preset("C2~").finite_part()).affine_roots_up_to(5)
                for i in range(1, m + 1)]
     for a in indices:
         for b in indices:

@@ -3,7 +3,6 @@ import pytest
 from onsagerkit.cartan import NotFinite, preset
 from onsagerkit.onsager import realization_for
 from onsagerkit.roots import (
-    AffineData,
     AffineRoot,
     NotARoot,
     RootSystem,
@@ -83,22 +82,26 @@ def test_coroot_integrality(name):
 
 
 def test_affine_examples_a1():
-    roots2 = AffineData(preset("A1~")).positive_up_to(2)
+    rs = RootSystem(preset("A1~").finite_part())
+    roots2 = rs.affine_roots_up_to(2)
     as_set = {(g.finite, g.level, m) for g, m in roots2}
     assert as_set == {((1,), 0, 1), ((-1,), 1, 1), ((0,), 1, 1)}
-    ad = AffineData(preset("A1~"))
-    assert ad.delta_height == 2
-    roots3 = {str(g) for g, _ in ad.positive_up_to(3)}
+    assert rs.delta_height == 2
+    roots3 = {str(g) for g, _ in rs.affine_roots_up_to(3)}
     assert {"a1+d", "-a1+2d"} <= roots3
+    assert rs.affine_roots_up_to(0) == [] and rs.affine_roots_up_to(-3) == []
 
 
 def test_affine_height_one_is_simples():
+    # the affine simple roots: the unit vectors at level 0, and
+    # alpha_0 = delta - theta at level 1
     for name in ("A1~", "A2~", "C2~", "G2~"):
-        ad = AffineData(preset(name))
-        ht1 = [(g, m) for g, m in ad.positive_up_to(1)]
-        assert len(ht1) == ad.rank + 1
+        rs = RootSystem(preset(name).finite_part())
+        ht1 = [(g, m) for g, m in rs.affine_roots_up_to(1)]
+        assert len(ht1) == rs.rank + 1
         assert all(m == 1 for _, m in ht1)
-        simples = {ad.simple_root(lab) for lab in ad.cartan.labels}
+        simples = {AffineRoot(tuple(int(k == i) for k in range(rs.rank)), 0) for i in range(rs.rank)}
+        simples.add(AffineRoot(tuple(-c for c in rs.theta), 1))
         assert {g for g, _ in ht1} == simples
 
 
