@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exact_math import BadInput, IdentityViolation, IncrementalSpan
+from .exact_math import BadInput, IdentityViolation, IncrementalSpan, exact_int
 
 
 class NotGCM(BadInput):
@@ -166,8 +166,10 @@ def _coroot_coords_raw(a, d, root):
 _CLOSURE_CAP = 250000
 
 
+@lru_cache(maxsize=64)  # a run closes one matrix; the bound caps a long-lived caller
 def root_closure(a):
-    """All roots of the finite-type matrix `a`, closed under simple reflections.
+    """All roots of the finite-type matrix `a` (a tuple of row tuples),
+    closed under simple reflections, as a frozenset; memoized by the rows.
 
     Roots are integer tuples over the simple roots.  s_i(v) = v - <v, i> a_i
     with pairing <v, i> = sum_j v_j a[i][j].  Only terminates for finite type;
@@ -191,11 +193,12 @@ def root_closure(a):
         frontier = nxt
         if len(seen) > _CLOSURE_CAP:
             raise RuntimeError("reflection closure did not terminate: matrix is not of finite type")
-    return seen
+    return frozenset(seen)
 
 
 def validate(a, labels=None):
-    """Validate an integer matrix and classify it.
+    """Validate an integer matrix and classify it; an entry that is not an
+    int or an integral Fraction is a NotGCM.
 
     Finite iff all leading principal minors are positive.  UntwistedAffine iff
     every one-node deletion is of finite type (so is every proper principal
@@ -203,7 +206,12 @@ def validate(a, labels=None):
     which puts delta in the null space, so no determinant is taken.
     Everything else is Other.
     """
-    a = tuple(tuple(int(x) for x in row) for row in a)
+    ints = tuple(tuple(map(exact_int, row)) for row in a)
+    for i, row in enumerate(ints):
+        if None in row:
+            j = row.index(None)
+            raise NotGCM("entry a[%d][%d] = %r is not an integer" % (i, j, a[i][j]))
+    a = ints
     _check_gcm_axioms(a)
     d = symmetrizer(a)
     n = len(a)
@@ -302,7 +310,7 @@ def preset(name):
     if not m:
         raise UnknownPreset("cannot parse preset name %r" % name)
     family, rank, affine = m.group(1), int(m.group(2)), m.group(3) == "~"
-    fin = _finite_preset_matrix(family, rank)
+    fin = tuple(map(tuple, _finite_preset_matrix(family, rank)))
     if not affine:
         c = validate(fin, labels=tuple(range(1, rank + 1)))
         if c.kind != FINITE:

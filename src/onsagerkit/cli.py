@@ -223,7 +223,8 @@ def chars_report(c, H=None):
     # exact preset C types get the closed-form columns, computed on the
     # displayed symplectic basis the closed form refers to; the generator
     # values are keyed by the preset's labels, which a --matrix-file with
-    # the same rows does not share (it is labelled 1..n)
+    # the same rows does not share (it is labelled 1..n).  An affine matrix
+    # is the C_r~ preset iff node 0 extends C_r, which closes no roots.
     closed = None
     if c.kind == FINITE and c.n >= 2 and c.a == preset("C%d" % c.n).a:
         r = c.n
@@ -231,7 +232,7 @@ def chars_report(c, H=None):
 
         def closed(alpha):
             return chi_finite(r, Fraction(1), alpha)
-    elif c.kind == UNTWISTED_AFFINE and c.n >= 2 and c.a == preset("C%d~" % (c.n - 1)).a:
+    elif c.kind == UNTWISTED_AFFINE and c.affine_node == 0 and c.finite_part().a == preset("C%d" % (c.n - 1)).a:
         r, s, t = c.n - 1, Fraction(1), Fraction(1, 2)
         rz, gens = affine_character_realization(r), {0: s, r: t}
 

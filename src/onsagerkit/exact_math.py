@@ -1,15 +1,18 @@
 """Exact scalars and exact sparse linear algebra over the Gaussian rationals.
 
-Scalars and matrices are immutable after construction.  Sparse vectors are
-plain dicts mapping coordinate keys to nonzero exact scalars: `int` while the
-arithmetic is integral, `Fraction` or `GaussianRational` once something
-divides.  `add_into` and `add_term` are the one place where they are summed,
+Every scalar enters through one rule, `_exact`: an int, a Fraction or a
+GaussianRational, stored as an int or Fraction when real and as a
+GaussianRational only when not; a float, a string or any other number is a
+TypeError.  `exact_int` is the gate for inputs that must be integers.
+Sparse vectors are plain dicts mapping coordinate keys to nonzero exact
+scalars.  `add_into` and `add_term` are the one place where they are summed,
 `bilinear` extends a bracket or product on basis-key pairs to vectors,
-`SparseElement` is the one implementation of element arithmetic,
-`signed_sum` is the one printer of a signed sum, and `IncrementalSpan` is
-the one eliminator, which eliminates integer vectors without dividing.  No
-floating point appears anywhere; all downstream identities are checked as
-bit-exact equalities.
+`SparseElement` is the one element arithmetic (matrices included:
+`ExactMatrix` is an element keyed by (row, col)), `signed_sum` is the one
+printer of a signed sum, and `IncrementalSpan` is the one eliminator, which
+eliminates integer vectors without dividing.  Elements and matrices are
+immutable after construction.  No floating point appears anywhere; all
+downstream identities are checked as bit-exact equalities.
 """
 
 from __future__ import annotations
@@ -29,6 +32,15 @@ class IdentityViolation(Exception):
 class BadInput(ValueError):
     """The input is not one the program accepts: the only error the CLI
     reports as bad input (exit status 2).  Any other ValueError is a fault."""
+
+
+def _gaussian_operand(method):
+    """method with its operand as a GaussianRational, or NotImplemented
+    when the operand is not an exact scalar."""
+    def coerced(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is None else method(self, other)
+    return coerced
 
 
 class GaussianRational:
@@ -54,10 +66,8 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
+    @_gaussian_operand
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -68,30 +78,22 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
+    @_gaussian_operand
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_gaussian_operand
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
+    @_gaussian_operand
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(other.re - self.re, other.im - self.im)
 
+    @_gaussian_operand
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -99,10 +101,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
+    @_gaussian_operand
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         n = other.norm2()
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -111,10 +111,8 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / n,
         )
 
+    @_gaussian_operand
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
     def __repr__(self):
@@ -147,6 +145,11 @@ def _exact(x):
     elif not isinstance(x, (int, Fraction)):
         raise TypeError("expected an exact scalar (int, Fraction or GaussianRational), got %r" % (x,))
     return x.numerator if x.denominator == 1 else x
+
+
+def exact_int(x):
+    """x as an int when it is an int or an integral Fraction, else None."""
+    return x.numerator if isinstance(x, (int, Fraction)) and x.denominator == 1 else None
 
 
 I = GaussianRational(0, 1)
@@ -198,20 +201,24 @@ def signed_sum(parts):
 
 
 class SparseElement:
-    """Exact rational combination of basis keys: terms maps key -> nonzero
-    int or Fraction.  Integer coefficients stay ints, so integral brackets
-    run in int arithmetic; any other scalar becomes an exact Fraction.
+    """Exact combination of basis keys: terms maps key -> nonzero exact
+    scalar, admitted by `_exact`.  Integer coefficients stay ints, so
+    integral brackets run in int arithmetic.
 
     The one implementation of element arithmetic.  Subclasses fix the key
-    format and keep only their constructors and printers; elements of
-    different subclasses never compare equal.
+    format and keep only their constructors and printers; `_new` builds a
+    result of the caller's type.  Elements of different subclasses never
+    compare equal, and adding or subtracting them is a TypeError.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: c if type(c) is int or type(c) is Fraction else Fraction(c)
-                      for k, c in (terms or {}).items() if c}
+        self.terms = {k: v for k, c in (terms or {}).items()
+                      if (v := c if type(c) is int else _exact(c))}
+
+    def _new(self, terms):
+        return type(self)(terms)
 
     def is_zero(self):
         return not self.terms
@@ -221,95 +228,66 @@ class SparseElement:
             return NotImplemented
         return self.terms == other.terms
 
-    def __add__(self, other):
-        return type(self)(add_into(dict(self.terms), other.terms))
+    def __add__(self, other, scale=1):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._new(add_into(dict(self.terms), other.terms, scale))
 
     def __sub__(self, other):
-        return type(self)(add_into(dict(self.terms), other.terms, -1))
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._new({k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
         if type(scalar) is not int:
-            scalar = Fraction(scalar)
-        return type(self)({k: scalar * c for k, c in self.terms.items()})
+            scalar = _exact(scalar)
+        return self._new({k: scalar * c for k, c in self.terms.items()})
 
     __mul__ = __rmul__
 
 
-class ExactMatrix:
-    """Sparse matrix over the Gaussian rationals; zero entries are never
-    stored.  Real entries are stored as int or Fraction, so a rational
-    matrix is multiplied and eliminated over Q; entry() still reads every
-    entry as a GaussianRational."""
+class ExactMatrix(SparseElement):
+    """Sparse matrix over the Gaussian rationals: an element keyed by
+    (row, col), so zero entries are never stored.  Real entries are stored
+    as int or Fraction, so a rational matrix is multiplied and eliminated
+    over Q; entry() still reads every entry as a GaussianRational."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, rows, cols, entries=None):
+        for i, j in entries or ():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError("entry (%d, %d) outside %dx%d matrix" % (i, j, rows, cols))
+        super().__init__(entries)
         self.rows = rows
         self.cols = cols
-        store = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise IndexError("entry (%d, %d) outside %dx%d matrix" % (i, j, rows, cols))
-                v = _exact(v)
-                if v:
-                    store[(i, j)] = v
-        self.entries = store
+
+    def _new(self, terms):
+        return ExactMatrix(self.rows, self.cols, terms)
 
     @classmethod
     def from_rows(cls, data):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                entries[(i, j)] = v
-        return cls(rows, cols, entries)
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return cls(len(data), cols, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
 
     @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
     def entry(self, i, j):
-        return _coerce(self.entries.get((i, j), 0))
-
-    def is_zero(self):
-        return not self.entries
+        return _coerce(self.terms.get((i, j), 0))
 
     def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        same = super().__eq__(other)
+        return same if same is NotImplemented else same and (self.rows, self.cols) == (other.rows, other.cols)
 
-    def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
+    def __add__(self, other, scale=1):
+        if isinstance(other, ExactMatrix) and (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return ExactMatrix(self.rows, self.cols, add_into(dict(self.entries), other.entries))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, _EXACT):
-            return NotImplemented
-        s = _exact(scalar)
-        return ExactMatrix(self.rows, self.cols, {k: v * s for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
+        return super().__add__(other, scale)
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -317,10 +295,10 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         by_row = {}
-        for (i, k), v in self.entries.items():
+        for (i, k), v in self.terms.items():
             by_row.setdefault(i, []).append((k, v))
         by_col = {}
-        for (k, j), v in other.entries.items():
+        for (k, j), v in other.terms.items():
             by_col.setdefault(k, []).append((j, v))
         out = {}
         for i, left in by_row.items():
@@ -330,14 +308,11 @@ class ExactMatrix:
         return ExactMatrix(self.rows, other.cols, out)
 
     def transpose(self):
-        return ExactMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return ExactMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.terms.items()})
 
     def block(self, r0, r1, c0, c1):
-        out = {}
-        for (i, j), v in self.entries.items():
-            if r0 <= i < r1 and c0 <= j < c1:
-                out[(i - r0, j - c0)] = v
-        return ExactMatrix(r1 - r0, c1 - c0, out)
+        return ExactMatrix(r1 - r0, c1 - c0, {(i - r0, j - c0): v for (i, j), v in self.terms.items()
+                                              if r0 <= i < r1 and c0 <= j < c1})
 
     def commutator(self, other):
         return self @ other - other @ self
@@ -346,12 +321,12 @@ class ExactMatrix:
         """The rows as sparse vectors of the stored entries: int or Fraction
         when real, GaussianRational only when not."""
         out = [{} for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self.terms.items():
             out[i][j] = v
         return out
 
     def __repr__(self):
-        return "ExactMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
+        return "ExactMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.terms))
 
 
 def _eliminate(v, row, key):

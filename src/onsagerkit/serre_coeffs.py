@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cartan import CartanMatrix
-from .exact_math import IdentityViolation
+from .exact_math import BadInput, IdentityViolation, exact_int
 from .freelie import FreeLieElement, ad_power, to_lyndon
 
 
@@ -38,7 +38,12 @@ class CoeffRow(namedtuple("CoeffRow", "a r c")):
 
 
 def coeff_table(a, rmax):
-    """Rows (c_0[r], ..., c_r[r]) for r = 0..rmax."""
+    """Rows (c_0[r], ..., c_r[r]) for r = 0..rmax; BadInput unless a and
+    rmax are ints or integral Fractions."""
+    ints = exact_int(a), exact_int(rmax)
+    if None in ints:
+        raise BadInput("coefficient rows need integers a and r, got %r and %r" % (a, rmax))
+    a, rmax = ints
     rows = [[1]]
     if rmax >= 1:
         rows.append([0, 1])

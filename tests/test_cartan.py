@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,24 @@ def test_not_gcm():
         validate([[2, 1], [1, 2]])
     with pytest.raises(NotGCM):
         validate([[2, -1], [0, 2]])
+
+
+@pytest.mark.parametrize("a, where", [
+    ([[2.9, -1], [-1, 2]], "a[0][0] = 2.9"),
+    ([[2, -1.5], [-1, 2]], "a[0][1] = -1.5"),
+    ([[2, Fraction(-3, 2)], [-1, 2]], "a[0][1] = Fraction(-3, 2)"),
+    ([[2, "-1"], ["-1", 2]], "a[0][1] = '-1'"),
+])
+def test_non_integer_entries_are_not_gcm(a, where):
+    # int() truncated these entries, or parsed the strings: each read as A2
+    with pytest.raises(NotGCM, match=r"entry %s is not an integer" % re.escape(where)):
+        validate(a)
+
+
+def test_integral_fraction_entries_are_ints():
+    c = validate([[2, Fraction(-2, 2)], [-1, Fraction(4, 2)]])
+    assert c.typename == "A2" and c.a == ((2, -1), (-1, 2))
+    assert {type(x) for row in c.a for x in row} == {int}
 
 
 def test_not_symmetrizable():

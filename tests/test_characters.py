@@ -288,7 +288,7 @@ def test_c3_affine_solve_is_one_int_nullspace(monkeypatch):
     nullspace_basis = characters.nullspace_basis
 
     def recording(m):
-        seen.append((m.rows, m.cols, {type(v) for v in m.entries.values()}))
+        seen.append((m.rows, m.cols, {type(v) for v in m.terms.values()}))
         return nullspace_basis(m)
 
     monkeypatch.setattr(characters, "nullspace_basis", recording)

@@ -312,7 +312,7 @@ def test_sl_homomorphism_and_fixed_antisymmetry(r):
     for alpha in rz.table.rs.positive_roots:
         m = rz.matrix_of(rz.table.y_basis(alpha))
         assert m.transpose() == -m
-        vecs.append(m.entries)
+        vecs.append(m.terms)
     # the fixed images span all antisymmetric matrices: dim so_{r+1}
     from onsagerkit.exact_math import span_rank
 
@@ -341,7 +341,7 @@ def test_omega_compatibility_matrices(r):
             x = ChevElement({key: 1})
             assert rz.matrix_of(rz.table.omega(x)) == -rz.matrix_of(x).transpose()
         for i in range(rz.table.rs.rank):
-            assert all(p == q for (p, q) in rz.images[("h", i)].entries)
+            assert all(p == q for (p, q) in rz.images[("h", i)].terms)
 
 
 def test_sp_display_examples():
@@ -402,7 +402,7 @@ def _matrix_n(images, rs):
                 assert comm.is_zero(), (x, y)
                 continue
             ms = images[("e", s)]
-            pos_entry = next(iter(ms.entries))
+            pos_entry = next(iter(ms.terms))
             val = comm.entry(*pos_entry) / ms.entry(*pos_entry)
             assert comm == val * ms, (x, y)
             assert val.is_rational and val.re.denominator == 1, (x, y)

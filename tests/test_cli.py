@@ -438,9 +438,11 @@ def test_a_broken_onsager_table_exits_one(monkeypatch, capsys):
                                   ("eval", "[B1,B2]")], ids=lambda argv: argv[0])
 def test_each_command_builds_one_root_system(name, argv, monkeypatch, capsys):
     # an affine run reads its roots and heights off the finite root system
-    # of its structure table; C3~ chars takes the symplectic display's table
+    # of its structure table; C3~ chars takes the symplectic display's table.
+    # Its preset, its classification and that root system share one closure.
     _clear_tables()
     cartan.preset.cache_clear()
+    cartan.root_closure.cache_clear()
     init, built = RootSystem.__init__, []
 
     def counted(self, c):
@@ -451,3 +453,4 @@ def test_each_command_builds_one_root_system(name, argv, monkeypatch, capsys):
     code, _, _ = run_cli(capsys, argv[0], "--preset", name, *argv[1:])
     assert code == 0
     assert len(built) == 1, built
+    assert cartan.root_closure.cache_info().misses == 1

@@ -1,4 +1,6 @@
+import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +22,7 @@ from onsagerkit.exact_math import (
     span_rank,
 )
 from onsagerkit.chevalley import ChevElement
+from onsagerkit.freelie import FreeLieElement
 from onsagerkit.loop import LoopElement
 
 
@@ -201,8 +204,8 @@ def test_floats_are_rejected():
 
 def test_matrix_entries_are_narrowed_once():
     m = ExactMatrix.from_rows([[GaussianRational(3), Fraction(4, 2)], [Fraction(1, 2), 2 + I]])
-    assert m.entries == {(0, 0): 3, (0, 1): 2, (1, 0): Fraction(1, 2), (1, 1): 2 + I}
-    assert [type(m.entries[k]) for k in sorted(m.entries)] == [int, int, Fraction, GaussianRational]
+    assert m.terms == {(0, 0): 3, (0, 1): 2, (1, 0): Fraction(1, 2), (1, 1): 2 + I}
+    assert [type(m.terms[k]) for k in sorted(m.terms)] == [int, int, Fraction, GaussianRational]
     # entry() reads every entry, stored or not, as a GaussianRational
     assert all(type(m.entry(i, j)) is GaussianRational for i in range(2) for j in range(2))
     assert m.entry(0, 1) == GaussianRational(2) and not ExactMatrix(1, 1).entry(0, 0)
@@ -210,9 +213,9 @@ def test_matrix_entries_are_narrowed_once():
     g = ExactMatrix.from_rows([[GaussianRational(1), GaussianRational(2)], [GaussianRational(0), I]])
     a = ExactMatrix.from_rows([[1, 2], [0, I]])
     assert g == a
-    assert type((a @ a).entries[(0, 0)]) is int
-    assert ((I * a) * (-I)).entries == a.entries
-    assert type(((I * a) * (-I)).entries[(0, 1)]) is int
+    assert type((a @ a).terms[(0, 0)]) is int
+    assert ((I * a) * (-I)).terms == a.terms
+    assert type(((I * a) * (-I)).terms[(0, 1)]) is int
     assert a.row_dicts() == [{0: 1, 1: 2}, {1: I}]
 
 
@@ -305,8 +308,8 @@ def test_sparse_element_drops_cancelled_keys():
     # coefficients stay exact: an int or a Fraction, never a float
     assert all(type(c) in (int, Fraction) for c in x.terms.values())
     assert type(x.terms["a"]) is int and type((3 * x).terms["a"]) is int
-    assert (0.5 * x).terms == {"a": Fraction(1, 2), "b": Fraction(-1, 4)}
-    assert all(type(c) is Fraction for c in (0.5 * x).terms.values())
+    with pytest.raises(TypeError):
+        0.5 * x
     assert (x - x).terms == {}
     assert (0 * x).terms == {} and (x * 0).is_zero()
     y = SparseElement({"b": Fraction(1, 2), "d": 3})
@@ -319,6 +322,65 @@ def test_elements_of_different_kinds_are_unequal():
     assert (ChevElement() == LoopElement()) is False
     assert ChevElement() != LoopElement()
     assert ChevElement({("h", 0): 1}) != SparseElement({("h", 0): 1})
+
+
+# one coefficient c on one valid key of each kind; the span adds {0: c}
+_HOLDERS = {
+    "ChevElement": lambda c: ChevElement({("h", 0): c}),
+    "LoopElement": lambda c: LoopElement({"c": c}),
+    "FreeLieElement": lambda c: FreeLieElement({(1,): c}),
+    "ExactMatrix": lambda c: ExactMatrix(1, 1, {(0, 0): c}),
+    "IncrementalSpan.add": lambda c: IncrementalSpan().add({0: c}),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, "1/2", Decimal("0.5")], ids=repr)
+@pytest.mark.parametrize("kind", sorted(_HOLDERS))
+def test_inexact_scalars_are_a_type_error_everywhere(kind, bad):
+    with pytest.raises(TypeError):
+        _HOLDERS[kind](bad)
+    if kind != "IncrementalSpan.add":
+        x = _HOLDERS[kind](1)
+        with pytest.raises(TypeError):
+            bad * x
+        with pytest.raises(TypeError):
+            x * bad
+
+
+# each scalar with the type it is stored as: an int when integral, a
+# GaussianRational only when not real
+@pytest.mark.parametrize("c, stored_type", [
+    (3, int), (Fraction(1, 2), Fraction), (Fraction(4, 2), int), (GaussianRational(3), int),
+    (2 + I, GaussianRational)], ids=["int", "Fraction", "integral Fraction", "real Gaussian", "Gaussian"])
+@pytest.mark.parametrize("kind", sorted(_HOLDERS))
+def test_exact_scalars_are_admitted_everywhere(kind, c, stored_type):
+    x = _HOLDERS[kind](c)
+    if kind == "IncrementalSpan.add":
+        assert x is True
+        return
+    (stored,) = x.terms.values()
+    assert stored == c and type(stored) is stored_type
+    assert c * _HOLDERS[kind](1) == x == _HOLDERS[kind](1) * c
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_elements_of_different_kinds_do_not_add(op):
+    chev, loop = ChevElement({("h", 0): 1}), LoopElement({"c": 1})
+    for x, y in ((chev, loop), (loop, chev), (chev, SparseElement({("h", 0): 1}))):
+        with pytest.raises(TypeError):
+            op(x, y)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_matrix_operands_keep_their_errors(op):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        op(ExactMatrix.identity(2), ExactMatrix.identity(3))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        op(ExactMatrix(2, 3), ExactMatrix(3, 2))
+    for other in (1, ChevElement({("h", 0): 1})):
+        with pytest.raises(TypeError):
+            op(ExactMatrix.identity(1), other)
+    assert ExactMatrix(2, 3) != ExactMatrix(3, 2)
 
 
 def test_bilinear_skips_empty_pairs():

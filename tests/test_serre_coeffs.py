@@ -1,10 +1,12 @@
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from onsagerkit import serre_coeffs
 from onsagerkit.cartan import preset, validate
+from onsagerkit.exact_math import BadInput
 from onsagerkit.freelie import parse_bracket, to_lyndon
 from onsagerkit.serre_coeffs import (
     SameIndexError,
@@ -29,6 +31,19 @@ TABLE = {
 def test_low_order_table(a):
     for r, expect in TABLE.items():
         assert coeff_row(a, r).c == expect(a), (a, r)
+
+
+@pytest.mark.parametrize("a, r", [(-1.5, 3), (-1, 3.0), (Fraction(-3, 2), 2), ("-1", 2), (-1, "2")])
+def test_non_integer_a_or_r_is_bad_input(a, r):
+    # the recursion ran on -1.5 and returned the floats (0.0, 2.5, 0.0, 1.0)
+    with pytest.raises(BadInput, match="need integers a and r"):
+        coeff_table(a, r)
+
+
+def test_integral_fraction_a_and_r_are_ints():
+    (row,) = coeff_table(Fraction(-4, 2), Fraction(0))
+    assert row == (-2, 0, (1,)) and type(row.a) is int
+    assert coeff_table(Fraction(-1), Fraction(3))[3].c == (0, 1, 0, 1)
 
 
 def test_base_rows():

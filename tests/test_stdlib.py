@@ -29,3 +29,17 @@ def test_every_import_is_the_package_or_the_stdlib():
                 names.add("onsagerkit" if node.level else node.module.split(".")[0])
     assert "fractions" in names and "onsagerkit" in names
     assert names - {"onsagerkit"} - set(sys.stdlib_module_names) == set()
+
+
+def test_no_floating_point_in_the_package():
+    # no float literal, and no float(), complex() or round() call; the
+    # scalar rule in exact_math rejects a float that arrives at run time
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                hits.append((path.name, node.lineno, repr(node.value)))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "complex", "round")):
+                hits.append((path.name, node.lineno, node.func.id))
+    assert hits == []
