@@ -12,7 +12,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .exact_math import BadInput, IdentityViolation, IncrementalSpan, exact_int
 
@@ -61,13 +61,7 @@ class CartanMatrix(namedtuple("CartanMatrix", "a d kind labels typename affine_n
         if self.kind != UNTWISTED_AFFINE:
             raise NotAffine("finite_part requires an untwisted affine matrix")
         keep = [i for i in range(self.n) if i != self.affine_node]
-        sub = tuple(tuple(self.a[i][j] for j in keep) for i in keep)
-        return validate(sub, labels=tuple(range(1, len(keep) + 1)))
-
-    def __str__(self):
-        name = self.typename or self.kind
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.a)
-        return "%s[%s]" % (name, body)
+        return validate(_submatrix(self.a, keep), labels=tuple(range(1, len(keep) + 1)))
 
 
 def _check_gcm_axioms(a):
@@ -115,16 +109,12 @@ def symmetrizer(a):
                     stack.append(v)
                 elif vals[v] != want:
                     raise NotSymmetrizable("inconsistent cycle through nodes %d and %d" % (u, v))
-        denom = 1
-        for i in component:
-            denom = denom * vals[i].denominator // gcd(denom, vals[i].denominator)
+        denom = lcm(*(vals[i].denominator for i in component))
         nums = [int(vals[i] * denom) for i in component]
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
+        g = gcd(*nums)
         for i, x in zip(component, nums):
             vals[i] = x // g
-    return tuple(int(v) for v in vals)
+    return tuple(vals)
 
 
 def _submatrix(a, keep):
@@ -212,8 +202,7 @@ def validate(a, labels=None):
             j = row.index(None)
             raise NotGCM("entry a[%d][%d] = %r is not an integer" % (i, j, a[i][j]))
     a = ints
-    _check_gcm_axioms(a)
-    d = symmetrizer(a)
+    d = symmetrizer(a)  # checks the GCM axioms first
     n = len(a)
     if labels is None:
         labels = tuple(range(1, n + 1))

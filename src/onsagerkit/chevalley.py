@@ -38,8 +38,8 @@ from operator import add, neg, sub
 from types import MappingProxyType
 
 from .cartan import CartanMatrix, preset
-from .exact_math import ExactMatrix, I, IdentityViolation, SparseElement, bilinear
-from .roots import RootSystem, height
+from .exact_math import ExactMatrix, I, IdentityViolation, SparseElement, bilinear, signed_sum
+from .roots import RootSystem, height, root_str
 
 
 class NotAPositiveRoot(ValueError):
@@ -79,23 +79,20 @@ def _omega_key(key):
     return key if kind == "h" else ("e", _vneg(val))
 
 
+def _key_str(key):
+    """A basis key as text: ('h', 0) is "h1", ('e', (1, 1)) is "e(a1+a2)"."""
+    kind, val = key
+    return "h%d" % (val + 1) if kind == "h" else "e(%s)" % root_str(val)
+
+
 class ChevElement(SparseElement):
     """Exact combination of Chevalley basis keys ('h', i) and ('e', root)."""
 
     __slots__ = ()
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-
-        def order(item):
-            kind, val = item[0]
-            return (0, val) if kind == "h" else (1, height(val), val)
-
-        return " + ".join(
-            "%s*h%d" % (c, val + 1) if kind == "h" else "%s*e%s" % (c, list(val))
-            for (kind, val), c in sorted(self.terms.items(), key=order)
-        )
+        order = sorted(self.terms, key=lambda k: (0, k[1]) if k[0] == "h" else (1, height(k[1]), k[1]))
+        return signed_sum((self.terms[k], _key_str(k)) for k in order)
 
 
 class StructureTable:

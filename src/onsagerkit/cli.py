@@ -51,6 +51,11 @@ def yindex_json(idx):
     return {"finite": list(idx.gamma.finite), "level": idx.gamma.level, "i": idx.i}
 
 
+def _finite_y_str(root):
+    """The finite fixed-basis vector of a positive root, e.g. "y(a1+a2)"."""
+    return "y(%s)" % root_str(root)
+
+
 # ---------------------------------------------------------------------------
 # report builders (plain JSON-native dicts; --json output is write_json)
 # ---------------------------------------------------------------------------
@@ -173,31 +178,24 @@ def structconst_report(c, H):
 
 
 def print_structconst(report):
+    if report["type"] == "onsager":
+        for row in report["brackets"]:
+            print("[%s, %s] = %s" % (row["lhs"][0], row["lhs"][1], row["rhs"]))
+        return
     if report["type"] == "finite":
         print("# nonzero [e_a, e_b] = N e_{a+b}")
         for row in report["ntable"]:
-            print(
-                "N(%s, %s) = %d" % (root_str(row["alpha"]), root_str(row["beta"]), row["N"])
-            )
+            print("N(%s, %s) = %d" % (root_str(row["alpha"]), root_str(row["beta"]), row["N"]))
         print("# fixed-basis brackets")
-        for row in report["ybrackets"]:
-            lhs = "[y(%s), y(%s)]" % tuple(root_str(x) for x in row["lhs"])
-            rhs = signed_sum(
-                [(Fraction(t["coeff"]), "y(%s)" % root_str(t["coords"])) for t in row["rhs"]]
-            )
-            print("%s = %s" % (lhs, rhs))
-    elif report["type"] == "onsager":
-        for row in report["brackets"]:
-            print("[%s, %s] = %s" % (row["lhs"][0], row["lhs"][1], row["rhs"]))
+        rows, field, name = report["ybrackets"], "coords", _finite_y_str
     else:
+        rows, field = report["brackets"], "idx"
 
-        def from_json(d):
-            return YIndex(AffineRoot(tuple(d["finite"]), d["level"]), d["i"])
-
-        for row in report["brackets"]:
-            lhs = "[%s, %s]" % tuple(from_json(d) for d in row["lhs"])
-            rhs = signed_sum([(t["coeff"], str(from_json(t["idx"]))) for t in row["rhs"]])
-            print("%s = %s" % (lhs, rhs))
+        def name(d):
+            return str(YIndex(AffineRoot(tuple(d["finite"]), d["level"]), d["i"]))
+    for row in rows:
+        rhs = signed_sum([(Fraction(t["coeff"]), name(t[field])) for t in row["rhs"]])
+        print("[%s, %s] = %s" % (name(row["lhs"][0]), name(row["lhs"][1]), rhs))
 
 
 def verify_report(c, jmax=None, H=None):
@@ -283,7 +281,7 @@ def eval_report(c, text):
     rz = realization_for(c)
     coords = {rz.index(n): v for n, v in psi_eval(rz, expr).items()}
     if c.kind == FINITE:
-        name, field, key_json = (lambda k: "y(%s)" % root_str(k)), "coords", list
+        name, field, key_json = _finite_y_str, "coords", list
     else:
         name, field, key_json = str, "idx", yindex_json
     terms = [{"basis": name(k), field: key_json(k), "coeff": str(Fraction(v))}

@@ -3,16 +3,17 @@
 Every scalar enters through one rule, `_exact`: an int, a Fraction or a
 GaussianRational, stored as an int or Fraction when real and as a
 GaussianRational only when not; a float, a string or any other number is a
-TypeError.  `exact_int` is the gate for inputs that must be integers.
-Sparse vectors are plain dicts mapping coordinate keys to nonzero exact
-scalars.  `add_into` and `add_term` are the one place where they are summed,
-`bilinear` extends a bracket or product on basis-key pairs to vectors,
-`SparseElement` is the one element arithmetic (matrices included:
-`ExactMatrix` is an element keyed by (row, col)), `signed_sum` is the one
-printer of a signed sum, and `IncrementalSpan` is the one eliminator, which
-eliminates integer vectors without dividing.  Elements and matrices are
-immutable after construction.  No floating point appears anywhere; all
-downstream identities are checked as bit-exact equalities.
+TypeError, also as a part of a GaussianRational.  `exact_int` is the gate
+for inputs that must be integers.  Sparse vectors are plain dicts mapping
+coordinate keys to nonzero exact scalars.  `add_into` and `add_term` are the
+one place where they are summed, `bilinear` extends a bracket or product on
+basis-key pairs to vectors, `SparseElement` is the one element arithmetic
+(matrices included: `ExactMatrix` is an element keyed by (row, col)),
+`signed_sum` is the one printer of a signed sum (of every element and CLI
+report), and `IncrementalSpan` is the one eliminator, which eliminates
+integer vectors without dividing.  Elements and matrices are immutable after
+construction.  No floating point appears anywhere; all downstream identities
+are checked as bit-exact equalities.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError("expected int or Fraction parts, got %r and %r" % (re, im))
         self.re = Fraction(re)
         self.im = Fraction(im)
 
@@ -193,11 +196,17 @@ def bilinear(pair, x, y):
 
 
 def signed_sum(parts):
-    """(coefficient, text) parts as one signed sum, e.g. "x-2*y+1/2*z": a
-    unit coefficient prints as a bare sign, and no parts print "0"."""
-    s = "".join("%s%s%s" % ("+" if c > 0 else "-", "" if abs(c) == 1 else "%s*" % abs(c), text)
-                for c, text in parts)
-    return s.removeprefix("+") or "0"
+    """(coefficient, text) parts as one signed sum, e.g. "x-2*y+1/2*z+(1-2*i)*w":
+    a real unit coefficient prints as a bare sign, a non-real one in
+    parentheses, and no parts print "0"; any coefficient `_exact` admits."""
+    bits = []
+    for c, text in parts:
+        c = _exact(c)
+        if isinstance(c, GaussianRational):
+            bits.append("+(%r)*%s" % (c, text))
+        else:
+            bits.append("%s%s%s" % ("+" if c > 0 else "-", "" if abs(c) == 1 else "%s*" % abs(c), text))
+    return "".join(bits).removeprefix("+") or "0"
 
 
 class SparseElement:

@@ -14,6 +14,7 @@ coefficients stay ints and rational ones stay exact.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 from .exact_math import BadInput, IdentityViolation, SparseElement, add_into, bilinear, signed_sum
 
@@ -40,17 +41,19 @@ class NotALieElement(Exception):
     """
 
 
-class BracketExpr:
+class BracketExpr(namedtuple("BracketExpr", "label left right", defaults=(None, None, None))):
     """Binary bracket tree; leaves hold generator labels."""
 
-    __slots__ = ("label", "left", "right")
+    __slots__ = ()
 
-    def __init__(self, label=None, left=None, right=None):
+    def __new__(cls, label=None, left=None, right=None):
         if (label is None) == (left is None or right is None):
             raise ValueError("either a label or both children")
-        self.label = label
-        self.left = left
-        self.right = right
+        return super().__new__(cls, label, left, right)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks the shape too
+        return cls(*iterable)
 
     @classmethod
     def leaf(cls, label):
@@ -68,20 +71,6 @@ class BracketExpr:
         if self.is_leaf:
             return {self.label}
         return self.left.labels() | self.right.labels()
-
-    def __eq__(self, other):
-        if not isinstance(other, BracketExpr):
-            return NotImplemented
-        if self.is_leaf != other.is_leaf:
-            return False
-        if self.is_leaf:
-            return self.label == other.label
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        if self.is_leaf:
-            return hash(("leaf", self.label))
-        return hash(("node", self.left, self.right))
 
     def __repr__(self):
         if self.is_leaf:
@@ -224,11 +213,9 @@ class FreeLieElement(SparseElement):
     def generator(cls, label):
         return cls({(int(label),): 1})
 
-    def __str__(self):
+    def __repr__(self):
         return signed_sum((self.terms[w], "(%s)" % ".".join(map(str, w)))
                           for w in sorted(self.terms, key=lambda t: (len(t), t)))
-
-    __repr__ = __str__
 
 
 def to_lyndon(expr: BracketExpr) -> FreeLieElement:

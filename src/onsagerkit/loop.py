@@ -27,8 +27,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .chevalley import StructureTable, _omega_key, _vneg
-from .exact_math import SparseElement, add_term, bilinear
+from .chevalley import StructureTable, _key_str, _omega_key, _vneg
+from .exact_math import SparseElement, add_term, bilinear, signed_sum
 from .roots import AffineRoot
 
 
@@ -53,16 +53,9 @@ class LoopElement(SparseElement):
     __slots__ = ()
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        loop_terms = [(k, v) for k, v in self.terms.items() if k not in CD]
-        for (key, k), v in sorted(loop_terms, key=lambda t: (t[0][1], str(t[0][0]))):
-            kind, val = key
-            base = "h%d" % (val + 1) if kind == "h" else "e%s" % (list(val),)
-            bits.append("%s*%s[%d]" % (v, base, k))
-        bits += ["%s*%s" % (self.terms[k], k) for k in CD if k in self.terms]
-        return " + ".join(bits)
+        loop = sorted((k for k in self.terms if k not in CD), key=lambda k: (k[1], str(k[0])))
+        return signed_sum([(self.terms[k], "%s[%d]" % (_key_str(k[0]), k[1])) for k in loop]
+                          + [(self.terms[k], k) for k in CD if k in self.terms])
 
 
 def e_at(alpha, k):

@@ -37,13 +37,18 @@ class CoeffRow(namedtuple("CoeffRow", "a r c")):
         return cls(*iterable)
 
 
+def _ints(a, r):
+    """a and r as ints; BadInput unless each is an int or an integral Fraction."""
+    ints = exact_int(a), exact_int(r)
+    if None in ints:
+        raise BadInput("coefficient rows need integers a and r, got %r and %r" % (a, r))
+    return ints
+
+
 def coeff_table(a, rmax):
     """Rows (c_0[r], ..., c_r[r]) for r = 0..rmax; BadInput unless a and
     rmax are ints or integral Fractions."""
-    ints = exact_int(a), exact_int(rmax)
-    if None in ints:
-        raise BadInput("coefficient rows need integers a and r, got %r and %r" % (a, rmax))
-    a, rmax = ints
+    a, rmax = _ints(a, rmax)
     rows = [[1]]
     if rmax >= 1:
         rows.append([0, 1])
@@ -64,7 +69,9 @@ def coeff_row(a, r) -> CoeffRow:
 
 
 def c0_closed_form(a, ell):
-    """(-1)^l prod_{k=1..l} (2k-1)(2k-2+a); equals coeff_row(a, 2l).c[0]."""
+    """(-1)^l prod_{k=1..l} (2k-1)(2k-2+a); equals coeff_row(a, 2l).c[0].
+    BadInput unless a and l are ints or integral Fractions."""
+    a, ell = _ints(a, ell)
     prod = 1
     for k in range(1, ell + 1):
         prod *= (2 * k - 1) * (2 * k - 2 + a)

@@ -200,15 +200,15 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
 
 def check_matrix_realization(c: CartanMatrix):
     """The rows of the matrix realization of a finite A_r or of the preset
-    C_r, r <= 4.  Building the realization checks it, once: the
+    C_r, at every rank.  Building the realization checks it, once: the
     IdentityViolation it raises is the FAIL detail of every row that needs
     it."""
     name, r = c.typename or "", c.n
     gl = "gl_%d presentation through the fixed-subalgebra isomorphism" % r
-    if r <= 4 and name.startswith("C") and c.a == preset("C%d" % r).a:
+    if name.startswith("C") and c.a == preset("C%d" % r).a:
         sp = "symplectic realization matches its table and reconciles with the generic one"
         build, names = sp_realization, [gl, sp]
-    elif r <= 4 and name.startswith("A"):
+    elif name.startswith("A"):
         build, names = sl_realization, ["special linear matrix realization is a bracket homomorphism"]
     else:
         return []

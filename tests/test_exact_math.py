@@ -19,6 +19,7 @@ from onsagerkit.exact_math import (
     bilinear,
     nullspace_basis,
     rank,
+    signed_sum,
     span_rank,
 )
 from onsagerkit.chevalley import ChevElement
@@ -334,13 +335,21 @@ _HOLDERS = {
 }
 
 
+# c as the real or the imaginary part of a Gaussian rational
+_PARTS = {
+    "GaussianRational re": lambda c: GaussianRational(c),
+    "GaussianRational im": lambda c: GaussianRational(0, c),
+}
+
+
 @pytest.mark.parametrize("bad", [0.5, 0.0, "1/2", Decimal("0.5")], ids=repr)
-@pytest.mark.parametrize("kind", sorted(_HOLDERS))
+@pytest.mark.parametrize("kind", sorted(_HOLDERS) + sorted(_PARTS))
 def test_inexact_scalars_are_a_type_error_everywhere(kind, bad):
+    make = _HOLDERS.get(kind) or _PARTS[kind]
     with pytest.raises(TypeError):
-        _HOLDERS[kind](bad)
+        make(bad)
     if kind != "IncrementalSpan.add":
-        x = _HOLDERS[kind](1)
+        x = make(1)
         with pytest.raises(TypeError):
             bad * x
         with pytest.raises(TypeError):
@@ -361,6 +370,37 @@ def test_exact_scalars_are_admitted_everywhere(kind, c, stored_type):
     (stored,) = x.terms.values()
     assert stored == c and type(stored) is stored_type
     assert c * _HOLDERS[kind](1) == x == _HOLDERS[kind](1) * c
+
+
+# each element kind with one coefficient c on one key, and the key's text
+_PRINTED = {
+    "ChevElement": (lambda c: ChevElement({("e", (1, 1)): c}), "e(a1+a2)"),
+    "LoopElement": (lambda c: LoopElement({(("h", 0), -2): c}), "h1[-2]"),
+    "FreeLieElement": (lambda c: FreeLieElement({(1, 1, 2): c}), "(1.1.2)"),
+}
+
+
+@pytest.mark.parametrize("c, printed", [
+    (1, "{}"), (-3, "-3*{}"), (Fraction(-1, 2), "-1/2*{}"), (GaussianRational(-1), "-{}"),
+    (2 - I, "(2-1*i)*{}"), (I, "(1*i)*{}"), (0, "0")],
+    ids=["int", "negative int", "Fraction", "real Gaussian", "Gaussian", "i", "no terms"])
+@pytest.mark.parametrize("kind", sorted(_PRINTED))
+def test_every_element_prints_as_a_signed_sum(kind, c, printed):
+    make, text = _PRINTED[kind]
+    x = make(c)
+    assert str(x) == repr(x) == printed.format(text)
+
+
+def test_a_sum_of_terms_prints_in_key_order():
+    chev = ChevElement({("e", (1, 1)): 1, ("h", 1): -1, ("e", (0, 1)): Fraction(1, 2), ("h", 0): I})
+    assert str(chev) == "(1*i)*h1-h2+1/2*e(a2)+e(a1+a2)"
+    loop = LoopElement({(("e", (1, 0)), 1): 2, (("h", 0), -1): -1, "d": 1, "c": 1 - I})
+    assert str(loop) == "-h1[-1]+2*e(a1)[1]+(1-1*i)*c+d"
+    free = FreeLieElement({(1, 2): -1, (1,): I, (1, 1, 2): 3})
+    assert str(free) == "(1*i)*(1)-(1.2)+3*(1.1.2)"
+    assert signed_sum([]) == "0"
+    with pytest.raises(TypeError):
+        signed_sum([(0.5, "x")])
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub])

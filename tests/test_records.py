@@ -15,6 +15,7 @@ import onsagerkit
 from onsagerkit.cartan import FINITE, CartanMatrix, preset
 from onsagerkit.characters import Character, CharacterSpace
 from onsagerkit.exact_math import IdentityViolation
+from onsagerkit.freelie import BracketExpr, parse_bracket
 from onsagerkit.loop import YIndex
 from onsagerkit.onsager import FiltrationReport, GenerationReport
 from onsagerkit.roots import AffineRoot
@@ -37,6 +38,7 @@ PAIRS = {
         CharacterSpace(3, [YIndex(ROOT)], [], {1: YIndex(ROOT)}),
     ),
     "Character": (Character({0: 1}, {YIndex(ROOT): 1}), Character({0: 2}, {YIndex(ROOT): 2})),
+    "BracketExpr": (BracketExpr.leaf(1), BracketExpr.leaf(2)),
 }
 RECORDS = [rec for pair in PAIRS.values() for rec in pair]
 
@@ -75,7 +77,9 @@ def test_fields_cannot_be_assigned(rec):
     assert not hasattr(rec, "__dict__")
 
 
-@pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__name__)
+# BracketExpr prints as the bracket it is, "[B1,B2]"
+@pytest.mark.parametrize("rec", [rec for rec in RECORDS if type(rec) is not BracketExpr],
+                         ids=lambda r: type(r).__name__)
 def test_repr_names_every_field(rec):
     body = ", ".join("%s=%r" % (f, getattr(rec, f)) for f in rec._fields)
     assert repr(rec) == "%s(%s)" % (type(rec).__name__, body)
@@ -85,6 +89,7 @@ def test_repr_format():
     assert repr(ROOT) == "AffineRoot(finite=(1, 0), level=0)"
     assert repr(YIndex(IMAG, 2)) == "YIndex(gamma=AffineRoot(finite=(0, 0), level=1), i=2)"
     assert repr(coeff_row(-1, 2)) == "CoeffRow(a=-1, r=2, c=(1, 0, 1))"
+    assert repr(parse_bracket("[B1, [B1,B2]]")) == "[B1,[B1,B2]]"
 
 
 def test_defaults():
@@ -100,6 +105,21 @@ def test_a_coefficient_row_of_the_wrong_length_raises():
     with pytest.raises(IdentityViolation, match="r=3 has 3 entries"):
         coeff_row(-1, 2)._replace(r=3)
     assert coeff_row(-1, 2)._replace(a=0) == CoeffRow(0, 2, (1, 0, 1))
+
+
+def test_a_bracket_expr_of_the_wrong_shape_raises():
+    leaf, node = BracketExpr.leaf(1), parse_bracket("[B1,B2]")
+    for bad in ({}, {"left": leaf}, {"label": 1, "left": leaf, "right": leaf}):
+        with pytest.raises(ValueError, match="either a label or both children"):
+            BracketExpr(**bad)
+    for bad in ({"label": 2}, {"right": None}):
+        with pytest.raises(ValueError, match="either a label or both children"):
+            node._replace(**bad)
+    with pytest.raises(ValueError, match="either a label or both children"):
+        leaf._replace(label=None)
+    assert leaf._replace(label=2) == BracketExpr.leaf(2) == (2, None, None)
+    assert node._replace(right=leaf) == parse_bracket("[B1,B1]")
+    assert node.labels() == {1, 2} and leaf.is_leaf and not node.is_leaf
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():

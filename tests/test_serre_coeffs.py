@@ -35,15 +35,20 @@ def test_low_order_table(a):
 
 @pytest.mark.parametrize("a, r", [(-1.5, 3), (-1, 3.0), (Fraction(-3, 2), 2), ("-1", 2), (-1, "2")])
 def test_non_integer_a_or_r_is_bad_input(a, r):
-    # the recursion ran on -1.5 and returned the floats (0.0, 2.5, 0.0, 1.0)
+    # the recursion ran on -1.5 and returned the floats (0.0, 2.5, 0.0, 1.0),
+    # and the closed form returned -2.25 for (-1.5, 2)
     with pytest.raises(BadInput, match="need integers a and r"):
         coeff_table(a, r)
+    with pytest.raises(BadInput, match="need integers a and r"):
+        c0_closed_form(a, r)
 
 
 def test_integral_fraction_a_and_r_are_ints():
     (row,) = coeff_table(Fraction(-4, 2), Fraction(0))
     assert row == (-2, 0, (1,)) and type(row.a) is int
     assert coeff_table(Fraction(-1), Fraction(3))[3].c == (0, 1, 0, 1)
+    c0 = c0_closed_form(Fraction(-4, 2), Fraction(2))
+    assert c0 == coeff_row(-2, 4).c[0] and type(c0) is int
 
 
 def test_base_rows():

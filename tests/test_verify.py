@@ -377,6 +377,8 @@ def _flipped_orbit_table(name):
 MUTATED = {
     "verify --preset C3": ("_read_signs", _flipped_signs, ["gl_3 presentation", "symplectic realization"]),
     "verify --preset A3": ("preset_table", _flipped_orbit_table, ["special linear matrix realization"]),
+    "verify --preset C5": ("_read_signs", _flipped_signs, ["gl_5 presentation", "symplectic realization"]),
+    "verify --preset A5": ("preset_table", _flipped_orbit_table, ["special linear matrix realization"]),
 }
 
 
