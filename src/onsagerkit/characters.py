@@ -5,16 +5,20 @@ linear system chi([u, v]) = 0 over all basis pairs whose bracket stays inside
 a height window.  The solution space has one free parameter per generator
 whose Cartan column is even; for the symplectic types the solved functional
 has closed-form values, reproduced here and cross-checked against the linear
-solve.  The fixed basis, its window and its bracket come from the
-realization, so the solve does not branch on the kind of matrix.
+solve.  This module also decides which matrices get a closed form, on which
+realization and with which generator values (`symplectic_closed_form`), and
+the default window (`character_window`).  The fixed basis, its window and its
+bracket come from the realization, so the solve does not branch on the kind
+of matrix.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from itertools import combinations
 
-from .cartan import CartanMatrix, preset
+from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, preset
 from .chevalley import preset_table, sp_structure_table
 from .exact_math import BadInput, ExactMatrix, IncrementalSpan, add_into, nullspace_basis
 from .onsager import AffineRealization, FiniteRealization, Realization
@@ -99,31 +103,6 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
     return CharacterSpace(H, keys, basis, {lab: rz.index(n) for lab, n in rz.generators.items()})
 
 
-class Character(namedtuple("Character", "values functional")):
-    """A one-dimensional representation, determined by its values on the
-    generators (necessarily zero off the even-column set): values maps
-    generator labels, functional fixed-basis keys, to scalars."""
-
-    __slots__ = ()
-
-    def __call__(self, key):
-        return self.functional.get(key, 0)
-
-
-def solve_character(rz: Realization, H: int, values: dict) -> Character:
-    """The character with the given generator values, from the window solve."""
-    allowed = even_column_set(rz.cartan)
-    for label, val in values.items():
-        if val and label not in allowed:
-            raise ValueError(
-                "generator %r is outside the even-column set %s; its value must be 0"
-                % (label, sorted(allowed))
-            )
-    space = character_space(rz, H)
-    func = character_from_values(space, values)
-    return Character(dict(values), func)
-
-
 def character_from_values(space: CharacterSpace, values: dict):
     """The unique functional in the solved space with the given generator
     values (scalars may be rational or Gaussian rational).
@@ -201,3 +180,39 @@ def finite_character_realization(r):
 
 def affine_character_realization(r):
     return AffineRealization(preset("C%d~" % r), sp_structure_table(r))
+
+
+def symplectic_closed_form(c: CartanMatrix):
+    """(realization, generator values, closed form) for the preset C_r with
+    r >= 2 (C1 is A1) and for C_r~; None for any other matrix.
+
+    The realization is on the displayed symplectic table, the basis the
+    closed form refers to, and the values (chi(Y_r) = 1 on C_r; chi(Y_0) = 1,
+    chi(Y_r) = 1/2 on C_r~; 0 on every other generator) are keyed by the
+    preset's labels, which a --matrix-file with the same rows does not share
+    (it is labelled 1..n).  An affine matrix is the C_r~ preset iff node 0
+    extends C_r, which closes no roots, so A1~ is C1~.
+    """
+    if c.kind == FINITE and c.n >= 2 and c.a == preset("C%d" % c.n).a:
+        r, t = c.n, Fraction(1)
+        rz, gens = finite_character_realization(r), {r: t}
+
+        def closed(alpha):
+            return chi_finite(r, t, alpha)
+    elif c.kind == UNTWISTED_AFFINE and c.affine_node == 0 and c.finite_part().a == preset("C%d" % (c.n - 1)).a:
+        r, s, t = c.n - 1, Fraction(1), Fraction(1, 2)
+        rz, gens = affine_character_realization(r), {0: s, r: t}
+
+        def closed(idx):
+            return chi_affine(r, s, t, idx.gamma, idx.i)
+    else:
+        return None
+    return rz, {lab: gens.get(lab, 0) for lab in rz.labels}, closed
+
+
+def character_window(rz: Realization) -> int:
+    """The default window of the character solve: the top height of a finite
+    basis, which holds the whole algebra, and 2 delta + 2 for an affine one."""
+    if rz.top_height is None:
+        return 2 * rz.affine.delta_height + 2
+    return rz.top_height

@@ -20,13 +20,11 @@ from json.encoder import encode_basestring_ascii
 
 from .cartan import FINITE, UNTWISTED_AFFINE, parse_matrix_text, preset, validate
 from .characters import (
-    affine_character_realization,
     character_from_values,
     character_space,
-    chi_affine,
-    chi_finite,
+    character_window,
     even_column_set,
-    finite_character_realization,
+    symplectic_closed_form,
 )
 from .exact_math import BadInput, IdentityViolation, signed_sum
 from .freelie import ad_power, parse_bracket
@@ -218,35 +216,13 @@ def print_verify(report):
 
 
 def chars_report(c, H=None):
-    # exact preset C types get the closed-form columns, computed on the
-    # displayed symplectic basis the closed form refers to; the generator
-    # values are keyed by the preset's labels, which a --matrix-file with
-    # the same rows does not share (it is labelled 1..n).  An affine matrix
-    # is the C_r~ preset iff node 0 extends C_r, which closes no roots.
-    closed = None
-    if c.kind == FINITE and c.n >= 2 and c.a == preset("C%d" % c.n).a:
-        r = c.n
-        rz, gens = finite_character_realization(r), {r: Fraction(1)}
-
-        def closed(alpha):
-            return chi_finite(r, Fraction(1), alpha)
-    elif c.kind == UNTWISTED_AFFINE and c.affine_node == 0 and c.finite_part().a == preset("C%d" % (c.n - 1)).a:
-        r, s, t = c.n - 1, Fraction(1), Fraction(1, 2)
-        rz, gens = affine_character_realization(r), {0: s, r: t}
-
-        def closed(idx):
-            return chi_affine(r, s, t, idx.gamma, idx.i)
-    else:
-        rz = realization_for(c)
-    key_str = root_str if c.kind == FINITE else str
-    ev = sorted(even_column_set(c))
-    if c.kind == FINITE:
-        H = H or rz.table.rs.max_height
-    else:
-        H = H or 2 * rz.affine.delta_height + 2
+    # the preset C types report each value beside its closed form
+    rz, gens, closed = symplectic_closed_form(c) or (realization_for(c), None, None)
+    H = H or character_window(rz)
     space = character_space(rz, H)
+    key_str = root_str if c.kind == FINITE else str
     if closed:
-        func = character_from_values(space, {lab: gens.get(lab, 0) for lab in rz.labels})
+        func = character_from_values(space, gens)
         values = [{"basis": key_str(key), "value": str(Fraction(func.get(key, 0))),
                    "closed_form": str(Fraction(closed(key)))} for key in space.keys]
     else:
@@ -255,7 +231,7 @@ def chars_report(c, H=None):
     return {
         "schema": SCHEMA,
         "kind": "chars",
-        "even_columns": ev,
+        "even_columns": sorted(even_column_set(c)),
         "window": H,
         "dimension": space.dimension,
         "values": values,
@@ -402,10 +378,10 @@ def _load_matrix(args):
 
 
 def run(args) -> int:
-    for bound in ("rmax", "jmax", "height"):
+    for bound, least, word in (("rmax", 0, "non-negative"), ("jmax", 1, "positive"), ("height", 1, "positive")):
         val = getattr(args, bound, None)
-        if val is not None and val < (0 if bound == "rmax" else 1):
-            raise UsageFault("--%s must be positive" % bound)
+        if val is not None and val < least:
+            raise UsageFault("--%s must be %s" % (bound, word))
     if args.command == "coeffs":
         report, printer = coeffs_report(args.a, args.rmax), print_coeffs
     else:

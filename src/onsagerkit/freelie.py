@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .exact_math import BadInput, IdentityViolation, SparseElement, add_into, bilinear, signed_sum
+from .exact_math import BadInput, IdentityViolation, SparseElement, add_into, bilinear, exact_int, signed_sum
 
 
 class ParseError(BadInput):
@@ -41,6 +41,15 @@ class NotALieElement(Exception):
     """
 
 
+def _label(label):
+    """A generator label as an int; BadInput unless it is an int or an
+    integral Fraction."""
+    n = exact_int(label)
+    if n is None:
+        raise BadInput("generator label %r is not an integer" % (label,))
+    return n
+
+
 class BracketExpr(namedtuple("BracketExpr", "label left right", defaults=(None, None, None))):
     """Binary bracket tree; leaves hold generator labels."""
 
@@ -57,7 +66,7 @@ class BracketExpr(namedtuple("BracketExpr", "label left right", defaults=(None, 
 
     @classmethod
     def leaf(cls, label):
-        return cls(label=int(label))
+        return cls(label=_label(label))
 
     @classmethod
     def node(cls, left, right):
@@ -146,7 +155,7 @@ def lyndon_words(labels, length):
     alphabet = sorted(set(labels))
     k = len(alphabet)
     out = []
-    w = [-1]
+    w = [-1] if k else []
     while w:
         w[-1] += 1
         m = len(w)
@@ -211,7 +220,7 @@ class FreeLieElement(SparseElement):
 
     @classmethod
     def generator(cls, label):
-        return cls({(int(label),): 1})
+        return cls({(_label(label),): 1})
 
     def __repr__(self):
         return signed_sum((self.terms[w], "(%s)" % ".".join(map(str, w)))

@@ -38,16 +38,17 @@ class CoeffRow(namedtuple("CoeffRow", "a r c")):
 
 
 def _ints(a, r):
-    """a and r as ints; BadInput unless each is an int or an integral Fraction."""
+    """a and r as ints; BadInput unless each is an int or an integral
+    Fraction and r >= 0."""
     ints = exact_int(a), exact_int(r)
-    if None in ints:
-        raise BadInput("coefficient rows need integers a and r, got %r and %r" % (a, r))
+    if None in ints or ints[1] < 0:
+        raise BadInput("coefficient rows need integers a and r with r >= 0, got %r and %r" % (a, r))
     return ints
 
 
 def coeff_table(a, rmax):
     """Rows (c_0[r], ..., c_r[r]) for r = 0..rmax; BadInput unless a and
-    rmax are ints or integral Fractions."""
+    rmax are ints or integral Fractions and rmax >= 0."""
     a, rmax = _ints(a, rmax)
     rows = [[1]]
     if rmax >= 1:
@@ -70,7 +71,7 @@ def coeff_row(a, r) -> CoeffRow:
 
 def c0_closed_form(a, ell):
     """(-1)^l prod_{k=1..l} (2k-1)(2k-2+a); equals coeff_row(a, 2l).c[0].
-    BadInput unless a and l are ints or integral Fractions."""
+    BadInput unless a and l are ints or integral Fractions and l >= 0."""
     a, ell = _ints(a, ell)
     prod = 1
     for k in range(1, ell + 1):

@@ -15,7 +15,7 @@ unordered pair, and the sign laws of N mirror it onto the other order (see
 from __future__ import annotations
 
 from .cartan import FINITE, CartanMatrix, preset
-from .characters import character_space, even_column_set
+from .characters import character_space, character_window, even_column_set
 from .chevalley import preset_table, sl_realization, sp_realization, verify_gl_presentation
 from .exact_math import IdentityViolation, add_into
 from .loop import NotExpandable, bracket_loop, onsager_basis, y_number, y_vector
@@ -237,21 +237,21 @@ def verification_suite(c: CartanMatrix, jmax=None, height=None):
         # building the structure table or the realization broke an identity
         return [("structure table and realization build", False, str(exc))]
     rows = []
+    window = character_window(rz)
     if c.kind == FINITE:
         maxht = rz.table.rs.max_height
         jmax = jmax or maxht
         height = height or maxht
         rows.append(check_relations_killed(c, rz))
         rows += check_word_span(rz, jmax, height)
-        rows.append(check_character_dimension(c, rz, maxht))
+        rows.append(check_character_dimension(c, rz, window))
         rows += check_matrix_realization(c)
     else:
-        jmax = jmax or 6
+        jmax = jmax or 2 * rz.affine.delta_height + 1
         rows.append(check_relations_killed(c, rz))
         rows += check_word_span(rz, jmax, height or jmax)
-        delta = rz.affine.delta_height
-        if 2 * delta + 2 <= 20:
-            rows.append(check_character_dimension(c, rz, 2 * delta + 2))
+        if window <= 20:
+            rows.append(check_character_dimension(c, rz, window))
         if rz.affine.rank <= 3:
             rows.append(check_affine_structure_constants(rz))
         if c.typename == "A1~":

@@ -257,15 +257,15 @@ def test_step_identity(r):
 
 
 def test_solve_character_wrapper():
-    from onsagerkit.characters import solve_character
-
-    rz = finite_character_realization(2)
-    chi = solve_character(rz, 3, {1: 0, 2: Fraction(4)})
-    assert chi((0, 1)) == 4 and chi((1, 0)) == 0
-    with pytest.raises(ValueError):
-        solve_character(rz, 3, {1: Fraction(1), 2: 0})
+    # the character with given generator values, solved on a window; a value
+    # off the even-column set is not attained
+    space = character_space(finite_character_realization(2), 3)
+    chi = character_from_values(space, {1: 0, 2: Fraction(4)})
+    assert chi.get((0, 1)) == 4 and chi.get((1, 0), 0) == 0
+    with pytest.raises(ValueError, match="not attained by any character"):
+        character_from_values(space, {1: Fraction(1), 2: 0})
     with pytest.raises(ValueError, match="generator label 9 outside"):
-        solve_character(rz, 3, {9: 0, 2: Fraction(4)})
+        character_from_values(space, {9: 0, 2: Fraction(4)})
 
 
 def test_character_from_values_rejects_unreachable():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from onsagerkit import cartan, chevalley, cli, onsager, verify
+from onsagerkit import cartan, characters, chevalley, cli, onsager, verify
 from onsagerkit.cartan import NotAffine, NotFinite, NotGCM, NotSymmetrizable, UnknownPreset, parse_matrix_text
 from onsagerkit.characters import WindowTooSmall
 from onsagerkit.chevalley import NotAPositiveRoot, NotFixedError
@@ -279,10 +279,13 @@ def test_structconst_height_does_not_apply_to_the_onsager_table(capsys, height):
 
 
 def test_chars_value_off_its_closed_form_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "chi_finite", lambda r, t, alpha: t + 1)
-    code, out, _ = run_cli(capsys, "chars", "--preset", "C2")
-    assert code == 1
-    assert "DIFFERS" in out
+    # a corrupted closed form of C_r, then of C_r~
+    for name, form, corrupt in (("C2", "chi_finite", lambda r, t, alpha: t + 1),
+                                ("C2~", "chi_affine", lambda r, s, t, gamma, i=1: t + 1)):
+        monkeypatch.setattr(characters, form, corrupt)
+        code, out, _ = run_cli(capsys, "chars", "--preset", name)
+        assert code == 1, name
+        assert "DIFFERS" in out, name
 
 
 BUILDER_ARGV = {

@@ -1,6 +1,7 @@
 import functools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onsagerkit
-from onsagerkit.exact_math import span_rank
+from onsagerkit.exact_math import BadInput, span_rank
 from onsagerkit.freelie import (
     BracketExpr,
     FreeLieElement,
@@ -51,6 +52,14 @@ def test_parse_errors():
         parse_bracket("B")
     with pytest.raises(ParseError):
         parse_bracket("")
+    # a label is an integer, never truncated (1.7 made B1) or parsed ("3")
+    for label in (1.7, "3", Fraction(1, 2), None):
+        message = re.escape("generator label %r is not an integer" % (label,))
+        with pytest.raises(BadInput, match=message):
+            BracketExpr.leaf(label)
+        with pytest.raises(BadInput, match=message):
+            FreeLieElement.generator(label)
+    assert BracketExpr.leaf(Fraction(4, 2)).label == 2 and FreeLieElement.generator(Fraction(3)).terms == {(3,): 1}
 
 
 def test_lyndon_predicates():
@@ -59,6 +68,7 @@ def test_lyndon_predicates():
     assert not is_lyndon((2, 1))
     assert not is_lyndon((1, 2, 1, 2))
     assert standard_factorization((1, 1, 2, 1, 2)) == ((1, 1, 2), (1, 2))
+    assert lyndon_words((), 2) == [] and lyndon_words((), 1) == []
 
 
 def test_to_lyndon_examples():

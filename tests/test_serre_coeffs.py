@@ -33,12 +33,16 @@ def test_low_order_table(a):
         assert coeff_row(a, r).c == expect(a), (a, r)
 
 
-@pytest.mark.parametrize("a, r", [(-1.5, 3), (-1, 3.0), (Fraction(-3, 2), 2), ("-1", 2), (-1, "2")])
+@pytest.mark.parametrize("a, r", [(-1.5, 3), (-1, 3.0), (Fraction(-3, 2), 2), ("-1", 2), (-1, "2"),
+                                  (-1, -1), (-1, -2), (0, Fraction(-1))])
 def test_non_integer_a_or_r_is_bad_input(a, r):
     # the recursion ran on -1.5 and returned the floats (0.0, 2.5, 0.0, 1.0),
-    # and the closed form returned -2.25 for (-1.5, 2)
+    # and the closed form returned -2.25 for (-1.5, 2); a negative r gave the
+    # float -1.0 (closed form), [] (table) or an IndexError (row)
     with pytest.raises(BadInput, match="need integers a and r"):
         coeff_table(a, r)
+    with pytest.raises(BadInput, match="need integers a and r"):
+        coeff_row(a, r)
     with pytest.raises(BadInput, match="need integers a and r"):
         c0_closed_form(a, r)
 
