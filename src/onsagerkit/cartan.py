@@ -8,7 +8,6 @@ long simple root, so a[r-1][r] = -2 and a[r][r-1] = -1 (0-based rows).
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -289,16 +288,17 @@ def _affine_extension(fin):
     return tuple(tuple(x) for x in out)
 
 
-_PRESET_RE = re.compile(r"^([A-G])(\d+)(~?)$")
-
-
 @lru_cache(maxsize=None)
 def preset(name):
-    """Standard Cartan matrix by name, e.g. "A2", "C3", "G2", "A1~", "C2~"."""
-    m = _PRESET_RE.match(name.strip())
-    if not m:
+    """Standard Cartan matrix by name, e.g. "A2", "C3", "G2", "A1~", "C2~":
+    a letter A-G, a rank in decimal digits (any script, as int() reads
+    them), then at most one "~"."""
+    stripped = name.strip()
+    body = stripped.removesuffix("~")
+    family, digits = body[:1], body[1:]
+    if family not in "ABCDEFG" or not digits.isdecimal():  # "" fails isdecimal
         raise UnknownPreset("cannot parse preset name %r" % name)
-    family, rank, affine = m.group(1), int(m.group(2)), m.group(3) == "~"
+    rank, affine = int(digits), body != stripped
     fin = tuple(map(tuple, _finite_preset_matrix(family, rank)))
     if not affine:
         c = validate(fin, labels=tuple(range(1, rank + 1)))

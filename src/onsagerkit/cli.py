@@ -11,12 +11,10 @@ exception is a fault and propagates.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .cartan import FINITE, UNTWISTED_AFFINE, parse_matrix_text, preset, validate
 from .characters import (
@@ -302,6 +300,8 @@ COMMANDS = {
 
 
 def build_parser():
+    import argparse  # only argv that read_plain_argv declines builds the parser
+
     p = argparse.ArgumentParser(
         prog="onsager-kit",
         description="exact construction and verification of generalized Onsager algebras",
@@ -319,8 +319,9 @@ def build_parser():
 
 
 def read_plain_argv(argv):
-    """The Namespace that build_parser().parse_args(argv) gives, read without
-    building the parser, or None when argv is not plain.
+    """The attributes of the Namespace that build_parser().parse_args(argv)
+    gives, in a SimpleNamespace read without building the parser, or None
+    when argv is not plain.
 
     Plain is: the command, then exact full option names, each at most once,
     exactly one matrix source where the command takes one, every required
@@ -359,7 +360,7 @@ def read_plain_argv(argv):
         return None
     if any(kw.get("required") and name not in values for name, kw in options):
         return None
-    args = argparse.Namespace(command=argv[0])
+    args = SimpleNamespace(command=argv[0])
     for name, kw in spec.items():
         default = False if "action" in kw else kw.get("default")
         setattr(args, name.lstrip("-").replace("-", "_"), values.get(name, default))
@@ -419,6 +420,9 @@ BATCH = 4096  # chunks per write, so a large report is never one string
 def write_json(value, write):
     """Write json.dumps(value, indent=2, sort_keys=True) and a newline through
     write(), byte for byte, in batches of BATCH chunks.  Dict keys are str."""
+    import json  # only --json writes JSON
+    from json.encoder import encode_basestring_ascii
+
     chunks = []
 
     def walk(x, nl):

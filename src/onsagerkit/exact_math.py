@@ -266,6 +266,8 @@ class ExactMatrix(SparseElement):
 
     def __init__(self, rows, cols, entries=None):
         for i, j in entries or ():
+            if type(i) is not int or type(j) is not int:
+                raise TypeError("entry index (%r, %r) is not a pair of ints" % (i, j))
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError("entry (%d, %d) outside %dx%d matrix" % (i, j, rows, cols))
         super().__init__(entries)

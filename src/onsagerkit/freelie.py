@@ -58,14 +58,14 @@ class BracketExpr(namedtuple("BracketExpr", "label left right", defaults=(None, 
     def __new__(cls, label=None, left=None, right=None):
         if (label is None) == (left is None or right is None):
             raise ValueError("either a label or both children")
-        return super().__new__(cls, label, left, right)
+        return super().__new__(cls, label if label is None else _label(label), left, right)
 
     @classmethod
-    def _make(cls, iterable):  # so _replace checks the shape too
+    def _make(cls, iterable):  # so _replace checks the shape and label too
         return cls(*iterable)
 
     @classmethod
-    def leaf(cls, label):
+    def leaf(cls, label):  # gated here too, so leaf(None) is a bad label, not a bad shape
         return cls(label=_label(label))
 
     @classmethod

@@ -187,6 +187,40 @@ def test_unknown_preset():
         preset("D2")
 
 
+# the pattern preset names were once parsed with, kept as the reference
+OLD_PRESET_RE = re.compile(r"^([A-G])(\d+)(~?)$")
+
+
+def _preset_name_variants():
+    """Names from a letter, a rank and a tail, each also with a space, a
+    newline or a "~" put in at every position and with padding around it."""
+    letters = ["A", "C", "E", "G", "H", "a", "c", "", "AB", " A"]
+    ranks = ["", "0", "1", "2", "٣", "01", "002", "0٣", "٢", "1_0", "+1", "2.0", "²"]
+    tails = ["", "~", "~~", "~ ", " ~", "\n", "~\n", "x"]
+    for letter, rank, tail in itertools.product(letters, ranks, tails):
+        name = letter + rank + tail
+        yield name
+        yield " \t%s\n" % name
+        for k in range(len(name) + 1):
+            for piece in (" ", "\n", "~"):
+                yield name[:k] + piece + name[k:]
+
+
+def _parses(name):
+    try:
+        preset(name)
+    except UnknownPreset as exc:
+        return not str(exc).startswith("cannot parse")
+    return True
+
+
+def test_preset_parses_exactly_the_names_the_old_pattern_matched():
+    names = set(_preset_name_variants())
+    assert len(names) > 10000
+    mismatched = [n for n in names if _parses(n) != bool(OLD_PRESET_RE.match(n.strip()))]
+    assert mismatched == []
+
+
 def test_parse_matrix_text():
     rows = parse_matrix_text("2 -1\n-1 2\n")
     assert rows == [[2, -1], [-1, 2]]

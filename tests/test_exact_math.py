@@ -131,6 +131,18 @@ def test_matrix_algebra():
     assert (Fraction(1, 2) * a).entry(0, 1) == 1
 
 
+@pytest.mark.parametrize("index", [(0.5, 1), (1, Fraction(1)), ("0", 0), (True, 0)])
+def test_a_matrix_index_that_is_not_an_int_is_refused_when_built(index):
+    with pytest.raises(TypeError, match="is not a pair of ints"):
+        ExactMatrix(2, 2, {index: 1})
+
+
+@pytest.mark.parametrize("index", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_a_matrix_index_out_of_range_is_refused_when_built(index):
+    with pytest.raises(IndexError, match="outside 2x2 matrix"):
+        ExactMatrix(2, 2, {index: 1})
+
+
 def test_incremental_span_agrees_with_batch():
     rng = random.Random(7)
     vecs = []

@@ -1,6 +1,6 @@
 """The record classes are named tuples: they compare, hash and order as the
 tuple of their fields, refuse assignment, keep their repr and defaults, and
-importing the CLI loads no dataclasses, inspect or typing."""
+importing the CLI loads no argparse, json, dataclasses, inspect or typing."""
 
 import operator
 import os
@@ -14,7 +14,7 @@ import pytest
 import onsagerkit
 from onsagerkit.cartan import FINITE, CartanMatrix, preset
 from onsagerkit.characters import CharacterSpace
-from onsagerkit.exact_math import IdentityViolation
+from onsagerkit.exact_math import BadInput, IdentityViolation
 from onsagerkit.freelie import BracketExpr, parse_bracket
 from onsagerkit.loop import YIndex
 from onsagerkit.onsager import FiltrationReport, GenerationReport
@@ -119,13 +119,34 @@ def test_a_bracket_expr_of_the_wrong_shape_raises():
     assert leaf._replace(label=2) == BracketExpr.leaf(2) == (2, None, None)
     assert node._replace(right=leaf) == parse_bracket("[B1,B1]")
     assert node.labels() == {1, 2} and leaf.is_leaf and not node.is_leaf
+    # every way of building a leaf gates its label and stores it as an int
+    for make in (lambda: BracketExpr(label=2.5), lambda: BracketExpr._make((2.5, None, None)),
+                 lambda: leaf._replace(label=1.7), lambda: BracketExpr.leaf("1")):
+        with pytest.raises(BadInput, match="is not an integer"):
+            make()
+    for built in (BracketExpr(label=Fraction(3)), leaf._replace(label=Fraction(3)), BracketExpr.leaf(Fraction(3))):
+        assert built == BracketExpr.leaf(3) and type(built.label) is int and repr(built) == "B3"
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
-    # -S keeps site hooks (.pth files) from importing modules of their own
-    code = ("import sys, onsagerkit.cli\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))\n")
+LAZY = ("argparse", "gettext", "json", "dataclasses", "inspect", "typing")
+
+
+def _loaded_after(code):
+    """The modules of LAZY that are loaded after running code in a fresh
+    interpreter; -S keeps site hooks (.pth files) from importing modules of
+    their own."""
+    code += "\nimport sys\nprint(sorted(m for m in %r if m in sys.modules), file=sys.stderr)\n" % (LAZY,)
     env = dict(os.environ, PYTHONPATH=str(Path(onsagerkit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stderr
+
+
+def test_importing_the_cli_loads_no_argparse_json_dataclasses_inspect_or_typing():
+    assert _loaded_after("import onsagerkit.cli") == "[]\n"
+
+
+def test_a_plain_argv_builds_no_parser_and_only_json_output_loads_json():
+    run = "import onsagerkit.cli\nif onsagerkit.cli.main(%r):\n    raise SystemExit('nonzero exit')"
+    assert _loaded_after(run % (["verify", "--preset", "A2"],)) == "[]\n"
+    assert _loaded_after(run % (["chars", "--json", "--preset", "A2"],)) == "['json']\n"
