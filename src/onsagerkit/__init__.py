@@ -10,7 +10,6 @@ from .chevalley import (
     sl_realization,
     sp_realization,
     sp_structure_table,
-    verify_gl_presentation,
 )
 from .exact_math import ExactMatrix, GaussianRational, IdentityViolation, nullspace_basis, rank, span_rank
 from .freelie import (
@@ -35,5 +34,6 @@ from .onsager import (
 )
 from .roots import AffineRoot, RootSystem
 from .serre_coeffs import CoeffRow, c0_closed_form, coeff_row, coeff_table, serre_relation
+from .verify import verify_gl_presentation
 
 __version__ = "0.1.0"

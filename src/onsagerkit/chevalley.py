@@ -449,43 +449,3 @@ def eta(r, x: ChevElement) -> ExactMatrix:
         raise IdentityViolation("fixed image has B not antisymmetric or C not symmetric")
     return b + I * c
 
-
-def verify_gl_presentation(r):
-    """Check the gl_r relations satisfied by the images K_j of the fixed
-    generators, plus the expression of K_r through the center and the
-    diagonal elements, as (name, ok) pairs."""
-    if r < 2:
-        raise ValueError("the gl_r presentation needs r >= 2, got %r" % (r,))
-    table = sp_structure_table(r)
-
-    def simple(k):
-        return tuple(1 if i == k else 0 for i in range(r))
-
-    K = [eta(r, table.y_basis(simple(k))) for k in range(r)]
-    zero = ExactMatrix(r, r)
-    checks = []
-    for j in range(r):
-        for k in range(j + 2, r):
-            ok = K[j].commutator(K[k]) == zero
-            checks.append(("[K%d,K%d] = 0" % (j + 1, k + 1), ok))
-    for j in range(r - 2):
-        lhs = K[j].commutator(K[j].commutator(K[j + 1]))
-        checks.append(("[K%d,[K%d,K%d]] = -K%d" % (j + 1, j + 1, j + 2, j + 2), lhs == -K[j + 1]))
-    for j in range(r - 1):
-        lhs = K[j + 1].commutator(K[j + 1].commutator(K[j]))
-        checks.append(("[K%d,[K%d,K%d]] = -K%d" % (j + 2, j + 2, j + 1, j + 1), lhs == -K[j]))
-    a, b = K[r - 2], K[r - 1]
-    lhs = a.commutator(a.commutator(a.commutator(b)))
-    checks.append(
-        ("[K%d,[K%d,[K%d,K%d]]] = -4[K%d,K%d]" % (r - 1, r - 1, r - 1, r, r - 1, r),
-         lhs == -4 * a.commutator(b))
-    )
-    # K_r = (i/r)(Z - sum_j j * (E_jj - E_{j+1,j+1}))
-    Z = ExactMatrix.identity(r)
-    acc = ExactMatrix(r, r)
-    for j in range(1, r):
-        acc = acc + j * (ExactMatrix(r, r, {(j - 1, j - 1): 1}) - ExactMatrix(r, r, {(j, j): 1}))
-    rhs = (I * Fraction(1, r)) * (Z - acc)
-    checks.append(("K%d = (i/%d)(Z - sum j*diag_j)" % (r, r), K[r - 1] == rhs))
-    checks.append(("K%d = i*E_%d%d" % (r, r, r), K[r - 1] == ExactMatrix(r, r, {(r - 1, r - 1): I})))
-    return checks

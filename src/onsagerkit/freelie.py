@@ -95,15 +95,21 @@ def ad_power(i, j, s):
     return expr
 
 
+# parsing, BracketExpr.labels and psi_eval recurse once per level, so a
+# deeper tree would run into the interpreter's recursion limit
+MAX_NESTING = 256
+
+
 def parse_bracket(text) -> BracketExpr:
-    """Parse "B<nat>" | "[" expr "," expr "]" with optional whitespace."""
+    """Parse "B<nat>" | "[" expr "," expr "]" with optional whitespace and
+    at most MAX_NESTING levels of brackets; <nat> is decimal digits."""
 
     def skip_ws(pos):
         while pos < len(text) and text[pos].isspace():
             pos += 1
         return pos
 
-    def parse_expr(pos):
+    def parse_expr(pos, depth):
         pos = skip_ws(pos)
         if pos >= len(text):
             raise UnbalancedBracketError("unexpected end of input", pos)
@@ -111,17 +117,19 @@ def parse_bracket(text) -> BracketExpr:
         if ch == "B":
             start = pos + 1
             end = start
-            while end < len(text) and text[end].isdigit():
+            while end < len(text) and text[end].isdecimal():
                 end += 1
             if end == start:
                 raise ParseError("expected digits after 'B'", start)
             return BracketExpr.leaf(int(text[start:end])), end
         if ch == "[":
-            left, pos = parse_expr(pos + 1)
+            if depth == MAX_NESTING:
+                raise ParseError("brackets nested deeper than %d" % MAX_NESTING, pos)
+            left, pos = parse_expr(pos + 1, depth + 1)
             pos = skip_ws(pos)
             if pos >= len(text) or text[pos] != ",":
                 raise ParseError("expected ','", pos)
-            right, pos = parse_expr(pos + 1)
+            right, pos = parse_expr(pos + 1, depth + 1)
             pos = skip_ws(pos)
             if pos >= len(text) or text[pos] != "]":
                 raise UnbalancedBracketError("expected ']'", pos)
@@ -130,7 +138,7 @@ def parse_bracket(text) -> BracketExpr:
             raise UnbalancedBracketError("unmatched ']'", pos)
         raise ParseError("expected 'B<n>' or '['", pos)
 
-    expr, pos = parse_expr(0)
+    expr, pos = parse_expr(0, 0)
     pos = skip_ws(pos)
     if pos != len(text):
         if text[pos] == "]":

@@ -147,18 +147,15 @@ def realization_for(c: CartanMatrix) -> Realization:
 
 
 def relations(c: CartanMatrix):
-    """The defining relations, one per ordered pair of distinct labels."""
-    out = []
-    for i in c.labels:
-        for j in c.labels:
-            if i != j:
-                out.append(serre_relation(c, i, j))
-    return out
+    """The defining relations {(i, j): relation}, one per ordered pair of
+    distinct labels, in label order."""
+    return {(i, j): serre_relation(c, i, j) for i in c.labels for j in c.labels if i != j}
 
 
 def psi_eval(rz: Realization, e):
     """Homomorphic evaluation: generator labels map to the Y images; the
-    image is an int dict over basis numbers."""
+    image is an int dict over basis numbers.  rz may be any target with a
+    Realization's `generator` and `bracket` on sparse dicts."""
     if isinstance(e, BracketExpr):
         if e.is_leaf:
             return rz.generator(e.label)

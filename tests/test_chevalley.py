@@ -23,11 +23,11 @@ from onsagerkit.chevalley import (
     sl_realization,
     sp_realization,
     sp_structure_table,
-    verify_gl_presentation,
 )
 from onsagerkit.exact_math import ExactMatrix, I, IdentityViolation
 from onsagerkit.roots import height
 from onsagerkit.serre_coeffs import coeff_row
+from onsagerkit.verify import verify_gl_presentation
 
 TEST_PRESETS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
 
@@ -560,17 +560,29 @@ def test_eta_rejects_unfixed():
         eta(2, t.e((1, 0)))
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_gl_presentation(r):
     checks = verify_gl_presentation(r)
     assert all(ok for _, ok in checks), [name for name, ok in checks if not ok]
+    # r(r-1) ordered pairs less one of each pair with a_ij = 0, and the two
+    # K_r identities
+    assert len(checks) == {2: 4, 3: 7, 4: 11, 5: 16}[r]
 
 
 def test_gl_presentation_specific_relations():
+    # each relation check is named by the Serre relation it evaluates at the
+    # K_j, in label order; a_13 = 0, so [K1,K3] = 0 is checked for (1, 3) only
     names = dict(verify_gl_presentation(3))
-    assert names["[K1,K3] = 0"]
-    assert names["[K2,[K2,K1]] = -K1"]
-    assert names["[K2,[K2,[K2,K3]]] = -4[K2,K3]"]
+    assert list(names) == [
+        "(2)+(1.1.2) = 0",  # [K1,[K1,K2]] = -K2
+        "(1.3) = 0",  # [K1,K3] = 0
+        "(1)+(1.2.2) = 0",  # [K2,[K2,K1]] = -K1
+        "4*(2.3)+(2.2.2.3) = 0",  # [K2,[K2,[K2,K3]]] = -4[K2,K3]
+        "(2)+(2.3.3) = 0",  # [K3,[K3,K2]] = -K2
+        "K3 = (i/3)(Z - sum j*diag_j)",
+        "K3 = i*E_33",
+    ]
+    assert all(names.values())
 
 
 def test_invariant_form_values():

@@ -7,7 +7,7 @@ from onsagerkit.cartan import NotAffine, NotFinite, NotGCM, NotSymmetrizable, Un
 from onsagerkit.characters import WindowTooSmall
 from onsagerkit.chevalley import NotAPositiveRoot, NotFixedError
 from onsagerkit.exact_math import BadInput
-from onsagerkit.freelie import ParseError
+from onsagerkit.freelie import MAX_NESTING, ParseError
 from onsagerkit.loop import NotExpandable
 from onsagerkit.onsager import NotRealized
 from onsagerkit.roots import NotARoot, RootSystem
@@ -198,6 +198,23 @@ def test_eval_other_kind_rejected(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: eval needs a finite or untwisted affine matrix; this one classifies as Other\n"
+
+
+def test_eval_non_decimal_digit_is_bad_input(capsys):
+    assert run_cli(capsys, "eval", "--preset", "A2", "B²") == (
+        2, "", "error: expected digits after 'B' (at offset 1)\n")
+
+
+def test_eval_nesting_bound(capsys):
+    def nested(depth):
+        return "[" * depth + "B2" + ",B1]" * depth
+
+    # [x, B1] twice is [B1, [B1, x]], and [B1, [B1, B2]] = -B2 in A2
+    text = nested(MAX_NESTING)
+    assert run_cli(capsys, "eval", "--preset", "A2", text) == (0, text + " -> y(a2)\n", "")
+    for depth in (MAX_NESTING + 1, 990):
+        assert run_cli(capsys, "eval", "--preset", "A2", nested(depth)) == (
+            2, "", "error: brackets nested deeper than %d (at offset %d)\n" % (MAX_NESTING, MAX_NESTING))
 
 
 def test_eval_unknown_label_is_usage_error(capsys):

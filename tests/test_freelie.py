@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import onsagerkit
 from onsagerkit.exact_math import BadInput, span_rank
 from onsagerkit.freelie import (
+    MAX_NESTING,
     BracketExpr,
     FreeLieElement,
     NotALieElement,
@@ -52,6 +53,11 @@ def test_parse_errors():
         parse_bracket("B")
     with pytest.raises(ParseError):
         parse_bracket("")
+    # a label is decimal digits: "²" is a digit but no decimal one
+    with pytest.raises(ParseError) as err:
+        parse_bracket("B²")
+    assert err.value.pos == 1
+    assert parse_bracket("B\u0661") == BracketExpr.leaf(1)  # ARABIC-INDIC DIGIT ONE
     # a label is an integer, never truncated (1.7 made B1) or parsed ("3")
     for label in (1.7, "3", Fraction(1, 2), None):
         message = re.escape("generator label %r is not an integer" % (label,))
@@ -60,6 +66,21 @@ def test_parse_errors():
         with pytest.raises(BadInput, match=message):
             FreeLieElement.generator(label)
     assert BracketExpr.leaf(Fraction(4, 2)).label == 2 and FreeLieElement.generator(Fraction(3)).terms == {(3,): 1}
+
+
+def _nested(depth):
+    """[[...[B2,B1],...,B1],B1] with the given bracket depth."""
+    return "[" * depth + "B2" + ",B1]" * depth
+
+
+def test_parse_nesting_bound():
+    assert parse_bracket(_nested(MAX_NESTING)).labels() == {1, 2}
+    for depth in (MAX_NESTING + 1, 990):
+        with pytest.raises(ParseError, match=r"nested deeper than %d \(at offset %d\)" % (MAX_NESTING, MAX_NESTING)):
+            parse_bracket(_nested(depth))
+    # the bound counts open brackets on one path, not brackets in all
+    wide = "[" + ",".join([_nested(MAX_NESTING - 1)] * 2) + "]"
+    assert parse_bracket(wide).labels() == {1, 2}
 
 
 def test_lyndon_predicates():

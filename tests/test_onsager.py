@@ -23,16 +23,16 @@ def test_relations_examples():
     rels = relations(preset("A1~"))
     dg0 = to_lyndon(parse_bracket("[B0,[B0,[B0,B1]]]")) + 4 * to_lyndon(parse_bracket("[B0,B1]"))
     dg1 = to_lyndon(parse_bracket("[B1,[B1,[B1,B0]]]")) + 4 * to_lyndon(parse_bracket("[B1,B0]"))
-    assert rels == [dg0, dg1]
+    assert rels == {(0, 1): dg0, (1, 0): dg1}
 
     rels_a2 = relations(preset("A2"))
-    want = [
-        to_lyndon(parse_bracket("[B1,[B1,B2]]")) + to_lyndon(parse_bracket("B2")),
-        to_lyndon(parse_bracket("[B2,[B2,B1]]")) + to_lyndon(parse_bracket("B1")),
-    ]
+    want = {
+        (1, 2): to_lyndon(parse_bracket("[B1,[B1,B2]]")) + to_lyndon(parse_bracket("B2")),
+        (2, 1): to_lyndon(parse_bracket("[B2,[B2,B1]]")) + to_lyndon(parse_bracket("B1")),
+    }
     assert rels_a2 == want
 
-    assert relations(preset("A1")) == []
+    assert relations(preset("A1")) == {}
 
 
 def test_psi_generator_images():
@@ -69,7 +69,7 @@ def test_psi_short_relation_image():
 def test_psi_kills_relations(name):
     c = preset(name)
     rz = realization_for(c)
-    for rel in relations(c):
+    for rel in relations(c).values():
         assert psi_eval(rz, rel) == {}, (name, rel)
 
 
@@ -178,7 +178,7 @@ def test_affine_realization_nonstandard_node_order():
     # same A1 affine matrix but with the affine node listed second
     c = validate([[2, -2], [-2, 2]], labels=(1, 0))
     rz = AffineRealization(c)
-    for rel in relations(c):
+    for rel in relations(c).values():
         assert psi_eval(rz, rel) == {}
 
 

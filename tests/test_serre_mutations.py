@@ -2,7 +2,9 @@
 
 Each case changes how the relations are built and leaves the realization
 alone, then runs `verify` in-process: one FAIL row names the generator
-pairs whose relation no longer evaluates to zero under psi.
+pairs whose relation no longer evaluates to zero under psi.  For C_r the
+gl_r row evaluates the same relations at the K_j, so it fails too and
+names the relations that broke.
 """
 
 import contextlib
@@ -16,15 +18,16 @@ from pathlib import Path
 import pytest
 
 import onsagerkit
-from onsagerkit import cli, serre_coeffs, verify
+from onsagerkit import cli, onsager, serre_coeffs
 from onsagerkit.cartan import preset
 from onsagerkit.serre_coeffs import CoeffRow
 from test_serre_coeffs import spectrum_mismatches
 
 SERRE_FAIL = "FAIL  inhomogeneous Serre relations evaluate to zero (nonzero image for generator pairs %s)"
+GL2_FAIL = "FAIL  gl_2 presentation through the fixed-subalgebra isomorphism (%s)"
 
 TRUE_ROW = serre_coeffs.coeff_row
-TRUE_RELATION = verify.serre_relation
+TRUE_RELATION = onsager.serre_relation
 
 
 def bumped_row(a, r):
@@ -67,7 +70,7 @@ def bumped_case(name):
 
 def swapped_case(name):
     swapped = swapped_pair(preset(name))
-    with _replaced(verify, "serre_relation", lambda c, i, j: TRUE_RELATION(swapped, i, j)):
+    with _replaced(onsager, "serre_relation", lambda c, i, j: TRUE_RELATION(swapped, i, j)):
         return _verify(name)
 
 
@@ -79,6 +82,10 @@ BUMPED = {
     # a_02 = 0: the bumped row turns [B0, B2] = 0 into [B0, B2] + B2 = 0
     "C2~": [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)],
 }
+
+# the relations the gl_2 row of C2 names as failing, in label order
+BUMPED_GL2 = ["(2)+4*(1.2)+(1.1.1.2) = 0", "2*(1)+(1.2.2) = 0"]
+SWAPPED_GL2 = ["(2)+(1.1.2) = 0", "-4*(1.2)-(1.2.2.2) = 0"]
 
 SWAPPED = {
     "C2": [(1, 2), (2, 1)],
@@ -93,7 +100,8 @@ SWAPPED = {
 
 @pytest.mark.parametrize("name", sorted(BUMPED))
 def test_a_bumped_serre_coefficient_fails_the_serre_row(name):
-    assert bumped_case(name) == [1, [SERRE_FAIL % BUMPED[name]]]
+    gl = [GL2_FAIL % BUMPED_GL2] if name == "C2" else []
+    assert bumped_case(name) == [1, [SERRE_FAIL % BUMPED[name]] + gl]
 
 
 def test_a_bumped_serre_coefficient_fails_the_spectrum_rows():
@@ -103,7 +111,8 @@ def test_a_bumped_serre_coefficient_fails_the_spectrum_rows():
 
 @pytest.mark.parametrize("name", sorted(SWAPPED))
 def test_relations_of_a_swapped_cartan_pair_fail_the_serre_row(name):
-    assert swapped_case(name) == [1, [SERRE_FAIL % SWAPPED[name]]]
+    gl = [GL2_FAIL % SWAPPED_GL2] if name == "C2" else []
+    assert swapped_case(name) == [1, [SERRE_FAIL % SWAPPED[name]] + gl]
 
 
 def test_a_bumped_serre_coefficient_fails_under_optimize():

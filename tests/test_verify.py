@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -382,6 +383,20 @@ MUTATED = {
 }
 
 
+_TRUE_ETA = verify.eta
+
+
+def _doubled_k1(r, x):
+    """eta with K_1, the image of the first simple fixed generator, doubled."""
+    k = _TRUE_ETA(r, x)
+    return 2 * k if x == chevalley.sp_structure_table(r).y_basis((1,) + (0,) * (r - 1)) else k
+
+
+# with K_1 doubled only the (1, 2) relation [K1,[K1,K2]] = -K2 breaks: the
+# (2, 1) and (1, 3) relations are linear in K_1, and the rest do not hold it
+DOUBLED_K1 = [1, ["FAIL  gl_3 presentation through the fixed-subalgebra isomorphism (['(2)+(1.1.2) = 0'])"]]
+
+
 def _clear_matrix_caches():
     for f in (chevalley._display, chevalley.sp_realization):
         f.cache_clear()
@@ -417,6 +432,8 @@ def matrix_cases():
     for case, (attr, fake, _) in MUTATED.items():
         with _replaced(attr, fake):
             got["mutated " + case] = _run(case)
+    with mock.patch.object(verify, "eta", _doubled_k1):
+        got["doubled K1"] = _run("verify --preset C3")
     return got
 
 
@@ -430,6 +447,8 @@ def _check_matrix_cases(got):
         for line, name in zip(fails, failing):
             assert line.startswith("FAIL  " + name), line
             assert "(bracket of images differs from image of bracket at [(" in line, line
+    code, out = got["doubled K1"]
+    assert [code, [line for line in out.splitlines() if not line.startswith("PASS  ")]] == DOUBLED_K1, out
 
 
 def test_matrix_rows():
@@ -437,7 +456,8 @@ def test_matrix_rows():
 
 
 def test_matrix_rows_under_optimize():
-    # the realization check is an explicit raise, so python -O still fails
+    # the realization check is an explicit raise and the gl_r row compares
+    # without assert, so python -O still fails
     code = (
         "import json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
