@@ -121,7 +121,12 @@ def parse_bracket(text) -> BracketExpr:
                 end += 1
             if end == start:
                 raise ParseError("expected digits after 'B'", start)
-            return BracketExpr.leaf(int(text[start:end])), end
+            try:
+                label = int(text[start:end])
+            except ValueError:
+                # longer than the interpreter's int string-conversion limit
+                raise ParseError("label of %d digits is too long" % (end - start), start) from None
+            return BracketExpr.leaf(label), end
         if ch == "[":
             if depth == MAX_NESTING:
                 raise ParseError("brackets nested deeper than %d" % MAX_NESTING, pos)

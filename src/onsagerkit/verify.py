@@ -7,8 +7,8 @@ the identity that broke.
 The affine structure sweep brackets basis pairs only, but reports the count
 of signed index pairs, (2 * |basis|)^2: both sides of each check are odd in
 each argument, so one basis pair settles the four signed pairs it stands for.
-The kernel runs on every ordered basis pair; the closed form runs once per
-unordered pair, and the sign laws of N mirror it onto the other order (see
+Both sides run once per unordered basis pair; the other order is settled by
+the antisymmetry of the table's bracket memo and the sign laws of N (see
 `check_affine_structure_constants`).
 """
 
@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 from .cartan import FINITE, CartanMatrix, preset
 from .characters import character_space, character_window, even_column_set
-from .chevalley import eta, preset_table, sl_realization, sp_realization, sp_structure_table
+from .chevalley import _key_str, eta, preset_table, sl_realization, sp_realization, sp_structure_table
 from .exact_math import ExactMatrix, I, IdentityViolation, add_into
 from .loop import NotExpandable, bracket_loop, onsager_basis, y_number, y_vector
 from .onsager import Realization, filtration_dims, psi_eval, realization_for, relations
@@ -152,12 +152,15 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     the four signed pairs it covers, and the count reported is that of the
     signed pairs, (2 * |basis|)^2.
 
-    The kernel runs on every ordered basis pair, so each is checked for
-    expandability and integrality.  The closed form runs once per unordered
-    pair: it is also odd under swapping its arguments, through
-    N(b,a) = -N(a,b) and N(-a,-b) = -N(a,b) (Carter, Simple groups of Lie
-    type, 1972, ch. 4), so the second of (u, v) and (v, u) is compared
-    against the negated closed form of the first.
+    Both sides run once per unordered basis pair (v at or after u in the
+    sweep's order).  Each is odd under swapping its arguments: the closed
+    form through N(b,a) = -N(a,b) and N(-a,-b) = -N(a,b) (Carter, Simple
+    groups of Lie type, 1972, ch. 4), the kernel when the memo is
+    antisymmetric, since on (v, u) it reads only the transposed entries of
+    (u, v).  So after the pairs, every key pair's memo entries are checked
+    for that: entry(j, i) holds the negated terms and the same form as
+    entry(i, j).  This settles the reverse order of every pair, and also
+    covers the entries the sweep never reads.
 
     Both sides read the realization's structure table: the expansion through
     its bracket memo, the closed form through its N values.  So this checks
@@ -172,10 +175,8 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     basis = [y_number(t, ("e", alpha), l) for alpha in sorted(t.rs._all) for l in levels
              if l > 0 or (l == 0 and min(alpha) >= 0)]
     basis += [y_number(t, ("h", i), l) for i in range(t.rs.rank) for l in levels if l > 0]
-    # (v, u) -> minus the closed form of [u, v], for the later visit of (v, u)
-    mirrored = {}
-    for idx1 in basis:
-        for idx2 in basis:
+    for pos, idx1 in enumerate(basis):
+        for idx2 in basis[pos:]:
             try:
                 got = rz.basis_bracket(idx1, idx2)
             except NotExpandable as exc:
@@ -184,13 +185,16 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
             for coeff in got.values():
                 if type(coeff) is not int and coeff.denominator != 1:
                     return name, False, "non-integer coefficient in [%s, %s]" % (rz.index(idx1), rz.index(idx2))
-            want = mirrored.pop((idx1, idx2), None)
-            if want is None:
-                want = _expected_y_bracket(t, idx1, idx2)
-                if idx1 != idx2:
-                    mirrored[idx2, idx1] = {k: -c for k, c in want.items()}
-            if got != want:
+            if got != _expected_y_bracket(t, idx1, idx2):
                 return name, False, "[%s, %s] expansion differs" % (rz.index(idx1), rz.index(idx2))
+    for i in range(t.dim):
+        for j in range(i + 1, t.dim):
+            terms, form = t.entry(i, j)
+            back, back_form = t.entry(j, i)
+            if dict(back) != {k: -c for k, c in terms} or back_form != form:
+                ki, kj = _key_str(t.keys[i]), _key_str(t.keys[j])
+                return name, False, "bracket memo entries [%s, %s] and [%s, %s] are not antisymmetric" % (
+                    ki, kj, kj, ki)
     return name, True, "%d index pairs, levels |l| <= %d" % ((2 * len(basis)) ** 2, level_bound)
 
 

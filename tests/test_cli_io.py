@@ -1,6 +1,6 @@
 """The CLI's plain-argv reader and `--json` writer against the argparse and
 json.dumps calls they stand in for, the argv left to argparse, and the exit
-code of a run whose stdout is closed early."""
+codes of a run whose stdout is closed early and of a label too long to read."""
 
 import hashlib
 import importlib.util
@@ -200,3 +200,14 @@ def test_a_closed_stdout_exits_141_quietly(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_a_label_too_long_to_read_is_bad_input():
+    # int() refuses more digits than the interpreter's string-conversion
+    # limit (4,300 by default); the label is bad input, reported at its offset
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONINTMAXSTRDIGITS="4300")
+    for text, offset in (("B" + "1" * 5000, 1), ("[B2, B" + "1" * 5000 + "]", 6)):
+        proc = subprocess.run([sys.executable, "-m", "onsagerkit.cli", "eval", "--preset", "A2", text],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: label of 5000 digits is too long (at offset %d)\n" % offset)

@@ -21,54 +21,69 @@ from onsagerkit.chevalley import MatrixRealization, StructureTable, build_cheval
 from onsagerkit.exact_math import IdentityViolation
 from onsagerkit import onsager
 from onsagerkit.loop import NotExpandable, YIndex, y_number
-from onsagerkit.onsager import AffineRealization, realization_for
+from onsagerkit.onsager import AffineRealization, FiniteRealization, realization_for
 from onsagerkit.roots import AffineRoot, RootSystem, height
 from onsagerkit.verify import _expected_y_bracket, check_affine_structure_constants, check_relations_killed
 
-# [y(a1), y(a2+d)] = +-y(a1+a2+d) on C2~: one term, coefficient +-1
-PAIR = (YIndex(AffineRoot((1, 0), 0)), YIndex(AffineRoot((0, 1), 1)))
+# [y(a2+d), y(a1)] = +-y(a1+a2+d) on C2~: one term, coefficient +-1.  The
+# sweep visits the pair in this order only, since (0, 1) sorts before (1, 0)
+PAIR = (YIndex(AffineRoot((0, 1), 1)), YIndex(AffineRoot((1, 0), 0)))
 
 
-def _corrupted(change, pair=PAIR):
-    """A C2~ realization whose basis_bracket applies change at pair only."""
+def _corrupted(change):
+    """A C2~ realization whose basis_bracket applies change at PAIR only."""
     rz = realization_for(preset("C2~"))
     exact = rz.basis_bracket
 
     def basis_bracket(u, v):
         got = exact(u, v)
-        return change(got) if (rz.index(u), rz.index(v)) == pair else got
+        return change(got) if (rz.index(u), rz.index(v)) == PAIR else got
 
     rz.basis_bracket = basis_bracket
     return rz
 
 
+def _one_order_corrupted(change):
+    """A C2~ realization on a fresh table whose memo entry for (h2, e_a1)
+    is changed, while (e_a1, h2) is not.  The sweep visits each basis pair
+    in one order, y(e_a1 + l delta) before y(l delta)^(2), so its kernel
+    reads only the untouched transposed entry; the reverse visit alone read
+    the changed one."""
+    t = build_chevalley(preset("C2"))
+    i, j = t.number[("h", 1)], t.number[("e", (1, 0))]
+    t._memo[i * t.dim + j] = change(*t.entry(i, j))
+    return AffineRealization(preset("C2~"), t)
+
+
+# the FAIL detail of a one-order memo corruption of (h2, e_a1)
+ONE_ORDER = "bracket memo entries [h2, e(a1)] and [e(a1), h2] are not antisymmetric"
+
+
 def test_sweep_names_a_negated_pair():
+    rz = _one_order_corrupted(lambda terms, form: (tuple((k, -c) for k, c in terms), form))
+    _, ok, detail = check_affine_structure_constants(rz)
+    assert not ok
+    assert detail == ONE_ORDER
+
+
+def test_sweep_reports_a_halved_coefficient():
+    def halve(terms, form):
+        (key, c), = terms
+        assert c % 2
+        return ((key, Fraction(c, 2)),), form
+
+    _, ok, detail = check_affine_structure_constants(_one_order_corrupted(halve))
+    assert not ok
+    assert detail == ONE_ORDER
+
+
+def test_sweep_names_a_pair_negated_at_its_first_visit():
+    # the kernel's expansion negated at the pair's one visit differs from
+    # the closed form there
     rz = _corrupted(lambda got: {k: -c for k, c in got.items()})
     _, ok, detail = check_affine_structure_constants(rz)
     assert not ok
     assert detail == "[%s, %s] expansion differs" % PAIR
-
-
-def test_sweep_reports_a_halved_coefficient():
-    def halve(got):
-        (key, c), = got.items()
-        assert c % 2
-        return {key: Fraction(c, 2)}
-
-    _, ok, detail = check_affine_structure_constants(_corrupted(halve))
-    assert not ok
-    assert detail == "non-integer coefficient in [%s, %s]" % PAIR
-
-
-def test_sweep_names_a_pair_negated_at_its_first_visit():
-    # the sweep meets (PAIR[1], PAIR[0]) first, since the root (0, 1) sorts
-    # before (1, 0), and evaluates the closed form there; at PAIR, the later
-    # visit, it compares against that closed form negated
-    first = PAIR[::-1]
-    rz = _corrupted(lambda got: {k: -c for k, c in got.items()}, first)
-    _, ok, detail = check_affine_structure_constants(rz)
-    assert not ok
-    assert detail == "[%s, %s] expansion differs" % first
 
 
 def _neg(a):
@@ -242,8 +257,7 @@ def test_sweep_evaluates_the_closed_form_once_per_unordered_pair(monkeypatch):
                         lambda t, u, v: closed_calls.append(1) or closed(t, u, v))
     _, ok, detail = check_affine_structure_constants(rz)
     assert ok, detail
-    assert len(kernel_calls) == 51 ** 2 == 2601
-    assert len(closed_calls) == 51 * 52 // 2 == 1326
+    assert len(kernel_calls) == len(closed_calls) == 51 * 52 // 2 == 1326
 
 
 MUTATIONS = {
@@ -254,17 +268,19 @@ MUTATIONS = {
 
 # memo mutations the sweep catches, per type: of one entry, and of an entry
 # together with its omega image
-CAUGHT = {"A1~": (14, 6), "A2~": (90, 42), "C2~": (120, 56), "G2~": (236, 112)}
+CAUGHT = {"A1~": (14, 6), "A2~": (92, 42), "C2~": (122, 56), "G2~": (238, 112)}
 
 
 @pytest.mark.parametrize("paired", [False, True], ids=["entry", "omega pair"])
 @pytest.mark.parametrize("name", sorted(CAUGHT))
 def test_the_same_memo_mutations_fail(name, paired):
-    # every memo mutation that changes what it touches: the row over basis
-    # pairs fails exactly when the signed-index reference fails.  A mutation
-    # of one entry breaks the involution, which the kernel sees; one applied
-    # alike to [x, y] and [omega x, omega y] keeps every bracket fixed, so
-    # only the closed form can see it
+    # every memo mutation that changes what it touches: the row fails
+    # whenever the signed-index reference fails.  A mutation of one entry
+    # breaks the involution, which the kernel sees, or the antisymmetry of
+    # the memo; one applied alike to [x, y] and [omega x, omega y] keeps
+    # every bracket fixed, so only the closed form or the antisymmetry check
+    # can see it.  The row also fails on the negated form of an off-diagonal
+    # (h_i, h_j) entry, which the reference passes (two per type of rank 2)
     t = build_chevalley(preset(name).finite_part())
     rz = AffineRealization(preset(name), t)
     for i in range(t.dim):
@@ -285,13 +301,82 @@ def test_the_same_memo_mutations_fail(name, paired):
                 t._memo[s] = wrong[s]
             try:
                 ok = check_affine_structure_constants(rz)[1]
-                assert ok == signed_sweep(rz)[0], (t.keys[i], t.keys[j], mutation)
+                assert not ok or signed_sweep(rz)[0], (t.keys[i], t.keys[j], mutation)
             finally:
                 for s in slots:
                     t._memo[s] = true[s]
             caught += not ok
     assert caught == CAUGHT[name][paired]
     assert check_affine_structure_constants(rz)[1]
+
+
+@pytest.mark.parametrize("name", ["A2~", "C2~", "G2~"])
+def test_a_negated_off_diagonal_cartan_form_fails_the_row(name):
+    # (h_i, h_j) enters the kernel only through the central coefficient of
+    # y_{l delta}^(i) against y_{m delta}^(j), where its two terms cancel, so
+    # the signed reference cannot see its sign; the antisymmetry check can
+    t = build_chevalley(preset(name).finite_part())
+    rz = AffineRealization(preset(name), t)
+    for i, j in ((0, 1), (1, 0)):
+        n = i * t.dim + j
+        terms, form = true = t.entry(i, j)
+        assert terms == () and form
+        t._memo[n] = terms, -form
+        try:
+            assert signed_sweep(rz)[0]
+            _, ok, detail = check_affine_structure_constants(rz)
+            assert not ok
+            assert detail == "bracket memo entries [h1, h2] and [h2, h1] are not antisymmetric"
+        finally:
+            t._memo[n] = true
+
+
+# single memo-entry mutations that change a level-0 basis-pair bracket
+FINITE_CAUGHT = {"G2": 144, "B3": 276}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CAUGHT))
+def test_the_finite_row_fails_on_every_mutation_it_can_see(name):
+    # the level-0 slice of the sweep is the finite structure-constant row;
+    # every single memo mutation that changes the bracket of some pair of
+    # finite basis vectors y_alpha (alpha > 0) fails it
+    c = preset(name)
+    t = build_chevalley(c)
+    rz = FiniteRealization(c, t)
+    nums = [rz.number(a) for a in t.rs.positive_roots]
+
+    def brackets():
+        out = []
+        for u in nums:
+            for v in nums:
+                try:
+                    out.append(rz.basis_bracket(u, v))
+                except NotExpandable:
+                    out.append(None)
+        return out
+
+    true_brackets = brackets()
+    for i in range(t.dim):
+        for j in range(t.dim):
+            t.entry(i, j)
+    caught = 0
+    for n, true in enumerate(t._memo):
+        for mutation, change in MUTATIONS.items():
+            wrong = change(*true)
+            if wrong == true:
+                continue
+            t._memo[n] = wrong
+            try:
+                if brackets() != true_brackets:
+                    ok = check_affine_structure_constants(rz, 0)[1]
+                    assert not ok, (t.keys[n // t.dim], t.keys[n % t.dim], mutation)
+                    caught += 1
+            finally:
+                t._memo[n] = true
+    assert caught == FINITE_CAUGHT[name]
+    assert check_affine_structure_constants(rz, 0) == (
+        "fixed-basis bracket expansions match closed forms", True,
+        "%d index pairs, levels |l| <= 0" % (2 * len(nums)) ** 2)
 
 
 def test_sweep_calls_the_kernel_once_per_basis_pair(monkeypatch):
@@ -306,7 +391,7 @@ def test_sweep_calls_the_kernel_once_per_basis_pair(monkeypatch):
     monkeypatch.setattr(onsager, "k_bracket_expand", counted)
     _, ok, detail = check_affine_structure_constants(rz)
     assert ok, detail
-    assert len(calls) == 51 ** 2 == 2601
+    assert len(calls) == 51 * 52 // 2 == 1326
     assert detail.startswith("%d index pairs" % (2 * 51) ** 2)
     calls.clear()
     assert signed_sweep(rz) == (True, 10404)
