@@ -46,10 +46,6 @@ class NotAPositiveRoot(ValueError):
     pass
 
 
-class NotFixedError(ValueError):
-    """Element is not fixed by the involution."""
-
-
 def _vadd(x, y):
     return tuple(map(add, x, y))
 
@@ -434,13 +430,22 @@ def sp_realization(r) -> MatrixRealization:
     return MatrixRealization(2 * r, *_display("C%d" % r))
 
 
-def eta(r, x: ChevElement) -> ExactMatrix:
+def eta(r, x) -> ExactMatrix:
     """Isomorphism of the symplectic fixed subalgebra onto gl_r:
-    (B, C; -C, B) -> B + iC."""
+    (B, C; -C, B) -> B + iC.
+
+    x is a fixed vector {n: c} over the level-0 fixed basis of the displayed
+    C_r table, numbered as in `loop` and `FiniteRealization`: n is the
+    number of e_alpha, alpha > 0, and stands for y_alpha = e_alpha - e_{-alpha},
+    so `eta(r, psi_eval(rz, expr))` composes for rz on that table.  A number
+    outside that basis is a ValueError."""
     rz = sp_realization(r)
-    if rz.table.omega(x) != x:
-        raise NotFixedError("element is not involution-fixed")
-    m = rz.matrix_of(x)
+    t, images = rz.table, rz.images
+    m = ExactMatrix(2 * r, 2 * r)
+    for n, c in x.items():
+        if n not in t.positive:
+            raise ValueError("%r numbers no fixed basis vector of C%d" % (n, r))
+        m = m + c * (images[t.keys[n]] - images[t.keys[t.partner[n]]])
     b = m.block(0, r, 0, r)
     c = m.block(0, r, r, 2 * r)
     if m.block(r, 2 * r, 0, r) != -c or m.block(r, 2 * r, r, 2 * r) != b:
@@ -448,4 +453,3 @@ def eta(r, x: ChevElement) -> ExactMatrix:
     if b.transpose() != -b or c.transpose() != c:
         raise IdentityViolation("fixed image has B not antisymmetric or C not symmetric")
     return b + I * c
-

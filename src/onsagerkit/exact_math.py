@@ -151,8 +151,11 @@ def _exact(x):
 
 
 def exact_int(x):
-    """x as an int when it is an int or an integral Fraction, else None."""
-    return x.numerator if isinstance(x, (int, Fraction)) and x.denominator == 1 else None
+    """x as an int when it is an int or an integral Fraction, else None; a
+    bool is no integer here."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
+        return None
+    return x.numerator
 
 
 I = GaussianRational(0, 1)

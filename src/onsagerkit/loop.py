@@ -142,15 +142,6 @@ def y_affine(idx: YIndex) -> LoopElement:
     return LoopElement(terms)
 
 
-def y_real(alpha, k):
-    return y_affine(YIndex(AffineRoot(tuple(alpha), k)))
-
-
-def y_imag(i, k, rank):
-    zero = (0,) * rank
-    return y_affine(YIndex(AffineRoot(zero, k), i))
-
-
 def y_coordinates(x: LoopElement, rank):
     """Coordinates of a fixed element over the positive-index fixed basis.
 
@@ -242,15 +233,3 @@ def k_bracket_expand(t: StructureTable, u, v):
         if level > 0 or (level == 0 and k in positive):
             out[n] = w
     return out
-
-
-# ---------------------------------------------------------------------------
-# the rank-1 example: the classical basis A_m, G_m
-# ---------------------------------------------------------------------------
-
-def onsager_basis(m: int):
-    """(A_m, G_m) over the rank-1 loop algebra: A_m = y_{alpha_1 + m delta},
-    G_m = y_{m delta}^(1); G_{-m} = -G_m and G_0 = 0 come out automatically."""
-    a = y_real((1,), m)
-    g = y_imag(1, m, 1)
-    return a, g

@@ -15,13 +15,14 @@ the antisymmetry of the table's bracket memo and the sign laws of N (see
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 from .cartan import FINITE, CartanMatrix, preset
-from .characters import character_space, character_window, even_column_set
-from .chevalley import _key_str, eta, preset_table, sl_realization, sp_realization, sp_structure_table
+from .characters import character_space, character_window, even_column_set, finite_character_realization
+from .chevalley import _key_str, eta, sl_realization, sp_realization
 from .exact_math import ExactMatrix, I, IdentityViolation, add_into
-from .loop import NotExpandable, bracket_loop, onsager_basis, y_number, y_vector
+from .loop import NotExpandable, y_number, y_vector
 from .onsager import Realization, filtration_dims, psi_eval, realization_for, relations
 
 
@@ -68,21 +69,24 @@ def check_character_dimension(c: CartanMatrix, rz: Realization, H):
     )
 
 
-def check_onsager_structure(bound=4):
-    """[A_k,A_l] = G_{l-k}, [G_m,G_n] = 0, [G_m,A_k] = 2(A_{k+m} - A_{k-m})."""
-    t = preset_table("A1")
+def check_onsager_structure(rz: Realization, bound=4):
+    """[A_k,A_l] = G_{l-k}, [G_m,G_n] = 0, [G_m,A_k] = 2(A_{k+m} - A_{k-m})
+    in the A1~ realization rz, with A_m = y_{alpha_1 + m delta} and
+    G_m = y_{m delta}^(1) written over its fixed basis by number (G_0 = 0)."""
+    t = rz.table
+    A = partial(y_vector, t, t.number["e", (1,)])
+    G = partial(y_vector, t, t.number["h", 0])
     for k in range(-bound, bound + 1):
         for l in range(-bound, bound + 1):
-            if bracket_loop(t, onsager_basis(k)[0], onsager_basis(l)[0]) != onsager_basis(l - k)[1]:
+            if rz.bracket(A(k), A(l)) != G(l - k):
                 return "classical A/G bracket table", False, "[A_%d,A_%d] != G_%d" % (k, l, l - k)
     for m in range(1, bound + 1):
         for n in range(1, bound + 1):
-            if not bracket_loop(t, onsager_basis(m)[1], onsager_basis(n)[1]).is_zero():
+            if rz.bracket(G(m), G(n)):
                 return "classical A/G bracket table", False, "[G_%d,G_%d] != 0" % (m, n)
         for k in range(-bound, bound + 1):
-            lhs = bracket_loop(t, onsager_basis(m)[1], onsager_basis(k)[0])
-            rhs = 2 * onsager_basis(k + m)[0] - 2 * onsager_basis(k - m)[0]
-            if lhs != rhs:
+            rhs = add_into(add_into({}, A(k + m), 2), A(k - m), -2)
+            if rz.bracket(G(m), A(k)) != rhs:
                 return (
                     "classical A/G bracket table",
                     False,
@@ -199,9 +203,10 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
 
 
 def verify_gl_presentation(r):
-    """Check the C_r relations at the images K_j = eta(y_{alpha_j}) of the
-    fixed generators in gl_r, plus the expression of K_r through the center
-    and the diagonal elements, as (name, ok) pairs.
+    """Check the C_r relations at the images K_j = eta(Y_j) in gl_r of the
+    generators of the realization on the displayed C_r table, plus the
+    expression of K_r through the center and the diagonal elements, as
+    (name, ok) pairs.
 
     Each relation is `psi_eval` of its `serre_relation`, with generator j
     sent to K_j and the matrix commutator as the bracket.  [K_i, K_j] = 0
@@ -210,10 +215,10 @@ def verify_gl_presentation(r):
     """
     if r < 2:
         raise ValueError("the gl_r presentation needs r >= 2, got %r" % (r,))
-    c = preset("C%d" % r)
-    table = sp_structure_table(r)
-    K = [eta(r, table.y_basis(tuple(int(i == k) for i in range(r)))) for k in range(r)]
-    gl = SimpleNamespace(generator=lambda j: K[j - 1].terms,
+    rz = finite_character_realization(r)
+    c = rz.cartan
+    K = {j: eta(r, rz.generator(j)) for j in c.labels}
+    gl = SimpleNamespace(generator=lambda j: K[j].terms,
                          bracket=lambda x, y: ExactMatrix(r, r, x).commutator(ExactMatrix(r, r, y)).terms)
     checks = [("%r = 0" % rel, not psi_eval(gl, rel))
               for (i, j), rel in relations(c).items() if i < j or c.entry(i, j)]
@@ -223,8 +228,8 @@ def verify_gl_presentation(r):
     for j in range(1, r):
         acc = acc + j * (ExactMatrix(r, r, {(j - 1, j - 1): 1}) - ExactMatrix(r, r, {(j, j): 1}))
     rhs = (I * Fraction(1, r)) * (Z - acc)
-    checks.append(("K%d = (i/%d)(Z - sum j*diag_j)" % (r, r), K[r - 1] == rhs))
-    checks.append(("K%d = i*E_%d%d" % (r, r, r), K[r - 1] == ExactMatrix(r, r, {(r - 1, r - 1): I})))
+    checks.append(("K%d = (i/%d)(Z - sum j*diag_j)" % (r, r), K[r] == rhs))
+    checks.append(("K%d = i*E_%d%d" % (r, r, r), K[r] == ExactMatrix(r, r, {(r - 1, r - 1): I})))
     return checks
 
 
@@ -285,5 +290,5 @@ def verification_suite(c: CartanMatrix, jmax=None, height=None):
         if rz.affine.rank <= 3:
             rows.append(check_affine_structure_constants(rz))
         if c.typename == "A1~":
-            rows.append(check_onsager_structure())
+            rows.append(check_onsager_structure(rz))
     return rows

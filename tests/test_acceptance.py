@@ -23,7 +23,6 @@ from onsagerkit.chevalley import (
     ChevElement,
     eta,
     preset_table,
-    sp_structure_table,
 )
 from onsagerkit.exact_math import GaussianRational, I
 from onsagerkit.freelie import (
@@ -36,16 +35,18 @@ from onsagerkit.freelie import (
 )
 from onsagerkit.loop import (
     LoopElement,
+    YIndex,
     bracket_loop,
     central,
     derivation,
     loop_form,
     omega_tilde,
-    onsager_basis,
+    y_affine,
 )
 from onsagerkit.onsager import filtration_dims, psi_eval, realization_for, relations
+from onsagerkit.roots import AffineRoot
 from onsagerkit.serre_coeffs import c0_closed_form, coeff_row, serre_relation
-from onsagerkit.verify import check_affine_structure_constants, verify_gl_presentation
+from onsagerkit.verify import check_affine_structure_constants, check_onsager_structure, verify_gl_presentation
 
 
 def _report(n, text, t0):
@@ -154,16 +155,26 @@ def test_criterion_05_graded_dimensions():
 
 def test_criterion_06_onsager_structure_constants():
     t0 = time.time()
+    # A_m = y_{alpha_1 + m delta} and G_m = y_{m delta}^(1) as loop elements,
+    # the reference the A/G row's numbered vectors are checked against
     t = preset_table("A1")
+
+    def A(m):
+        return y_affine(YIndex(AffineRoot((1,), m)))
+
+    def G(m):
+        return y_affine(YIndex(AffineRoot((0,), m), 1))
+
     for k in range(-5, 6):
         for l in range(-5, 6):
-            assert bracket_loop(t, onsager_basis(k)[0], onsager_basis(l)[0]) == onsager_basis(l - k)[1]
+            assert bracket_loop(t, A(k), A(l)) == G(l - k)
     for m in range(1, 6):
         for n in range(1, 6):
-            assert bracket_loop(t, onsager_basis(m)[1], onsager_basis(n)[1]).is_zero()
+            assert bracket_loop(t, G(m), G(n)).is_zero()
         for k in range(-5, 6):
-            lhs = bracket_loop(t, onsager_basis(m)[1], onsager_basis(k)[0])
-            assert lhs == 2 * onsager_basis(k + m)[0] - 2 * onsager_basis(k - m)[0]
+            assert bracket_loop(t, G(m), A(k)) == 2 * A(k + m) - 2 * A(k - m)
+    name, passed, detail = check_onsager_structure(realization_for(preset("A1~")), 5)
+    assert passed, detail
     _report(6, "classical bracket table holds for |k|,|l| <= 5, 0 < m,n <= 5", t0)
 
 
@@ -178,11 +189,11 @@ def test_criterion_07_affine_structure_constants():
 def test_criterion_08_eta_and_gl_presentation():
     t0 = time.time()
     for r in (1, 2, 3):
-        t = sp_structure_table(r)
-        ys = [t.y_basis(alpha) for alpha in t.rs.positive_roots]
-        for x in ys:
-            for y in ys:
-                assert eta(r, t.bracket(x, y)) == eta(r, x).commutator(eta(r, y))
+        rz = finite_character_realization(r)
+        nums = sorted(rz.table.positive)
+        for u in nums:
+            for v in nums:
+                assert eta(r, rz.basis_bracket(u, v)) == eta(r, {u: 1}).commutator(eta(r, {v: 1}))
     for r in (2, 3):
         checks = verify_gl_presentation(r)
         assert all(ok for _, ok in checks), [name for name, ok in checks if not ok]

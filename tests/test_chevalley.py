@@ -11,11 +11,11 @@ import pytest
 import onsagerkit
 from onsagerkit import chevalley
 from onsagerkit.cartan import preset, preset_names
+from onsagerkit.characters import finite_character_realization
 from onsagerkit.chevalley import (
     ChevElement,
     MatrixRealization,
     NotAPositiveRoot,
-    NotFixedError,
     StructureTable,
     build_chevalley,
     eta,
@@ -25,6 +25,8 @@ from onsagerkit.chevalley import (
     sp_structure_table,
 )
 from onsagerkit.exact_math import ExactMatrix, I, IdentityViolation
+from onsagerkit.freelie import parse_bracket
+from onsagerkit.onsager import psi_eval
 from onsagerkit.roots import height
 from onsagerkit.serre_coeffs import coeff_row
 from onsagerkit.verify import verify_gl_presentation
@@ -511,13 +513,18 @@ def test_gl_presentation_rejects_rank_one():
         verify_gl_presentation(1)
 
 
+def _y(t, alpha):
+    """The fixed vector y_alpha of a positive root, by number."""
+    return {t.number["e", alpha]: 1}
+
+
 def test_eta_generator_images():
     r = 3
     t = sp_structure_table(r)
     for j in range(r - 1):
-        k = eta(r, t.y_basis(_simple(t.rs, j)))
+        k = eta(r, _y(t, _simple(t.rs, j)))
         assert k == ExactMatrix(r, r, {(j, j + 1): 1, (j + 1, j): -1})
-    kr = eta(r, t.y_basis(_simple(t.rs, r - 1)))
+    kr = eta(r, _y(t, _simple(t.rs, r - 1)))
     assert kr == ExactMatrix(r, r, {(r - 1, r - 1): I})
 
 
@@ -535,29 +542,41 @@ def test_eta_root_vector_images():
     t = sp_structure_table(r)
     # eta(y_{eps_j - eps_k}) = E_jk - E_kj
     alpha = root_from_eps((1, -1, 0))
-    assert eta(r, t.y_basis(alpha)) == ExactMatrix(r, r, {(0, 1): 1, (1, 0): -1})
+    assert eta(r, _y(t, alpha)) == ExactMatrix(r, r, {(0, 1): 1, (1, 0): -1})
     # eta(y_{eps_j + eps_k}) = i(E_jk + E_kj)
     beta = root_from_eps((1, 1, 0))
-    assert eta(r, t.y_basis(beta)) == ExactMatrix(r, r, {(0, 1): I, (1, 0): I})
+    assert eta(r, _y(t, beta)) == ExactMatrix(r, r, {(0, 1): I, (1, 0): I})
     # eta(y_{2 eps_l}) = i E_ll
     gam = root_from_eps((0, 2, 0))
-    assert eta(r, t.y_basis(gam)) == ExactMatrix(r, r, {(1, 1): I})
+    assert eta(r, _y(t, gam)) == ExactMatrix(r, r, {(1, 1): I})
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_eta_is_bracket_homomorphism(r):
-    t = sp_structure_table(r)
-    ys = [t.y_basis(alpha) for alpha in t.rs.positive_roots]
-    for x in ys:
-        for y in ys:
-            lhs = eta(r, t.bracket(x, y))
-            assert lhs == eta(r, x).commutator(eta(r, y))
+    # on the kernel's bracket of every basis pair of the displayed table
+    rz = finite_character_realization(r)
+    nums = sorted(rz.table.positive)
+    for u in nums:
+        for v in nums:
+            assert eta(r, rz.basis_bracket(u, v)) == eta(r, {u: 1}).commutator(eta(r, {v: 1})), (u, v)
 
 
-def test_eta_rejects_unfixed():
+@pytest.mark.parametrize("r", [2, 3])
+def test_eta_composes_with_psi(r):
+    rz = finite_character_realization(r)
+    k1, k2 = (eta(r, rz.generator(j)) for j in (1, 2))
+    assert eta(r, psi_eval(rz, parse_bracket("[B1,B2]"))) == k1.commutator(k2)
+    # a combination maps linearly, and the empty vector to zero
+    assert eta(r, {**rz.generator(1), **rz.generator(2)}) == k1 + k2
+    assert eta(r, {}) == ExactMatrix(r, r)
+
+
+def test_eta_rejects_a_number_outside_the_basis():
     t = sp_structure_table(2)
-    with pytest.raises(NotFixedError):
-        eta(2, t.e((1, 0)))
+    # h_1, e_{-alpha_1}, a number past the table and a key instead of a number
+    for n in (t.number["h", 0], t.number["e", (-1, 0)], t.dim, ("e", (1, 0))):
+        with pytest.raises(ValueError, match="numbers no fixed basis vector of C2"):
+            eta(2, {n: 1})
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onsagerkit.cartan import NotGCM, validate
 from onsagerkit.exact_math import (
+    BadInput,
     ExactMatrix,
     GaussianRational,
     I,
@@ -17,14 +19,16 @@ from onsagerkit.exact_math import (
     add_into,
     add_term,
     bilinear,
+    exact_int,
     nullspace_basis,
     rank,
     signed_sum,
     span_rank,
 )
 from onsagerkit.chevalley import ChevElement
-from onsagerkit.freelie import FreeLieElement
+from onsagerkit.freelie import BracketExpr, FreeLieElement
 from onsagerkit.loop import LoopElement
+from onsagerkit.serre_coeffs import c0_closed_form, coeff_table
 
 
 def test_gaussian_field_ops():
@@ -135,6 +139,22 @@ def test_matrix_algebra():
 def test_a_matrix_index_that_is_not_an_int_is_refused_when_built(index):
     with pytest.raises(TypeError, match="is not a pair of ints"):
         ExactMatrix(2, 2, {index: 1})
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_integer_input(flag):
+    # bool is an int subclass, so an unguarded gate reads True as 1 and False
+    # as 0: leaf(True) would print B1 and coeff_table(False, 2) give a = 0
+    assert exact_int(flag) is None
+    for build in (BracketExpr.leaf, FreeLieElement.generator):
+        with pytest.raises(BadInput, match="generator label %r is not an integer" % flag):
+            build(flag)
+    for call in (lambda: coeff_table(flag, 2), lambda: coeff_table(-1, flag),
+                 lambda: c0_closed_form(flag, 2), lambda: c0_closed_form(-1, flag)):
+        with pytest.raises(BadInput, match="need integers a and r"):
+            call()
+    with pytest.raises(NotGCM, match=r"entry a\[0\]\[1\] = %r is not an integer" % flag):
+        validate([[2, flag], [flag, 2]])
 
 
 @pytest.mark.parametrize("index", [(2, 0), (0, 2), (-1, 0), (0, -1)])

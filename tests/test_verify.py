@@ -16,7 +16,7 @@ import pytest
 import onsagerkit
 from onsagerkit import chevalley, cli, verify
 from onsagerkit.cartan import preset
-from onsagerkit.characters import character_space
+from onsagerkit.characters import character_space, finite_character_realization
 from onsagerkit.chevalley import MatrixRealization, StructureTable, build_chevalley
 from onsagerkit.exact_math import IdentityViolation
 from onsagerkit import onsager
@@ -474,7 +474,7 @@ _TRUE_ETA = verify.eta
 def _doubled_k1(r, x):
     """eta with K_1, the image of the first simple fixed generator, doubled."""
     k = _TRUE_ETA(r, x)
-    return 2 * k if x == chevalley.sp_structure_table(r).y_basis((1,) + (0,) * (r - 1)) else k
+    return 2 * k if x == finite_character_realization(r).generator(1) else k
 
 
 # with K_1 doubled only the (1, 2) relation [K1,[K1,K2]] = -K2 breaks: the
@@ -564,7 +564,7 @@ def test_flipped_sign_keeps_the_sign_laws_and_fails_the_realization():
         with pytest.raises(IdentityViolation, match="bracket of images differs"):
             chevalley.sp_realization(3)
         with pytest.raises(IdentityViolation, match="bracket of images differs"):
-            chevalley.eta(3, t.y_basis((1, 0, 0)))
+            chevalley.eta(3, {t.number["e", (1, 0, 0)]: 1})
 
 
 @pytest.mark.parametrize("case", ["verify --preset C3", "verify --preset A3",
