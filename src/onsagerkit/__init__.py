@@ -21,7 +21,7 @@ from .freelie import (
     to_lyndon,
     witt_dimension,
 )
-from .loop import LoopElement, YIndex, bracket_loop, k_bracket_expand, omega_tilde, y_affine
+from .loop import LoopElement, YIndex, bracket_loop, k_bracket_expand, omega_tilde, onsager_basis, y_affine
 from .onsager import (
     AffineRealization,
     FiniteRealization,

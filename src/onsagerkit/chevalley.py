@@ -327,9 +327,10 @@ class MatrixRealization:
             raise IdentityViolation("bracket of images differs from image of bracket at %s"
                                     % ", ".join("[%r, %r]" % pair for pair in bad[:3]))
 
-    def matrix_of(self, x: ChevElement) -> ExactMatrix:
+    def matrix_of(self, terms) -> ExactMatrix:
+        """The image of {basis key: coeff}."""
         out = ExactMatrix(self.dim, self.dim)
-        for k, c in x.terms.items():
+        for k, c in terms.items():
             out = out + c * self.images[k]
         return out
 
@@ -339,7 +340,7 @@ class MatrixRealization:
         keys = self.table.keys
         for k1 in keys:
             for k2 in keys:
-                z = ChevElement(self.table.bracket_keys(k1, k2))
+                z = self.table.bracket_keys(k1, k2)
                 if self.images[k1].commutator(self.images[k2]) != self.matrix_of(z):
                     bad.append((k1, k2))
         return bad
@@ -440,12 +441,13 @@ def eta(r, x) -> ExactMatrix:
     so `eta(r, psi_eval(rz, expr))` composes for rz on that table.  A number
     outside that basis is a ValueError."""
     rz = sp_realization(r)
-    t, images = rz.table, rz.images
-    m = ExactMatrix(2 * r, 2 * r)
+    t = rz.table
+    terms = {}
     for n, c in x.items():
         if n not in t.positive:
             raise ValueError("%r numbers no fixed basis vector of C%d" % (n, r))
-        m = m + c * (images[t.keys[n]] - images[t.keys[t.partner[n]]])
+        terms[t.keys[n]], terms[t.keys[t.partner[n]]] = c, -c
+    m = rz.matrix_of(terms)
     b = m.block(0, r, 0, r)
     c = m.block(0, r, r, 2 * r)
     if m.block(r, 2 * r, 0, r) != -c or m.block(r, 2 * r, r, 2 * r) != b:

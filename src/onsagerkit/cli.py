@@ -141,7 +141,7 @@ def structconst_report(c, H):
     elif c.typename == "A1~":
         if H is not None:
             raise UsageFault("--height does not apply to the A1~ Onsager table (|k|, |l| <= 2)")
-        _, ok, detail = check_onsager_structure(rz, 2)
+        _, ok, detail = check_onsager_structure(2)
         if not ok:
             raise IdentityViolation(detail)
         table = [{"lhs": ["A%d" % k, "A%d" % l], "rhs": "G%d" % (l - k)}

@@ -233,3 +233,13 @@ def k_bracket_expand(t: StructureTable, u, v):
         if level > 0 or (level == 0 and k in positive):
             out[n] = w
     return out
+
+
+# ---------------------------------------------------------------------------
+# the rank-1 example: the classical basis A_m, G_m
+# ---------------------------------------------------------------------------
+
+def onsager_basis(m: int):
+    """(A_m, G_m) over the rank-1 loop algebra: A_m = y_{alpha_1 + m delta},
+    G_m = y_{m delta}^(1); G_{-m} = -G_m and G_0 = 0 come out automatically."""
+    return y_affine(YIndex(AffineRoot((1,), m))), y_affine(YIndex(AffineRoot((0,), m), 1))

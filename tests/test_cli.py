@@ -1,16 +1,8 @@
-import contextlib
-import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-from unittest import mock
 
 import pytest
 
-import onsagerkit
-from onsagerkit import cartan, characters, chevalley, cli, loop, onsager, verify
+from onsagerkit import cartan, characters, chevalley, cli, onsager, verify
 from onsagerkit.cartan import NotAffine, NotFinite, NotGCM, NotSymmetrizable, UnknownPreset, parse_matrix_text
 from onsagerkit.characters import WindowTooSmall
 from onsagerkit.chevalley import NotAPositiveRoot
@@ -452,49 +444,16 @@ def test_a_table_that_cannot_be_built_exits_one(command, monkeypatch, capsys):
     assert err == "error: magnitude rule fails at (0, 1, 1), (1, 1, 0) (N = -3)\n"
 
 
-def _doubled_e_vectors(t, k, level):
-    """y_vector with every root vector doubled: A_m becomes 2 A_m."""
-    v = loop.y_vector(t, k, level)
-    return {n: 2 * c for n, c in v.items()} if t.keys[k][0] == "e" else v
-
-
-def broken_onsager_runs():
-    """[exit code, stdout, stderr] of structconst and verify on A1~ with the
-    A/G row's root vectors doubled."""
-    got = []
-    with mock.patch.object(verify, "y_vector", _doubled_e_vectors):
-        for argv in (["structconst", "--preset", "A1~"], ["verify", "--preset", "A1~"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-            got.append([code, out.getvalue(), err.getvalue()])
-    return got
-
-
-def _check_broken_onsager(got):
-    (code, out, err), (vcode, vout, verr) = got
-    assert [code, out, err] == [1, "", "error: [A_-2,A_-1] != G_1\n"]
-    assert vcode == 1 and verr == ""
-    assert "FAIL  classical A/G bracket table ([A_-4,A_-3] != G_1)" in vout.splitlines(), vout
-
-
-def test_a_broken_onsager_table_exits_one():
-    _check_broken_onsager(broken_onsager_runs())
-
-
-def test_a_broken_onsager_table_fails_under_optimize():
-    # the row compares without assert, so python -O still fails
-    code = (
-        "import json, sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import test_cli\n"
-        "print(json.dumps(test_cli.broken_onsager_runs()))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(onsagerkit.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    _check_broken_onsager(json.loads(proc.stdout))
+def test_a_broken_onsager_table_exits_one(monkeypatch, capsys):
+    true = verify.onsager_basis
+    monkeypatch.setattr(verify, "onsager_basis", lambda m: (2 * true(m)[0], true(m)[1]))
+    code, out, err = run_cli(capsys, "structconst", "--preset", "A1~")
+    assert code == 1
+    assert out == ""
+    assert err == "error: [A_-2,A_-1] != G_1\n"
+    code, out, err = run_cli(capsys, "verify", "--preset", "A1~")
+    assert code == 1 and err == ""
+    assert "FAIL  classical A/G bracket table ([A_-4,A_-3] != G_1)" in out.splitlines(), out
 
 
 @pytest.mark.parametrize("name", ["A2", "C3", "G2~", "C3~"])

@@ -207,13 +207,16 @@ def test_y_vector_matches_the_loop_element(name):
 
 # the loop element algebra is the tests' reference; the library's checks, its
 # realizations and the CLI never go through it: every element of the fixed
-# subalgebra they touch is a realization's {basis number: coeff} vector
-ELEMENT_NAMES = {"bracket_loop", "LoopElement", "y_affine", "y_coordinates", "omega_tilde", "loop_form",
-                 "e_at", "h_at"}
+# subalgebra they touch is a realization's {basis number: coeff} vector.  The
+# classical A/G row alone still brackets Onsager's A_m and G_m as loop
+# elements, and only it may import them.
+ELEMENT_NAMES = {"bracket_loop", "LoopElement", "onsager_basis", "y_affine", "y_coordinates", "omega_tilde",
+                 "loop_form", "e_at", "h_at"}
 # nor do the checks and the CLI write a finite fixed element as a ChevElement
 CHEV_NAMES = {"ChevElement", "y_basis", "y_any", "omega"}
 GUARDED = {"verify.py": ELEMENT_NAMES | CHEV_NAMES, "cli.py": ELEMENT_NAMES | CHEV_NAMES,
            "characters.py": ELEMENT_NAMES, "onsager.py": ELEMENT_NAMES}
+ELEMENT_ROWS = {"verify.py": {"check_onsager_structure"}}
 
 
 def _names(node):
@@ -231,6 +234,14 @@ def _names(node):
 @pytest.mark.parametrize("module", sorted(GUARDED))
 def test_no_loop_elements_in_the_checks(module):
     tree = ast.parse((Path(onsagerkit.__file__).parent / module).read_text())
+    row_names = ELEMENT_ROWS.get(module, set())
+    rows = [node for node in tree.body if getattr(node, "name", None) in row_names]
+    assert len(rows) == len(row_names)
+    allowed = set().union(*map(_names, rows)) & ELEMENT_NAMES
     for node in tree.body:
         named = _names(node) & GUARDED[module]
+        if node in rows:
+            named -= ELEMENT_NAMES
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named -= allowed
         assert not named, "%s line %d names %s" % (module, node.lineno, sorted(named))

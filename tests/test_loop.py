@@ -16,6 +16,7 @@ from onsagerkit.loop import (
     h_at,
     loop_form,
     omega_tilde,
+    onsager_basis,
     y_affine,
     y_coordinates,
 )
@@ -117,21 +118,11 @@ def test_y_affine_examples():
         assert omega_tilde(y_affine(idx)) == y_affine(idx)
 
 
-def _A(m):
-    """Onsager's A_m = y_{alpha_1 + m delta} in the rank-1 loop algebra."""
-    return y_affine(YIndex(AffineRoot((1,), m)))
-
-
-def _G(m):
-    """Onsager's G_m = y_{m delta}^(1); G_{-m} = -G_m and G_0 = 0."""
-    return y_affine(YIndex(AffineRoot((0,), m), 1))
-
-
 def test_y_sign_conventions():
     # y_{-gamma} = -y_gamma comes out of the defining formula
     assert y_affine(YIndex(AffineRoot((1, 0), -2))) == -1 * y_affine(YIndex(AffineRoot((-1, 0), 2)))
     # G_0 = 0
-    assert _G(0).is_zero()
+    assert y_affine(YIndex(AffineRoot((0,), 0), 1)).is_zero()
 
 
 def test_y_coordinates_roundtrip_and_integrality():
@@ -161,24 +152,28 @@ def test_not_expandable():
 
 
 def test_onsager_identities():
+    t = preset_table("A1")
     # A_m = -y_{alpha_0 - (m+1) delta}: alpha_0 = -alpha_1 + delta, so
     # alpha_0 - (m+1)delta has finite part -alpha_1 at level -m
     for m in range(-3, 4):
-        assert _A(m) == -1 * y_affine(YIndex(AffineRoot((-1,), -m)))
+        a_m, g_m = onsager_basis(m)
+        assert a_m == -1 * y_affine(YIndex(AffineRoot((-1,), -m)))
         if m > 0:
-            assert _G(m) == -1 * _G(-m)
+            assert g_m == -1 * onsager_basis(-m)[1]
+    assert onsager_basis(0)[1].is_zero()
 
 
 def test_onsager_structure_small():
     t = preset_table("A1")
     for k in range(-3, 4):
         for l in range(-3, 4):
-            assert bracket_loop(t, _A(k), _A(l)) == _G(l - k)
+            assert bracket_loop(t, onsager_basis(k)[0], onsager_basis(l)[0]) == onsager_basis(l - k)[1]
     for m in range(1, 4):
         for k in range(-3, 4):
-            assert bracket_loop(t, _G(m), _A(k)) == 2 * _A(k + m) - 2 * _A(k - m)
+            lhs = bracket_loop(t, onsager_basis(m)[1], onsager_basis(k)[0])
+            assert lhs == 2 * onsager_basis(k + m)[0] - 2 * onsager_basis(k - m)[0]
         for n in range(1, 4):
-            assert bracket_loop(t, _G(m), _G(n)).is_zero()
+            assert bracket_loop(t, onsager_basis(m)[1], onsager_basis(n)[1]).is_zero()
 
 
 def test_k_bracket_expand_keeps_exact_coefficients():
