@@ -1,7 +1,7 @@
 """Exact-arithmetic construction and verification of generalized Onsager algebras."""
 
 from .cartan import CartanMatrix, preset, symmetrizer, validate
-from .characters import character_from_values, character_space, chi_affine, chi_finite, even_column_set
+from .characters import character_from_values, character_space, chi_affine, even_column_set
 from .chevalley import (
     ChevElement,
     StructureTable,

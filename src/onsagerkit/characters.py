@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, preset
-from .chevalley import preset_table, sp_structure_table
+from .chevalley import sp_structure_table
 from .exact_math import BadInput, ExactMatrix, IncrementalSpan, add_into, nullspace_basis
 from .onsager import AffineRealization, FiniteRealization, Realization
 from .roots import AffineRoot
@@ -30,11 +30,7 @@ class WindowTooSmall(BadInput):
 
 
 class NotCType(ValueError):
-    pass
-
-
-class NotCAffine(ValueError):
-    pass
+    """A rank, root or imaginary slot outside the type-C closed form."""
 
 
 def even_column_set(c: CartanMatrix):
@@ -136,50 +132,36 @@ def character_from_values(space: CharacterSpace, values: dict):
 # closed forms for the symplectic types
 # ---------------------------------------------------------------------------
 
-def chi_finite(r, t, alpha):
-    """Character normalized by chi(Y_r) = t on the type-C fixed basis:
-    t on long positive roots, 0 on short ones."""
-    rs = preset_table("C%d" % r).rs
-    alpha = tuple(alpha)
-    if len(alpha) != r or not rs.is_positive(alpha):
-        raise NotCType("%r is not a positive type-C%d root" % (alpha, r))
-    return t if rs.is_long(alpha) else 0
-
-
 def chi_affine(r, s, t, gamma: AffineRoot, i=1):
     """Character normalized by chi(Y_0) = s, chi(Y_r) = t on the affine
-    type-C fixed basis.
+    type-C fixed basis; at level 0 it is the finite type-C character
+    normalized by chi(Y_r) = t.
 
     Long finite part alpha at even delta level: sign(alpha) * t; at odd
     level: -sign(alpha) * s; short finite parts and imaginary roots: 0.
+    The finite part is read in eps coordinates (alpha_k = eps_k - eps_{k+1},
+    alpha_r = 2 eps_r): a root is +-eps_k +- eps_l (k != l), long iff +-2 eps_k.
     """
-    rs = preset_table("C%d" % r).rs
+    if r < 1:
+        raise NotCType("type C has rank r >= 1, got %r" % (r,))
     if len(gamma.finite) != r:
-        raise NotCAffine("root has rank %d, expected %d" % (len(gamma.finite), r))
+        raise NotCType("root has rank %d, expected %d" % (len(gamma.finite), r))
     if gamma.is_imaginary:
         if gamma.level == 0:
-            raise NotCAffine("zero is not a root")
+            raise NotCType("zero is not a root")
         if not 1 <= i <= r:
-            raise NotCAffine("imaginary slot %d outside 1..%d" % (i, r))
+            raise NotCType("imaginary slot %d outside 1..%d" % (i, r))
         return 0
-    if not rs.is_root(gamma.finite):
-        raise NotCAffine("%r is not a type-C%d root" % (gamma.finite, r))
-    if not rs.is_long(gamma.finite):
+    sums = (0, *gamma.finite[:-1], 2 * gamma.finite[-1])
+    eps = [abs(b - a) for a, b in zip(sums, sums[1:]) if b != a]
+    if sorted(eps) not in ([2], [1, 1]):
+        raise NotCType("%r is not a type-C%d root" % (gamma.finite, r))
+    if eps != [2]:
         return 0
     sign = 1 if all(c >= 0 for c in gamma.finite) else -1
     if gamma.level % 2 == 0:
         return sign * t
     return -1 * sign * s
-
-
-def finite_character_realization(r):
-    """Type-C realization on the displayed symplectic table (the basis the
-    closed form refers to)."""
-    return FiniteRealization(preset("C%d" % r), sp_structure_table(r))
-
-
-def affine_character_realization(r):
-    return AffineRealization(preset("C%d~" % r), sp_structure_table(r))
 
 
 def symplectic_closed_form(c: CartanMatrix):
@@ -191,22 +173,24 @@ def symplectic_closed_form(c: CartanMatrix):
     chi(Y_r) = 1/2 on C_r~; 0 on every other generator) are keyed by the
     preset's labels, which a --matrix-file with the same rows does not share
     (it is labelled 1..n).  An affine matrix is the C_r~ preset iff node 0
-    extends C_r, which closes no roots, so A1~ is C1~.
+    extends C_r, which closes no roots, so A1~ is C1~.  The finite closed
+    form is the affine one at level 0, where chi(Y_0) does not enter.
     """
     if c.kind == FINITE and c.n >= 2 and c.a == preset("C%d" % c.n).a:
-        r, t = c.n, Fraction(1)
-        rz, gens = finite_character_realization(r), {r: t}
+        r, s, t = c.n, 0, Fraction(1)
+        rz = FiniteRealization(preset("C%d" % r), sp_structure_table(r))
 
         def closed(alpha):
-            return chi_finite(r, t, alpha)
+            return chi_affine(r, s, t, AffineRoot(alpha, 0))
     elif c.kind == UNTWISTED_AFFINE and c.affine_node == 0 and c.finite_part().a == preset("C%d" % (c.n - 1)).a:
         r, s, t = c.n - 1, Fraction(1), Fraction(1, 2)
-        rz, gens = affine_character_realization(r), {0: s, r: t}
+        rz = AffineRealization(preset("C%d~" % r), sp_structure_table(r))
 
         def closed(idx):
             return chi_affine(r, s, t, idx.gamma, idx.i)
     else:
         return None
+    gens = {0: s, r: t}
     return rz, {lab: gens.get(lab, 0) for lab in rz.labels}, closed
 
 

@@ -305,10 +305,6 @@ def table_for(c: CartanMatrix) -> StructureTable:
     return t
 
 
-def preset_table(name) -> StructureTable:
-    return table_for(preset(name))
-
-
 # ---------------------------------------------------------------------------
 # matrix realizations
 # ---------------------------------------------------------------------------
@@ -389,7 +385,7 @@ def _display(name):
     h_i = G(i, i) - G(i+1, i+1), and h_r = G(r, r) in C_r.  The table is the
     generic one under the signs the matrices carry.
     """
-    generic = preset_table(name)
+    generic = table_for(preset(name))
     r, sp = generic.rs.rank, name[0] == "C"
     n = 2 * r if sp else r + 1
 

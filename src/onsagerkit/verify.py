@@ -18,11 +18,11 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .cartan import FINITE, CartanMatrix, preset
-from .characters import character_space, character_window, even_column_set, finite_character_realization
-from .chevalley import _key_str, eta, preset_table, sl_realization, sp_realization
+from .characters import character_space, character_window, even_column_set
+from .chevalley import _key_str, eta, sl_realization, sp_realization, sp_structure_table, table_for
 from .exact_math import ExactMatrix, I, IdentityViolation, add_into
 from .loop import NotExpandable, bracket_loop, onsager_basis, y_number, y_vector
-from .onsager import Realization, filtration_dims, psi_eval, realization_for, relations
+from .onsager import FiniteRealization, Realization, filtration_dims, psi_eval, realization_for, relations
 
 
 def thread_count():
@@ -70,7 +70,7 @@ def check_character_dimension(c: CartanMatrix, rz: Realization, H):
 
 def check_onsager_structure(bound=4):
     """[A_k,A_l] = G_{l-k}, [G_m,G_n] = 0, [G_m,A_k] = 2(A_{k+m} - A_{k-m})."""
-    t = preset_table("A1")
+    t = table_for(preset("A1"))
     for k in range(-bound, bound + 1):
         for l in range(-bound, bound + 1):
             if bracket_loop(t, onsager_basis(k)[0], onsager_basis(l)[0]) != onsager_basis(l - k)[1]:
@@ -211,7 +211,7 @@ def verify_gl_presentation(r):
     """
     if r < 2:
         raise ValueError("the gl_r presentation needs r >= 2, got %r" % (r,))
-    rz = finite_character_realization(r)
+    rz = FiniteRealization(preset("C%d" % r), sp_structure_table(r))
     c = rz.cartan
     K = {j: eta(r, rz.generator(j)) for j in c.labels}
     gl = SimpleNamespace(generator=lambda j: K[j].terms,

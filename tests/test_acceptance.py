@@ -11,18 +11,16 @@ from fractions import Fraction
 
 from onsagerkit.cartan import preset, validate
 from onsagerkit.characters import (
-    affine_character_realization,
     character_from_values,
     character_space,
     chi_affine,
-    chi_finite,
     even_column_set,
-    finite_character_realization,
 )
 from onsagerkit.chevalley import (
     ChevElement,
     eta,
-    preset_table,
+    sp_structure_table,
+    table_for,
 )
 from onsagerkit.exact_math import GaussianRational, I
 from onsagerkit.freelie import (
@@ -42,7 +40,15 @@ from onsagerkit.loop import (
     omega_tilde,
     onsager_basis,
 )
-from onsagerkit.onsager import filtration_dims, psi_eval, realization_for, relations
+from onsagerkit.onsager import (
+    AffineRealization,
+    FiniteRealization,
+    filtration_dims,
+    psi_eval,
+    realization_for,
+    relations,
+)
+from onsagerkit.roots import AffineRoot
 from onsagerkit.serre_coeffs import c0_closed_form, coeff_row, serre_relation
 from onsagerkit.verify import check_affine_structure_constants, verify_gl_presentation
 
@@ -93,7 +99,7 @@ def test_criterion_03_mixed_serre_identity():
     presets = ["A1", "A2", "A3", "B3", "C2", "C3", "G2"]
     checked = 0
     for name in presets:
-        t = preset_table(name)
+        t = table_for(preset(name))
         n = t.rs.rank
         a = t.rs.cartan.a
 
@@ -153,7 +159,7 @@ def test_criterion_05_graded_dimensions():
 
 def test_criterion_06_onsager_structure_constants():
     t0 = time.time()
-    t = preset_table("A1")
+    t = table_for(preset("A1"))
     for k in range(-5, 6):
         for l in range(-5, 6):
             assert bracket_loop(t, onsager_basis(k)[0], onsager_basis(l)[0]) == onsager_basis(l - k)[1]
@@ -177,7 +183,7 @@ def test_criterion_07_affine_structure_constants():
 def test_criterion_08_eta_and_gl_presentation():
     t0 = time.time()
     for r in (1, 2, 3):
-        rz = finite_character_realization(r)
+        rz = FiniteRealization(preset("C%d" % r), sp_structure_table(r))
         nums = sorted(rz.table.positive)
         for u in nums:
             for v in nums:
@@ -199,16 +205,16 @@ def test_criterion_09_characters():
     assert character_space(rza2, 2).dimension == 0
 
     for r in (2, 3):
-        rz = finite_character_realization(r)
+        rz = FiniteRealization(preset("C%d" % r), sp_structure_table(r))
         space = character_space(rz, rz.table.rs.max_height)
         assert space.dimension == 1
         tval = Fraction(11, 3)
         func = character_from_values(space, {lab: (tval if lab == r else 0) for lab in rz.cartan.labels})
         for alpha in rz.table.rs.positive_roots:
-            assert func.get(alpha, 0) == chi_finite(r, tval, alpha)
+            assert func.get(alpha, 0) == chi_affine(r, 0, tval, AffineRoot(alpha, 0))
 
     r = 2
-    rz = affine_character_realization(r)
+    rz = AffineRealization(preset("C%d~" % r), sp_structure_table(r))
     H = 2 * rz.affine.delta_height + 2
     space = character_space(rz, H)
     assert space.dimension == 2
@@ -256,7 +262,7 @@ def test_criterion_10_property_suites():
             assert all(is_lyndon(w) for w in words)
 
     # loop: Jacobi and form invariance with the central and derivation parts
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     keys = t.keys
 
     def rand_loop():
@@ -277,7 +283,7 @@ def test_criterion_10_property_suites():
 
     # involutions are automorphisms
     for name in ("A2", "C2", "G2"):
-        tt = preset_table(name)
+        tt = table_for(preset(name))
         for k1 in tt.keys:
             x = ChevElement({k1: 1})
             assert tt.omega(tt.omega(x)) == x
@@ -292,7 +298,7 @@ def test_criterion_10_property_suites():
 
     # structure-constant sign laws
     for name in ("A3", "B3", "C3", "G2", "F4"):
-        tt = preset_table(name)
+        tt = table_for(preset(name))
         for (a, b), n in tt.N.items():
             assert tt.N[(b, a)] == -n
             assert tt.N[(tuple(-c for c in a), tuple(-c for c in b))] == -n

@@ -1,27 +1,23 @@
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
 from onsagerkit.cartan import FINITE, OTHER, UNTWISTED_AFFINE, NotSymmetrizable, preset, preset_names, validate
 from onsagerkit.characters import (
-    NotCAffine,
     NotCType,
     WindowTooSmall,
-    affine_character_realization,
     character_from_values,
     character_space,
     chi_affine,
-    chi_finite,
     even_column_set,
-    finite_character_realization,
 )
 from onsagerkit.chevalley import sp_structure_table
 from onsagerkit.exact_math import ExactMatrix, GaussianRational, I, IncrementalSpan, nullspace_basis
 from onsagerkit.loop import YIndex
-from onsagerkit.onsager import realization_for
-from onsagerkit.roots import AffineRoot
+from onsagerkit.onsager import AffineRealization, FiniteRealization, realization_for
+from onsagerkit.roots import AffineRoot, RootSystem
 from onsagerkit.serre_coeffs import serre_relation
 
 
@@ -31,7 +27,7 @@ def _root_from_eps(r, eps):
     the last one halved."""
     sums = list(accumulate(eps))
     alpha = tuple(sums[:-1]) + (sums[-1] // 2,)
-    assert sp_structure_table(r).rs.is_root(alpha), eps
+    assert RootSystem(preset("C%d" % r)).is_root(alpha), eps
     return alpha
 
 
@@ -142,22 +138,51 @@ def test_affine_window_without_a_bracket_is_too_small(name):
 def test_chi_finite_values():
     r = 3
     t = Fraction(5, 7)
-    assert chi_finite(r, t, _root_from_eps(r, (0, 2, 0))) == t
-    assert chi_finite(r, t, _root_from_eps(r, (1, -1, 0))) == 0
-    assert chi_finite(r, t, _root_from_eps(r, (1, 0, 1))) == 0
+    assert chi_affine(r, 0, t, AffineRoot(_root_from_eps(r, (0, 2, 0)), 0)) == t
+    assert chi_affine(r, 0, t, AffineRoot(_root_from_eps(r, (1, -1, 0)), 0)) == 0
+    assert chi_affine(r, 0, t, AffineRoot(_root_from_eps(r, (1, 0, 1)), 0)) == 0
     with pytest.raises(NotCType):
-        chi_finite(r, t, (5, 0, 0))
+        chi_affine(r, 0, t, AffineRoot((5, 0, 0), 0))
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_the_closed_form_at_level_zero_is_the_finite_character(r):
+    # t on the long positive roots 2 eps_k, 0 on the short ones, whatever
+    # chi(Y_0) is, and y_{-alpha} = -y_alpha
+    s, t = Fraction(9), Fraction(-3, 4)
+    rs = RootSystem(preset("C%d" % r))
+    long = {_root_from_eps(r, tuple(2 * (m == k) for m in range(r))) for k in range(r)}
+    assert len(rs.positive_roots) == r * r and long <= set(rs.positive_roots)
+    for alpha in rs.positive_roots:
+        want = t if alpha in long else 0
+        assert chi_affine(r, s, t, AffineRoot(alpha, 0)) == want, alpha
+        assert chi_affine(r, s, t, -AffineRoot(alpha, 0)) == -want, alpha
+    # every other small nonzero vector is no root, at an even or odd level
+    for v in product(range(-1, 3), repeat=r):
+        if any(v) and not rs.is_root(v):
+            for level in (0, 1):
+                with pytest.raises(NotCType, match="is not a type-C%d root" % r):
+                    chi_affine(r, s, t, AffineRoot(v, level))
+    # a rank below 1 or a root of the wrong rank is outside the closed form
+    # (no preset lookup, so no UnknownPreset)
+    alpha = rs.positive_roots[0]
+    for bad in (0, -1):
+        with pytest.raises(NotCType, match="rank r >= 1"):
+            chi_affine(bad, s, t, AffineRoot(alpha, 0))
+    for gamma in (AffineRoot(alpha[:-1], 0), AffineRoot(alpha + (0,), 0), AffineRoot(alpha + (0,), 1)):
+        with pytest.raises(NotCType, match="root has rank"):
+            chi_affine(r, s, t, gamma)
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_chi_finite_matches_solved_character(r):
-    rz = finite_character_realization(r)
+    rz = FiniteRealization(preset("C%d" % r), sp_structure_table(r))
     space = character_space(rz, rz.table.rs.max_height)
     assert space.dimension == 1
     for t in (Fraction(9, 4), GaussianRational(Fraction(1, 3), -2)):
         func = character_from_values(space, {lab: (t if lab == r else 0) for lab in rz.cartan.labels})
         for alpha in rz.table.rs.positive_roots:
-            assert func.get(alpha, 0) == chi_finite(r, t, alpha), (t, alpha)
+            assert func.get(alpha, 0) == chi_affine(r, 0, t, AffineRoot(alpha, 0)), (t, alpha)
 
 
 def test_chi_affine_values():
@@ -175,9 +200,9 @@ def test_chi_affine_values():
     assert chi_affine(r, s, t, AffineRoot((1, 0), 5)) == 0
     for i in (1, 2):
         assert chi_affine(r, s, t, AffineRoot((0, 0), 3), i) == 0
-    with pytest.raises(NotCAffine):
+    with pytest.raises(NotCType):
         chi_affine(r, s, t, AffineRoot((0, 0), 0))
-    with pytest.raises(NotCAffine):
+    with pytest.raises(NotCType):
         chi_affine(r, s, t, AffineRoot((1, 1, 1), 0))
 
 
@@ -190,7 +215,7 @@ def test_chi_affine_values():
 )
 def test_chi_affine_matches_solved_character(s, t):
     r = 2
-    rz = affine_character_realization(r)
+    rz = AffineRealization(preset("C%d~" % r), sp_structure_table(r))
     H = 2 * rz.affine.delta_height + 2
     space = character_space(rz, H)
     assert space.dimension == 2
@@ -205,7 +230,7 @@ def test_chi_affine_matches_solved_character(s, t):
 
 def test_shift_invariance_in_window():
     r = 2
-    rz = affine_character_realization(r)
+    rz = AffineRealization(preset("C%d~" % r), sp_structure_table(r))
     H = 2 * rz.affine.delta_height + 2
     space = character_space(rz, H)
     s, t = Fraction(1), Fraction(7)
@@ -236,7 +261,7 @@ def test_step_identity(r):
     # [y_{beta + delta}, y_gamma] with beta = -eps_{j-1}-eps_j and
     # gamma = eps_{j-1}-eps_j lands on 2 y_{-2eps_j + delta} - 2 y_{-2eps_{j-1} + delta}
     t = sp_structure_table(r)
-    rz = affine_character_realization(r)
+    rz = AffineRealization(preset("C%d~" % r), sp_structure_table(r))
     assert rz.table is t
     for j in range(2, r + 1):
         eps_b = tuple((-1 if m in (j - 2, j - 1) else 0) for m in range(r))
@@ -259,7 +284,7 @@ def test_step_identity(r):
 def test_solve_character_wrapper():
     # the character with given generator values, solved on a window; a value
     # off the even-column set is not attained
-    space = character_space(finite_character_realization(2), 3)
+    space = character_space(FiniteRealization(preset("C%d" % 2), sp_structure_table(2)), 3)
     chi = character_from_values(space, {1: 0, 2: Fraction(4)})
     assert chi.get((0, 1)) == 4 and chi.get((1, 0), 0) == 0
     with pytest.raises(ValueError, match="not attained by any character"):
@@ -292,7 +317,7 @@ def test_c3_affine_solve_is_one_int_nullspace(monkeypatch):
         return nullspace_basis(m)
 
     monkeypatch.setattr(characters, "nullspace_basis", recording)
-    rz = affine_character_realization(3)
+    rz = AffineRealization(preset("C%d~" % 3), sp_structure_table(3))
     space = character_space(rz, 2 * rz.affine.delta_height + 2)
     assert seen == [(182, 49, {int})]
     assert len(space.basis) == len(even_column_set(preset("C3~")))

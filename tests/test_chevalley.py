@@ -11,7 +11,6 @@ import pytest
 import onsagerkit
 from onsagerkit import chevalley
 from onsagerkit.cartan import preset, preset_names
-from onsagerkit.characters import finite_character_realization
 from onsagerkit.chevalley import (
     ChevElement,
     MatrixRealization,
@@ -19,14 +18,14 @@ from onsagerkit.chevalley import (
     StructureTable,
     build_chevalley,
     eta,
-    preset_table,
     sl_realization,
     sp_realization,
     sp_structure_table,
+    table_for,
 )
 from onsagerkit.exact_math import ExactMatrix, I, IdentityViolation
 from onsagerkit.freelie import parse_bracket
-from onsagerkit.onsager import psi_eval
+from onsagerkit.onsager import FiniteRealization, psi_eval
 from onsagerkit.roots import height
 from onsagerkit.serre_coeffs import coeff_row
 from onsagerkit.verify import verify_gl_presentation
@@ -39,15 +38,15 @@ def _simple(rs, i):
 
 
 def test_n_magnitudes():
-    t = preset_table("A2")
+    t = table_for(preset("A2"))
     assert abs(t.N.get(((1, 0), (0, 1)), 0)) == 1
-    t2 = preset_table("C2")
+    t2 = table_for(preset("C2"))
     assert abs(t2.N.get(((1, 0), (1, 1)), 0)) == 2
 
 
 @pytest.mark.parametrize("name", TEST_PRESETS)
 def test_e_minus_e_gives_coroot(name):
-    t = preset_table(name)
+    t = table_for(preset(name))
     for alpha in t.rs.positive_roots:
         neg = tuple(-c for c in alpha)
         got = t.bracket(t.e(alpha), t.e(neg))
@@ -55,7 +54,7 @@ def test_e_minus_e_gives_coroot(name):
 
 
 def test_cartan_action_and_sl2_triples():
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     a = t.rs.cartan.a
     # [h_i, e_j] = a_ij e_j
     for i in range(2):
@@ -72,7 +71,7 @@ def test_cartan_action_and_sl2_triples():
 
 def test_bracket_alternating_random():
     rng = random.Random(17)
-    t = preset_table("B3")
+    t = table_for(preset("B3"))
     keys = t.keys
     for _ in range(20):
         x = ChevElement()
@@ -82,7 +81,7 @@ def test_bracket_alternating_random():
 
 
 def test_bracket_keys_antisymmetric():
-    t = preset_table("G2")
+    t = table_for(preset("G2"))
     keys = t.keys
     kinds = set()
     for k1 in keys:
@@ -97,7 +96,7 @@ def test_bracket_keys_antisymmetric():
 
 
 def test_n_table_is_read_only():
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     pair = min(t.N)
     n = t.N[pair]
     with pytest.raises(TypeError):
@@ -110,7 +109,7 @@ def test_n_table_is_read_only():
 def test_tabulated_bracket_is_per_table():
     # the generic and the displayed symplectic C2 tables share their keys and
     # differ in some signs; tabulating one first must not leak into the other
-    generic, display = preset_table("C2"), sp_structure_table(2)
+    generic, display = table_for(preset("C2")), sp_structure_table(2)
     keys = generic.keys
     assert keys == display.keys and set(generic.N) == set(display.N)
     pairs = list(itertools.product(keys, repeat=2))
@@ -144,7 +143,7 @@ def _mutated_n(t, how):
     ("doubled orbit", "magnitude rule"),
 ])
 def test_broken_sign_law_raises(how, law):
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     assert not issubclass(IdentityViolation, ValueError)
     with pytest.raises(IdentityViolation, match=law):
         StructureTable(t.rs, _mutated_n(t, how))
@@ -153,9 +152,10 @@ def test_broken_sign_law_raises(how, law):
 def test_unpaired_sign_flip_raises_under_optimize():
     # the sign laws are explicit raises, so python -O keeps them
     code = (
-        "from onsagerkit.chevalley import StructureTable, preset_table\n"
+        "from onsagerkit.cartan import preset\n"
+        "from onsagerkit.chevalley import StructureTable, table_for\n"
         "from onsagerkit.exact_math import IdentityViolation\n"
-        "t = preset_table('C2')\n"
+        "t = table_for(preset('C2'))\n"
         "n = dict(t.N)\n"
         "n[min(n)] = -n[min(n)]\n"
         "try:\n"
@@ -172,7 +172,7 @@ def test_unpaired_sign_flip_raises_under_optimize():
 
 @pytest.mark.parametrize("name", TEST_PRESETS + ["E6"])
 def test_sign_laws(name):
-    t = preset_table(name)
+    t = table_for(preset(name))
     for (a, b), n in t.N.items():
         assert t.N[(b, a)] == -n
         na = tuple(-c for c in a)
@@ -183,7 +183,7 @@ def test_sign_laws(name):
 
 @pytest.mark.parametrize("name", ["A2", "C2", "B3", "G2"])
 def test_jacobi_on_basis(name):
-    t = preset_table(name)
+    t = table_for(preset(name))
     keys = t.keys
     for k1, k2, k3 in itertools.combinations(keys, 3):
         x, y, z = (ChevElement({k: 1}) for k in (k1, k2, k3))
@@ -197,7 +197,7 @@ def test_jacobi_on_basis(name):
 
 @pytest.mark.parametrize("name", TEST_PRESETS)
 def test_omega_is_involutive_automorphism(name):
-    t = preset_table(name)
+    t = table_for(preset(name))
     keys = t.keys
     for k in keys:
         x = ChevElement({k: 1})
@@ -210,14 +210,14 @@ def test_omega_is_involutive_automorphism(name):
 
 
 def test_omega_examples():
-    t = preset_table("A2")
+    t = table_for(preset("A2"))
     assert t.omega(t.h(0)) == -1 * t.h(0)
     e1 = t.e((1, 0))
     assert t.omega(e1) == -1 * t.e((-1, 0))
 
 
 def test_y_basis_examples():
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     for i in range(2):
         yi = t.y_basis(_simple(t.rs, i))
         assert yi == t.e(_simple(t.rs, i)) - t.e(tuple(-c for c in _simple(t.rs, i)))
@@ -229,7 +229,7 @@ def test_y_basis_examples():
 @pytest.mark.parametrize("name", ["A2", "C2", "C3", "G2"])
 def test_y_structure_constants(name):
     # [y_a, y_b] = N(a,b) y_{a+b} - N(a,-b) y_{a-b} for positive a != b
-    t = preset_table(name)
+    t = table_for(preset(name))
     pos = t.rs.positive_roots
     for alpha in pos:
         for beta in pos:
@@ -250,7 +250,7 @@ def test_y_structure_constants(name):
 @pytest.mark.parametrize("name,expected", [("A1", 1), ("A2", 3), ("A3", 6), ("C2", 4), ("C3", 9)])
 def test_fixed_subalgebra_dimension(name, expected):
     # dim k = |Phi_+|; for A_r this is dim so_{r+1}, for C_r it is dim gl_r
-    t = preset_table(name)
+    t = table_for(preset(name))
     assert len(t.rs.positive_roots) == expected
     r = t.rs.rank
     if name.startswith("A"):
@@ -262,7 +262,7 @@ def test_fixed_subalgebra_dimension(name, expected):
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B3", "C2", "C3", "G2"])
 def test_mixed_serre_identity(name):
     # sum_s c_s[r] (ad Y_i)^s Y_j = (ad e_i)^r e_j + (-1)^(r-1) (ad f_i)^r f_j
-    t = preset_table(name)
+    t = table_for(preset(name))
     n = t.rs.rank
     a = t.rs.cartan.a
     for i in range(n):
@@ -375,10 +375,10 @@ def test_sp_fixed_point_block_shape(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_sp_reconciliation_exists(r):
-    generic = preset_table("C%d" % r)
+    generic = table_for(preset("C%d" % r))
     signs = chevalley._read_signs(generic, chevalley._display("C%d" % r)[0])
     assert all(v in (1, -1) for v in signs.values())
-    for alpha in preset_table("C%d" % r).rs.positive_roots:
+    for alpha in table_for(preset("C%d" % r)).rs.positive_roots:
         if height(alpha) == 1:
             assert signs[alpha] == 1
 
@@ -417,7 +417,7 @@ def test_twisted_table_matches_matrix_reference(r):
     # the generic table under the sign vector is the table the displayed
     # matrices give entry by entry
     t = sp_structure_table(r)
-    assert t.rs is preset_table("C%d" % r).rs
+    assert t.rs is table_for(preset("C%d" % r)).rs
     assert dict(t.N) == _matrix_n(chevalley._display("C%d" % r)[0], t.rs)
 
 
@@ -444,7 +444,7 @@ def test_sl_table_matches_matrix_reference(r):
     # the A_r table under the signs of the displayed matrices is the table
     # they give entry by entry; the signs are nontrivial from r = 2 on
     rz = sl_realization(r)
-    generic = preset_table("A%d" % r)
+    generic = table_for(preset("A%d" % r))
     assert rz.table.rs is generic.rs
     assert dict(rz.table.N) == _matrix_n(rz.images, rz.table.rs)
     assert (dict(rz.table.N) != dict(generic.N)) == (r >= 2)
@@ -470,12 +470,12 @@ def test_cold_twisted_table_makes_one_commutator_per_nonsimple_root(cold_matrix_
 
     monkeypatch.setattr(ExactMatrix, "commutator", counted)
     sp_structure_table(3)
-    nonsimple = [a for a in preset_table("C3").rs.positive_roots if height(a) >= 2]
+    nonsimple = [a for a in table_for(preset("C3")).rs.positive_roots if height(a) >= 2]
     assert len(calls) == len(nonsimple) == 6
 
 
 def test_sl_sign_read_makes_one_commutator_per_nonsimple_root(monkeypatch):
-    images, generic = chevalley._display("A3")[0], preset_table("A3")
+    images, generic = chevalley._display("A3")[0], table_for(preset("A3"))
     calls = []
     commutator = ExactMatrix.commutator
 
@@ -494,11 +494,11 @@ def test_sign_derivation_raises_on_a_wrong_display():
     images = dict(chevalley._display("C2")[0])
     images[("e", (1, 1))] = 2 * images[("e", (1, 1))]
     with pytest.raises(IdentityViolation, match="is not a signed N multiple"):
-        chevalley._read_signs(preset_table("C2"), images)
+        chevalley._read_signs(table_for(preset("C2")), images)
 
 
 def test_realization_names_failing_pairs():
-    t = preset_table("A2")
+    t = table_for(preset("A2"))
     rz = sl_realization(2)
     images = dict(rz.images)
     images[("e", (1, 1))] = -images[("e", (1, 1))]
@@ -554,7 +554,7 @@ def test_eta_root_vector_images():
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_eta_is_bracket_homomorphism(r):
     # on the kernel's bracket of every basis pair of the displayed table
-    rz = finite_character_realization(r)
+    rz = FiniteRealization(preset("C%d" % r), sp_structure_table(r))
     nums = sorted(rz.table.positive)
     for u in nums:
         for v in nums:
@@ -563,7 +563,7 @@ def test_eta_is_bracket_homomorphism(r):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_eta_composes_with_psi(r):
-    rz = finite_character_realization(r)
+    rz = FiniteRealization(preset("C%d" % r), sp_structure_table(r))
     k1, k2 = (eta(r, rz.generator(j)) for j in (1, 2))
     assert eta(r, psi_eval(rz, parse_bracket("[B1,B2]"))) == k1.commutator(k2)
     # a combination maps linearly, and the empty vector to zero
@@ -605,7 +605,7 @@ def test_gl_presentation_specific_relations():
 
 
 def test_invariant_form_values():
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     # (e_a, e_{-a}) = 2/(a,a): 2 for short, 1 for long
     short = (1, 0)
     lng = (0, 1)
@@ -619,7 +619,7 @@ def test_invariant_form_values():
 @pytest.mark.parametrize("name", ["A2", "C2", "G2"])
 def test_form_invariance_finite(name):
     rng = random.Random(23)
-    t = preset_table(name)
+    t = table_for(preset(name))
     keys = t.keys
 
     def rand_elt():

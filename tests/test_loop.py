@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from onsagerkit.cartan import preset
-from onsagerkit.chevalley import preset_table
+from onsagerkit.chevalley import table_for
 from onsagerkit.loop import (
     LoopElement,
     NotExpandable,
@@ -25,7 +25,7 @@ from onsagerkit.roots import AffineRoot, RootSystem
 
 
 def test_central_extension_bracket():
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     for alpha in t.rs.positive_roots:
         neg = tuple(-c for c in alpha)
         got = bracket_loop(t, e_at(alpha, 1), e_at(neg, -1))
@@ -35,7 +35,7 @@ def test_central_extension_bracket():
 
 
 def test_derivation_and_center():
-    t = preset_table("A2")
+    t = table_for(preset("A2"))
     x = e_at((1, 0), 3)
     assert bracket_loop(t, derivation(), x) == 3 * x
     assert bracket_loop(t, x, derivation()) == -3 * x
@@ -60,7 +60,7 @@ def _random_loop(rng, t, with_cd=True):
 @pytest.mark.parametrize("name", ["A1", "A2", "C2"])
 def test_loop_jacobi_random(name):
     rng = random.Random(31)
-    t = preset_table(name)
+    t = table_for(preset(name))
     for _ in range(30):
         x, y, z = (_random_loop(rng, t) for _ in range(3))
         total = (
@@ -74,14 +74,14 @@ def test_loop_jacobi_random(name):
 @pytest.mark.parametrize("name", ["A1", "A2", "C2"])
 def test_loop_form_invariance_random(name):
     rng = random.Random(37)
-    t = preset_table(name)
+    t = table_for(preset(name))
     for _ in range(30):
         x, y, z = (_random_loop(rng, t) for _ in range(3))
         assert loop_form(t, bracket_loop(t, x, y), z) + loop_form(t, y, bracket_loop(t, x, z)) == 0
 
 
 def test_omega_tilde_examples():
-    t = preset_table("A2")
+    t = table_for(preset("A2"))
     alpha = (1, 0)
     assert omega_tilde(e_at(alpha, 2)) == -1 * e_at((-1, 0), -2)
     assert omega_tilde(derivation()) == -1 * derivation()
@@ -94,7 +94,7 @@ def test_omega_tilde_examples():
 
 @pytest.mark.parametrize("name", ["A1", "C2"])
 def test_omega_tilde_is_automorphism(name):
-    t = preset_table(name)
+    t = table_for(preset(name))
     keys = t.keys
     elems = [LoopElement({(key, k): 1}) for key in keys for k in (-2, -1, 0, 1, 2)]
     elems += [central(), derivation()]
@@ -106,7 +106,7 @@ def test_omega_tilde_is_automorphism(name):
 
 
 def test_y_affine_examples():
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     rank = 2
     zero = (0, 0)
     g = y_affine(YIndex(AffineRoot(zero, 3), 2))
@@ -126,7 +126,7 @@ def test_y_sign_conventions():
 
 
 def test_y_coordinates_roundtrip_and_integrality():
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     rz = realization_for(preset("C2~"))
     zero = (0, 0)
     indices = [YIndex(AffineRoot(a, k)) for a in sorted(t.rs._all) for k in (-2, -1, 0, 1, 2)]
@@ -142,7 +142,7 @@ def test_y_coordinates_roundtrip_and_integrality():
 
 
 def test_not_expandable():
-    t = preset_table("A1")
+    t = table_for(preset("A1"))
     with pytest.raises(NotExpandable):
         y_coordinates(central(), 1)
     with pytest.raises(NotExpandable):
@@ -152,7 +152,7 @@ def test_not_expandable():
 
 
 def test_onsager_identities():
-    t = preset_table("A1")
+    t = table_for(preset("A1"))
     # A_m = -y_{alpha_0 - (m+1) delta}: alpha_0 = -alpha_1 + delta, so
     # alpha_0 - (m+1)delta has finite part -alpha_1 at level -m
     for m in range(-3, 4):
@@ -164,7 +164,7 @@ def test_onsager_identities():
 
 
 def test_onsager_structure_small():
-    t = preset_table("A1")
+    t = table_for(preset("A1"))
     for k in range(-3, 4):
         for l in range(-3, 4):
             assert bracket_loop(t, onsager_basis(k)[0], onsager_basis(l)[0]) == onsager_basis(l - k)[1]
@@ -179,7 +179,7 @@ def test_onsager_structure_small():
 def test_k_bracket_expand_keeps_exact_coefficients():
     # C2~ fixed-basis pairs up to height 5: integral brackets and expansions
     # stay ints, never a float or a Fraction
-    t = preset_table("C2")
+    t = table_for(preset("C2"))
     rz = realization_for(preset("C2~"))
     indices = [YIndex(g, i) for g, m in RootSystem(preset("C2~").finite_part()).affine_roots_up_to(5)
                for i in range(1, m + 1)]

@@ -16,8 +16,8 @@ import pytest
 import onsagerkit
 from onsagerkit import chevalley, cli, verify
 from onsagerkit.cartan import preset
-from onsagerkit.characters import character_space, finite_character_realization
-from onsagerkit.chevalley import MatrixRealization, StructureTable, build_chevalley
+from onsagerkit.characters import character_space
+from onsagerkit.chevalley import MatrixRealization, StructureTable, build_chevalley, sp_structure_table
 from onsagerkit.exact_math import IdentityViolation
 from onsagerkit import onsager
 from onsagerkit.loop import NotExpandable, YIndex, y_number
@@ -437,7 +437,7 @@ MATRIX_PINS = {
 }
 
 _TRUE_SIGNS = chevalley._read_signs
-_TRUE_TABLE = chevalley.preset_table
+_TRUE_TABLE = chevalley.table_for
 
 
 def _flipped_signs(generic, images):
@@ -449,9 +449,9 @@ def _flipped_signs(generic, images):
     return signs
 
 
-def _flipped_orbit_table(name):
-    """The preset table with the sign orbit of its first N pair flipped."""
-    t = _TRUE_TABLE(name)
+def _flipped_orbit_table(c):
+    """The matrix's table with the sign orbit of its first N pair flipped."""
+    t = _TRUE_TABLE(c)
     n = dict(t.N)
     a, b = min(n)
     for pair in ((a, b), (b, a), (_neg(a), _neg(b)), (_neg(b), _neg(a))):
@@ -462,9 +462,9 @@ def _flipped_orbit_table(name):
 # case -> (the chevalley name replaced, its replacement, the rows that must FAIL)
 MUTATED = {
     "verify --preset C3": ("_read_signs", _flipped_signs, ["gl_3 presentation", "symplectic realization"]),
-    "verify --preset A3": ("preset_table", _flipped_orbit_table, ["special linear matrix realization"]),
+    "verify --preset A3": ("table_for", _flipped_orbit_table, ["special linear matrix realization"]),
     "verify --preset C5": ("_read_signs", _flipped_signs, ["gl_5 presentation", "symplectic realization"]),
-    "verify --preset A5": ("preset_table", _flipped_orbit_table, ["special linear matrix realization"]),
+    "verify --preset A5": ("table_for", _flipped_orbit_table, ["special linear matrix realization"]),
 }
 
 
@@ -474,7 +474,7 @@ _TRUE_ETA = verify.eta
 def _doubled_k1(r, x):
     """eta with K_1, the image of the first simple fixed generator, doubled."""
     k = _TRUE_ETA(r, x)
-    return 2 * k if x == finite_character_realization(r).generator(1) else k
+    return 2 * k if x == FiniteRealization(preset("C%d" % r), sp_structure_table(r)).generator(1) else k
 
 
 # with K_1 doubled only the (1, 2) relation [K1,[K1,K2]] = -K2 breaks: the
@@ -635,7 +635,7 @@ def test_decomposable_finite_matrices_pass_in_either_order(blocks, tmp_path):
 def test_explicit_tables_are_not_cached():
     t = build_chevalley(preset("C2"))
     assert AffineRealization(preset("C2~"), t).table is t
-    assert chevalley.preset_table("C2") is not t
+    assert chevalley.table_for(preset("C2")) is not t
 
 
 # ---------------------------------------------------------------------------
