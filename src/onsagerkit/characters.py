@@ -5,23 +5,20 @@ linear system chi([u, v]) = 0 over all basis pairs whose bracket stays inside
 a height window.  The solution space has one free parameter per generator
 whose Cartan column is even; for the symplectic types the solved functional
 has closed-form values, reproduced here and cross-checked against the linear
-solve.  This module also decides which matrices get a closed form, on which
-realization and with which generator values (`symplectic_closed_form`), and
-the default window (`character_window`).  The fixed basis, its window and its
-bracket come from the realization, so the solve does not branch on the kind
-of matrix.
+solve.  The fixed basis, its default window, its bracket, which matrices
+have a closed form and with which generator values all come from the
+realization and its class, so nothing here branches on the kind of matrix.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
-from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, preset
+from .cartan import CartanMatrix, preset
 from .chevalley import sp_structure_table
 from .exact_math import BadInput, ExactMatrix, IncrementalSpan, add_into, nullspace_basis
-from .onsager import AffineRealization, FiniteRealization, Realization
+from .onsager import Realization, realization_class
 from .roots import AffineRoot
 
 
@@ -166,37 +163,21 @@ def chi_affine(r, s, t, gamma: AffineRoot, i=1):
 
 def symplectic_closed_form(c: CartanMatrix):
     """(realization, generator values, closed form) for the preset C_r with
-    r >= 2 (C1 is A1) and for C_r~; None for any other matrix.
+    r >= 2 and for C_r~, as the realization class's `symplectic_rank` finds
+    them; None for any other finite or affine matrix.
 
     The realization is on the displayed symplectic table, the basis the
-    closed form refers to, and the values (chi(Y_r) = 1 on C_r; chi(Y_0) = 1,
-    chi(Y_r) = 1/2 on C_r~; 0 on every other generator) are keyed by the
-    preset's labels, which a --matrix-file with the same rows does not share
-    (it is labelled 1..n).  An affine matrix is the C_r~ preset iff node 0
-    extends C_r, which closes no roots, so A1~ is C1~.  The finite closed
-    form is the affine one at level 0, where chi(Y_0) does not enter.
+    closed form refers to.  The values (the class's SYMPLECTIC_VALUES
+    chi(Y_0), chi(Y_r), and 0 on every other generator) are keyed by the
+    preset's labels, which a --matrix-file with the same rows does not
+    share (it is labelled 1..n).  A finite key is read at level 0, where
+    chi(Y_0) does not enter.
     """
-    if c.kind == FINITE and c.n >= 2 and c.a == preset("C%d" % c.n).a:
-        r, s, t = c.n, 0, Fraction(1)
-        rz = FiniteRealization(preset("C%d" % r), sp_structure_table(r))
-
-        def closed(alpha):
-            return chi_affine(r, s, t, AffineRoot(alpha, 0))
-    elif c.kind == UNTWISTED_AFFINE and c.affine_node == 0 and c.finite_part().a == preset("C%d" % (c.n - 1)).a:
-        r, s, t = c.n - 1, Fraction(1), Fraction(1, 2)
-        rz = AffineRealization(preset("C%d~" % r), sp_structure_table(r))
-
-        def closed(idx):
-            return chi_affine(r, s, t, idx.gamma, idx.i)
-    else:
+    kind = realization_class(c)
+    r = kind.symplectic_rank(c)
+    if r is None:
         return None
+    rz = kind(preset(kind.SYMPLECTIC % r), sp_structure_table(r))
+    s, t = kind.SYMPLECTIC_VALUES
     gens = {0: s, r: t}
-    return rz, {lab: gens.get(lab, 0) for lab in rz.labels}, closed
-
-
-def character_window(rz: Realization) -> int:
-    """The default window of the character solve: the top height of a finite
-    basis, which holds the whole algebra, and 2 delta + 2 for an affine one."""
-    if rz.top_height is None:
-        return 2 * rz.affine.delta_height + 2
-    return rz.top_height
+    return rz, {lab: gens.get(lab, 0) for lab in rz.labels}, lambda key: chi_affine(r, s, t, *kind.as_affine(key))

@@ -16,19 +16,13 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .cartan import FINITE, UNTWISTED_AFFINE, parse_matrix_text, preset, validate
-from .characters import (
-    character_from_values,
-    character_space,
-    character_window,
-    even_column_set,
-    symplectic_closed_form,
-)
+from .cartan import parse_matrix_text, preset, validate
+from .characters import character_from_values, character_space, even_column_set, symplectic_closed_form
 from .exact_math import BadInput, IdentityViolation, signed_sum
 from .freelie import ad_power, parse_bracket
 from .loop import YIndex
-from .onsager import psi_eval, realization_for
-from .roots import AffineRoot, RootSystem, height, root_str
+from .onsager import FiniteRealization, psi_eval, realization_class, realization_for
+from .roots import AffineRoot, root_str
 from .serre_coeffs import coeff_row, coeff_table
 from .verify import check_onsager_structure, verification_suite
 
@@ -37,19 +31,6 @@ SCHEMA = 1
 
 class UsageFault(BadInput):
     pass
-
-
-# ---------------------------------------------------------------------------
-# formatting helpers
-# ---------------------------------------------------------------------------
-
-def yindex_json(idx):
-    return {"finite": list(idx.gamma.finite), "level": idx.gamma.level, "i": idx.i}
-
-
-def _finite_y_str(root):
-    """The finite fixed-basis vector of a positive root, e.g. "y(a1+a2)"."""
-    return "y(%s)" % root_str(root)
 
 
 # ---------------------------------------------------------------------------
@@ -91,36 +72,7 @@ def print_relations(report):
 
 
 def roots_report(c, H):
-    if c.kind == FINITE:
-        rs = RootSystem(c)
-        H = H or rs.max_height
-        return {
-            "schema": SCHEMA,
-            "kind": "roots",
-            "type": "finite",
-            "roots": [
-                {"coords": list(a), "height": height(a), "mult": 1}
-                for a in rs.positive_roots
-                if height(a) <= H
-            ],
-        }
-    rs = RootSystem(c.finite_part())
-    H = H or 2 * rs.delta_height
-    return {
-        "schema": SCHEMA,
-        "kind": "roots",
-        "type": "affine",
-        "delta_height": rs.delta_height,
-        "roots": [
-            {
-                "finite": list(g.finite),
-                "level": g.level,
-                "height": rs.affine_height(g),
-                "mult": m,
-            }
-            for g, m in rs.affine_roots_up_to(H)
-        ],
-    }
+    return {"schema": SCHEMA, "kind": "roots", **realization_class(c).root_listing(c, H)}
 
 
 def print_roots(report):
@@ -135,10 +87,7 @@ def print_roots(report):
 
 def structconst_report(c, H):
     rz = realization_for(c)
-    if c.kind == FINITE:
-        H = H or rz.top_height
-        key_json, field, coeff_json = list, "coords", lambda v: str(Fraction(v))
-    elif c.typename == "A1~":
+    if rz.onsager_table:
         if H is not None:
             raise UsageFault("--height does not apply to the A1~ Onsager table (|k|, |l| <= 2)")
         _, ok, detail = check_onsager_structure(2)
@@ -147,30 +96,21 @@ def structconst_report(c, H):
         table = [{"lhs": ["A%d" % k, "A%d" % l], "rhs": "G%d" % (l - k)}
                  for k in range(-2, 3) for l in range(-2, 3)]
         return {"schema": SCHEMA, "kind": "structconst", "type": "onsager", "brackets": table}
-    else:
-        H = H or rz.affine.delta_height + 1
-        key_json, field, coeff_json = yindex_json, "idx", int
-    keys = [k for k, _ in rz.basis(H)]
+    keys = [k for k, _ in rz.basis(H or rz.structconst_height)]
     nums = [rz.number(k) for k in keys]
-    # each unordered pair once, first member earlier: in basis order for a
-    # finite basis, in key order for an affine one
-    rank = {k: j for j, k in enumerate(keys if c.kind == FINITE else sorted(keys))}
+    # each unordered pair once, first member earlier in the realization's pair order
+    rank = {k: j for j, k in enumerate(rz.pair_order(keys))}
     pairs = []
     for k1, n1 in zip(keys, nums):
         for k2, n2 in zip(keys, nums):
-            if rank[k2] <= rank[k1]:
-                continue
-            coords = rz.basis_bracket(n1, n2)
-            pairs.append({
-                "lhs": [key_json(k1), key_json(k2)],
-                "rhs": [{field: key_json(k), "coeff": coeff_json(v)}
-                        for k, v in sorted((rz.index(n), v) for n, v in coords.items())],
-            })
-    if c.kind != FINITE:
-        return {"schema": SCHEMA, "kind": "structconst", "type": "affine", "brackets": pairs}
-    entries = [{"alpha": list(alpha), "beta": list(beta), "N": rz.table.N[alpha, beta]}
-               for alpha, beta in sorted(rz.table.N)]
-    return {"schema": SCHEMA, "kind": "structconst", "type": "finite", "ntable": entries, "ybrackets": pairs}
+            if rank[k2] > rank[k1]:
+                coords = rz.basis_bracket(n1, n2)
+                pairs.append({
+                    "lhs": [rz.key_json(k1), rz.key_json(k2)],
+                    "rhs": [{rz.KEY_FIELD: rz.key_json(k), "coeff": rz.coeff_json(v)}
+                            for k, v in sorted((rz.index(n), v) for n, v in coords.items())],
+                })
+    return {"schema": SCHEMA, "kind": "structconst", **rz.structconst_fields(pairs)}
 
 
 def print_structconst(report):
@@ -183,7 +123,7 @@ def print_structconst(report):
         for row in report["ntable"]:
             print("N(%s, %s) = %d" % (root_str(row["alpha"]), root_str(row["beta"]), row["N"]))
         print("# fixed-basis brackets")
-        rows, field, name = report["ybrackets"], "coords", _finite_y_str
+        rows, field, name = report["ybrackets"], "coords", FiniteRealization.y_str
     else:
         rows, field = report["brackets"], "idx"
 
@@ -216,15 +156,14 @@ def print_verify(report):
 def chars_report(c, H=None):
     # the preset C types report each value beside its closed form
     rz, gens, closed = symplectic_closed_form(c) or (realization_for(c), None, None)
-    H = H or character_window(rz)
+    H = H or rz.character_window
     space = character_space(rz, H)
-    key_str = root_str if c.kind == FINITE else str
     if closed:
         func = character_from_values(space, gens)
-        values = [{"basis": key_str(key), "value": str(Fraction(func.get(key, 0))),
+        values = [{"basis": rz.key_str(key), "value": str(Fraction(func.get(key, 0))),
                    "closed_form": str(Fraction(closed(key)))} for key in space.keys]
     else:
-        values = [{"basis": key_str(key), "functional": b, "value": str(Fraction(func[key]))}
+        values = [{"basis": rz.key_str(key), "functional": b, "value": str(Fraction(func[key]))}
                   for b, func in enumerate(space.basis) for key in space.keys if func.get(key, 0)]
     return {
         "schema": SCHEMA,
@@ -254,11 +193,7 @@ def eval_report(c, text):
         raise UsageFault("generator labels %s outside %s" % (unknown, list(c.labels)))
     rz = realization_for(c)
     coords = {rz.index(n): v for n, v in psi_eval(rz, expr).items()}
-    if c.kind == FINITE:
-        name, field, key_json = _finite_y_str, "coords", list
-    else:
-        name, field, key_json = str, "idx", yindex_json
-    terms = [{"basis": name(k), field: key_json(k), "coeff": str(Fraction(v))}
+    terms = [{"basis": rz.y_str(k), rz.KEY_FIELD: rz.key_json(k), "coeff": str(Fraction(v))}
              for k, v in sorted(coords.items())]
     return {"schema": SCHEMA, "kind": "eval", "expr": text, "terms": terms}
 
@@ -387,11 +322,8 @@ def run(args) -> int:
         report, printer = coeffs_report(args.a, args.rmax), print_coeffs
     else:
         c = _load_matrix(args)
-        # every command but relations works in a realization of a finite or
-        # affine type
-        if args.command != "relations" and c.kind not in (FINITE, UNTWISTED_AFFINE):
-            raise UsageFault("%s needs a finite or untwisted affine matrix; this one classifies as %s"
-                             % (args.command, c.kind))
+        if args.command != "relations":  # every other command works in a realization
+            realization_class(c, args.command)
         if args.command == "relations":
             report, printer = relations_report(c), print_relations
         elif args.command == "roots":

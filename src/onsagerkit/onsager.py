@@ -3,8 +3,9 @@
 The quotient algebra itself is never materialized; the evaluation map onto
 the fixed subalgebra (finite Chevalley or affine loop realization) together
 with exact rank computations carries all verification.  The realization
-classes are the one place that knows how the fixed basis is indexed for each
-kind of matrix; `realization_for` picks the class.  Bracket words are
+classes are the one place that knows what is particular to each kind of
+matrix: how the fixed basis is indexed and printed, the default windows and
+which rows `verify` runs; `realization_class` picks the class.  Bracket words are
 right-nested by default, which suffices to span every filtration level; an
 all-bracketings mode exists for cross-validation.
 """
@@ -12,13 +13,14 @@ all-bracketings mode exists for cross-validation.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 
-from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix
+from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, preset
 from .chevalley import StructureTable, _vneg, table_for
 from .exact_math import BadInput, IncrementalSpan, add_into, bilinear
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
 from .loop import YIndex, k_bracket_expand, y_key, y_number
-from .roots import AffineRoot, height
+from .roots import AffineRoot, RootSystem, height, root_str
 from .serre_coeffs import serre_relation
 
 
@@ -42,7 +44,22 @@ class Realization:
     (the largest height of a basis key, None when the basis is infinite),
     and `number(key)`/`index(n)`, which translate between a key and its
     number; keys are built only to report a result.
+
+    A subclass also owns what the reports and `verify` read of its kind: key
+    printers (`key_str` for `chars`, `y_str` for `eval` and `structconst`,
+    `key_json` under `KEY_FIELD`, `coeff_json`), the structconst layout
+    (`pair_order`, `structconst_fields`), default windows (`verify_jmax`,
+    `verify_height` (None: the jmax), `character_window`,
+    `structconst_height`, and that of `root_listing`, which builds no
+    table), the data of the symplectic closed form (`symplectic_rank`, the
+    preset `SYMPLECTIC`, chi(Y_0), chi(Y_r) in `SYMPLECTIC_VALUES`,
+    `as_affine`), and row gates as plain data: `matrix_rows` ("sl", "sp" or
+    None), `sweeps`, `onsager_table` (the A/G row), `checks_characters`.
     """
+
+    matrix_rows = None
+    sweeps = onsager_table = False
+    checks_characters = True
 
     def __init__(self, cartan, table, generators):
         self.cartan = cartan
@@ -77,19 +94,25 @@ class FiniteRealization(Realization):
     """Y_i = e_i - f_i in the Chevalley realization (labels 1..n), over the
     fixed basis y_alpha = e_alpha - e_{-alpha}, keyed by positive roots."""
 
+    KEY_FIELD = "coords"
+    key_str = staticmethod(root_str)
+    key_json = staticmethod(list)
+    coeff_json = staticmethod(str)
+    pair_order = staticmethod(list)  # structconst pairs follow the basis order
+    SYMPLECTIC, SYMPLECTIC_VALUES = "C%d", (0, Fraction(1))
+
     def __init__(self, c: CartanMatrix, table: StructureTable = None):
         if table is None:
             table = table_for(c)
         gens = {label: y_number(table, ("e", tuple(int(k == pos) for k in range(c.n))), 0)
                 for pos, label in enumerate(c.labels)}
         super().__init__(c, table, gens)
+        self.top_height = self.verify_jmax = self.verify_height = table.rs.max_height
+        self.character_window = self.structconst_height = self.top_height
+        self.matrix_rows = "sp" if self.symplectic_rank(c) else "sl" if (c.typename or "").startswith("A") else None
 
     def basis(self, H):
         return [(a, height(a)) for a in self.table.rs.positive_roots if height(a) <= H]
-
-    @property
-    def top_height(self):
-        return self.table.rs.max_height
 
     def number(self, alpha):
         return y_number(self.table, ("e", alpha), 0)
@@ -97,12 +120,45 @@ class FiniteRealization(Realization):
     def index(self, n):
         return y_key(self.table, n)[0][1]
 
+    def structconst_fields(self, pairs):
+        N = self.table.N
+        return {"type": "finite", "ybrackets": pairs,
+                "ntable": [{"alpha": list(a), "beta": list(b), "N": N[a, b]} for a, b in sorted(N)]}
+
+    @staticmethod
+    def y_str(alpha):
+        """The fixed-basis vector of a positive root, e.g. "y(a1+a2)"."""
+        return "y(%s)" % root_str(alpha)
+
+    @staticmethod
+    def as_affine(alpha):
+        """A basis key as an affine root and slot: alpha at level 0."""
+        return AffineRoot(alpha, 0), 1
+
+    @staticmethod
+    def symplectic_rank(c):
+        """r when c has the rows of the preset C_r with r >= 2 (C1 is A1), else None."""
+        return c.n if c.typename == "C%d" % c.n and c.a == preset(c.typename).a else None
+
+    @staticmethod
+    def root_listing(c, H=None):
+        """The positive roots of height <= H (default: all of them)."""
+        rs = RootSystem(c)
+        H = H or rs.max_height
+        return {"type": "finite", "roots": [{"coords": list(a), "height": height(a), "mult": 1}
+                                            for a in rs.positive_roots if height(a) <= H]}
+
 
 class AffineRealization(Realization):
     """Y_0 = E_0[1] - F_0[-1] with E_0 = e_{-theta}, F_0 = e_theta, and
     Y_i = (e_i - f_i)[0], over the loop fixed basis keyed by YIndex."""
 
     top_height = None
+    KEY_FIELD = "idx"
+    key_str = y_str = staticmethod(str)
+    coeff_json = staticmethod(int)
+    pair_order = staticmethod(sorted)  # structconst pairs follow the key order
+    SYMPLECTIC, SYMPLECTIC_VALUES = "C%d~", (Fraction(1), Fraction(1, 2))
 
     def __init__(self, c: CartanMatrix, table: StructureTable = None):
         if table is None:
@@ -118,6 +174,11 @@ class AffineRealization(Realization):
                 gens[label] = y_number(table, ("e", tuple(int(k == finite_pos) for k in range(rs.rank))), 0)
                 finite_pos += 1
         super().__init__(c, table, gens)
+        self.verify_jmax, self.verify_height = 2 * rs.delta_height + 1, None
+        self.character_window = 2 * rs.delta_height + 2
+        self.structconst_height = rs.delta_height + 1
+        self.checks_characters = self.character_window <= 20
+        self.sweeps, self.onsager_table = rs.rank <= 3, rs.rank == 1  # the A/G row: A1~, whatever its labels
 
     def basis(self, H):
         rs = self.affine
@@ -134,16 +195,50 @@ class AffineRealization(Realization):
             return YIndex(AffineRoot((0,) * self.affine.rank, level), v + 1)
         return YIndex(AffineRoot(v, level))
 
+    @staticmethod
+    def structconst_fields(pairs):
+        return {"type": "affine", "brackets": pairs}
+
+    @staticmethod
+    def key_json(idx):
+        return {"finite": list(idx.gamma.finite), "level": idx.gamma.level, "i": idx.i}
+
+    @staticmethod
+    def as_affine(idx):
+        """A basis key as an affine root and slot."""
+        return idx.gamma, idx.i
+
+    @staticmethod
+    def symplectic_rank(c):
+        """r when c is the preset C_r~ (node 0 extends C_r, so A1~ is C1~), else None."""
+        r = c.n - 1
+        return r if c.affine_node == 0 and c.finite_part().a == preset("C%d" % r).a else None
+
+    @staticmethod
+    def root_listing(c, H=None):
+        """The positive affine roots of height <= H (default: 2 delta), with
+        multiplicities, read off the finite part's root system."""
+        rs = RootSystem(c.finite_part())
+        H = H or 2 * rs.delta_height
+        return {"type": "affine", "delta_height": rs.delta_height,
+                "roots": [{"finite": list(g.finite), "level": g.level, "height": rs.affine_height(g), "mult": m}
+                          for g, m in rs.affine_roots_up_to(H)]}
+
+
+def realization_class(c: CartanMatrix, who="a realization"):
+    """The realization class of a finite or untwisted affine matrix; for any
+    other kind, NotRealized naming who needs one and the kind."""
+    if c.kind == FINITE:
+        return FiniteRealization
+    if c.kind == UNTWISTED_AFFINE:
+        return AffineRealization
+    raise NotRealized("%s needs a finite or untwisted affine matrix; this one classifies as %s" % (who, c.kind))
+
 
 def realization_for(c: CartanMatrix) -> Realization:
     """The realization of a finite or untwisted affine matrix; NotRealized
     for any other kind."""
-    if c.kind == FINITE:
-        return FiniteRealization(c)
-    if c.kind == UNTWISTED_AFFINE:
-        return AffineRealization(c)
-    raise NotRealized("a realization needs a finite or untwisted affine matrix; "
-                      "this one classifies as %s" % c.kind)
+    return realization_class(c)(c)
 
 
 def relations(c: CartanMatrix):

@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .cartan import FINITE, CartanMatrix, preset
-from .characters import character_space, character_window, even_column_set
+from .cartan import CartanMatrix, preset
+from .characters import character_space, even_column_set
 from .chevalley import _key_str, eta, sl_realization, sp_realization, sp_structure_table, table_for
 from .exact_math import ExactMatrix, I, IdentityViolation, add_into
 from .loop import NotExpandable, bracket_loop, onsager_basis, y_number, y_vector
@@ -229,17 +229,17 @@ def verify_gl_presentation(r):
     return checks
 
 
-def check_matrix_realization(c: CartanMatrix):
-    """The rows of the matrix realization of a finite A_r or of the preset
-    C_r, at every rank.  Building the realization checks it, once: the
-    IdentityViolation it raises is the FAIL detail of every row that needs
-    it."""
-    name, r = c.typename or "", c.n
+def check_matrix_realization(rz: Realization):
+    """The matrix realization rows that `rz.matrix_rows` names: sl for A_r,
+    sp and gl_r for the preset C_r, at every rank.  Building the matrix
+    realization checks it, once: the IdentityViolation it raises is the FAIL
+    detail of every row that needs it."""
+    r = rz.cartan.n
     gl = "gl_%d presentation through the fixed-subalgebra isomorphism" % r
-    if name.startswith("C") and c.a == preset("C%d" % r).a:
+    if rz.matrix_rows == "sp":
         sp = "symplectic realization matches its table and reconciles with the generic one"
         build, names = sp_realization, [gl, sp]
-    elif name.startswith("A"):
+    elif rz.matrix_rows == "sl":
         build, names = sl_realization, ["special linear matrix realization is a bracket homomorphism"]
     else:
         return []
@@ -267,24 +267,15 @@ def verification_suite(c: CartanMatrix, jmax=None, height=None):
     except IdentityViolation as exc:
         # building the structure table or the realization broke an identity
         return [("structure table and realization build", False, str(exc))]
-    rows = []
-    window = character_window(rz)
-    if c.kind == FINITE:
-        maxht = rz.table.rs.max_height
-        jmax = jmax or maxht
-        height = height or maxht
-        rows.append(check_relations_killed(c, rz))
-        rows += check_word_span(rz, jmax, height)
-        rows.append(check_character_dimension(c, rz, window))
-        rows += check_matrix_realization(c)
-    else:
-        jmax = jmax or 2 * rz.affine.delta_height + 1
-        rows.append(check_relations_killed(c, rz))
-        rows += check_word_span(rz, jmax, height or jmax)
-        if window <= 20:
-            rows.append(check_character_dimension(c, rz, window))
-        if rz.affine.rank <= 3:
-            rows.append(check_affine_structure_constants(rz))
-        if c.typename == "A1~":
-            rows.append(check_onsager_structure())
+    jmax = jmax or rz.verify_jmax
+    height = height or rz.verify_height or jmax
+    rows = [check_relations_killed(c, rz)]
+    rows += check_word_span(rz, jmax, height)
+    if rz.checks_characters:
+        rows.append(check_character_dimension(c, rz, rz.character_window))
+    rows += check_matrix_realization(rz)
+    if rz.sweeps:
+        rows.append(check_affine_structure_constants(rz))
+    if rz.onsager_table:
+        rows.append(check_onsager_structure())
     return rows

@@ -245,7 +245,7 @@ def test_an_internal_value_error_is_not_bad_input(monkeypatch):
     def broken(root):
         raise NotARoot("forced")
 
-    monkeypatch.setattr(cli, "height", broken)
+    monkeypatch.setattr(onsager, "height", broken)
     with pytest.raises(NotARoot):
         cli.main(["roots", "--preset", "A2"])
 
@@ -476,3 +476,17 @@ def test_each_command_builds_one_root_system(name, argv, monkeypatch, capsys):
     assert code == 0
     assert len(built) == 1, built
     assert cartan.root_closure.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("name", ["E8", "E8~"])
+def test_roots_builds_no_structure_table(name, monkeypatch, capsys):
+    # the root listing reads a root system alone: E8's table would take
+    # seconds to build
+    def refused(c):
+        raise AssertionError("roots built a structure table")
+
+    _clear_tables()
+    monkeypatch.setattr(chevalley, "build_chevalley", refused)
+    for argv in (("roots", "--preset", name), ("roots", "--preset", name, "--json")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from onsagerkit import onsager
@@ -289,3 +292,74 @@ def test_heights_from_exponents(name):
     for k in range(len(exps)):
         bumped = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
         assert _kostant_mults(bumped, affine, H) != mults
+
+
+# each realization's default windows, by hand: the top height of a finite
+# basis; for an affine one with delta of height d, verify's jmax 2d + 1 (its
+# height defaults to the jmax), the character window 2d + 2, structconst's
+# height d + 1 and the root listing's 2d
+WINDOWS = {  # name: (verify jmax, verify height, character window, structconst height, roots height)
+    "A2": (2, 2, 2, 2, 2),
+    "E8": (29, 29, 29, 29, 29),
+    "A1~": (5, None, 6, 3, 4),
+    "C2~": (9, None, 10, 5, 8),
+    "G2~": (13, None, 14, 7, 12),
+    "E8~": (61, None, 62, 31, 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_default_windows(name):
+    c = preset(name)
+    rz = realization_for(c)
+    assert (rz.verify_jmax, rz.verify_height, rz.character_window, rz.structconst_height) == WINDOWS[name][:4]
+    listing = type(rz).root_listing(c)
+    assert max(row["height"] for row in listing["roots"]) == WINDOWS[name][4]
+    if name.endswith("~"):
+        assert 2 * listing["delta_height"] == WINDOWS[name][4]
+
+
+# the rows each realization gates, by hand: the sl row on A_r, the sp and
+# gl_r rows on the rows of the preset C_r (C1 is A1); the sweep up to rank 3,
+# the A/G row on A1~ alone, the character row while its window is at most 20
+GATES = {  # name: (matrix rows, sweeps, A/G row, character row)
+    "A1": ("sl", False, False, True),
+    "A3": ("sl", False, False, True),
+    "C2": ("sp", False, False, True),
+    "C3": ("sp", False, False, True),
+    "B3": (None, False, False, True),
+    "G2": (None, False, False, True),
+    "E8": (None, False, False, True),
+    "A1~": (None, True, True, True),
+    "C2~": (None, True, False, True),
+    "C3~": (None, True, False, True),
+    "G2~": (None, True, False, True),
+    "B4~": (None, False, False, True),
+    "F4~": (None, False, False, False),
+    "E6~": (None, False, False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_row_gates(name):
+    # a matrix file, labelled 1..n, gets the gates of the preset with its rows
+    for c in (preset(name), validate(preset(name).a)):
+        rz = realization_for(c)
+        assert (rz.matrix_rows, rz.sweeps, rz.onsager_table, rz.checks_characters) == GATES[name]
+
+
+# the realization classes own every test of the kind of matrix: the CLI, the
+# check suite and the characters read none, but for the type verify prints
+@pytest.mark.parametrize("module", ["cli.py", "verify.py", "characters.py"])
+def test_no_kind_tests_outside_the_realization(module):
+    tree = ast.parse((Path(onsager.__file__).parent / module).read_text())
+    allowed = set()
+    if module == "cli.py":
+        report = next(node for node in tree.body if getattr(node, "name", None) == "verify_report")
+        fields = next(node for node in ast.walk(report) if isinstance(node, ast.Dict))
+        value = fields.values[[getattr(k, "value", None) for k in fields.keys].index("type")]
+        allowed = {id(node) for node in ast.walk(value)}
+        assert sorted(node.attr for node in ast.walk(value) if isinstance(node, ast.Attribute)) == ["kind", "typename"]
+    read = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("kind", "typename") and id(node) not in allowed]
+    assert not read, "%s reads the kind of a matrix on lines %s" % (module, read)
