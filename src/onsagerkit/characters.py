@@ -74,12 +74,10 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
     touched = set()
     for u, v in combinations(nums, 2):
         coords = rz.basis_bracket(u, v)
-        if not coords:
-            continue
-        if any(n not in col for n in coords):
+        if not coords or not coords.keys() <= col.keys():
             continue
         touched.update(coords)
-        rows.setdefault(tuple(sorted((col[n], c) for n, c in coords.items())))
+        rows.setdefault(frozenset(coords.items()), coords)
     if top is None:
         if not rows:
             raise WindowTooSmall("no bracket of two basis vectors lands in window %d" % H)
@@ -90,7 +88,7 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
                 % (H, len(missing), min((rz.index(n) for n in missing), key=str))
             )
     matrix = ExactMatrix(len(rows), len(keys), {
-        (r, j): c for r, row in enumerate(rows) for j, c in row
+        (r, col[n]): c for r, row in enumerate(rows.values()) for n, c in row.items()
     })
     basis = [{keys[j]: c for j, c in vec.items()} for vec in nullspace_basis(matrix)]
     return CharacterSpace(H, keys, basis, {lab: rz.index(n) for lab, n in rz.generators.items()})

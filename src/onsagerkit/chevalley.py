@@ -106,8 +106,9 @@ class StructureTable:
         self.partner = tuple(self.number[_omega_key(k)] for k in self.keys)
         # the keys e_alpha, alpha > 0: the fixed basis y_alpha at level 0
         self.positive = frozenset(n for n, (kind, v) in enumerate(self.keys) if kind == "e" and min(v) >= 0)
-        # entry(i, j) at i * dim + j, filled on first use
+        # at i * dim + j: entry(i, j), filled on first use, and loop's certificate of (i, j)
         self._memo = [None] * (self.dim * self.dim)
+        self._certified = [None] * (self.dim * self.dim)
 
     # -- constructors for basis elements ------------------------------------
     def e(self, alpha):

@@ -18,7 +18,9 @@ term is x[level], for the table's key number k of x, is numbered
 level * t.dim + k: y = x[level] - x'[-level], x' the omega partner of x.
 Every sign and level of a root has its number, and the positive indices
 (level > 0, or level 0 and a positive root) are the fixed basis.  The same
-numbers at level 0 are the finite fixed basis y_alpha.
+numbers at level 0 are the finite fixed basis y_alpha.  `k_bracket_expand`
+folds a bracket from two memo entries of its key pair, whose four entries it
+certifies once per key pair, not on every bracket.
 """
 
 from __future__ import annotations
@@ -192,16 +194,60 @@ def y_vector(t: StructureTable, k, level):
 
 
 def k_bracket_expand(t: StructureTable, u, v):
-    """Bracket of the fixed vectors numbered u and v, expanded over the fixed
-    basis by number.
+    """[y_u, y_v] over the fixed basis by number, u and v fixed-vector numbers.
 
-    The vector numbered level * t.dim + k has the loop terms
-    (k, level, +1) and (partner[k], -level, -1).  Brackets every pair of
-    terms through the table's numbered memo, in int arithmetic, and makes
-    the checks of y_coordinates: NotExpandable when the central coefficient
-    is nonzero or a term's omega partner does not carry the opposite
-    coefficient (a level-0 Cartan term is its own partner).
+    With y_u = k_u[l_u] - p_u[-l_u], p the omega partner, and E the memo
+    entries, the bracket is X + omega(X) for X = E(u, v)[l_u + l_v] -
+    E(u, p_v)[l_u - l_v], and each term c k[l] of X folds to
+    c * y_vector(k, l), once the key pair is certified: E(p_u, p_v) and
+    E(p_u, v) are the omega images {p_k: -c} of E(u, v) and E(u, p_v), which
+    makes the result fixed, and the forms agree, which makes the central
+    coefficient, l_u (f(u, v) - f(p_u, p_v)) at l_u = -l_v != 0 and
+    l_u (f(p_u, v) - f(u, p_v)) at l_u = l_v != 0, vanish.  The certificate
+    is kept in t._certified beside t._memo, for the four entry objects it
+    read; a pair without one goes through `_four_entry_expand`, which makes
+    the checks of y_coordinates term by term.
     """
+    dim, partner, memo = t.dim, t.partner, t._memo
+    lu, ku = divmod(u, dim)
+    lv, kv = divmod(v, dim)
+    row, prow, pv = ku * dim, partner[ku] * dim, partner[kv]
+    cert = t._certified[row + kv]
+    if not (cert and cert[0] is memo[row + kv] and cert[1] is memo[row + pv]
+            and cert[2] is memo[prow + kv] and cert[3] is memo[prow + pv]):
+        cert = _certify(t, ku, kv)
+        if cert is None:
+            return _four_entry_expand(t, u, v)
+    out = {}
+    for terms, level, sign in ((cert[0][0], lu + lv, 1), (cert[1][0], lu - lv, -1)):
+        for k, w in terms:
+            if level > 0 or (level == 0 and k in t.positive):
+                n = level * dim + k
+            elif level or partner[k] != k:
+                n, w = partner[k] - level * dim, -w
+            else:
+                continue
+            out[n] = out.get(n, 0) + sign * w
+    return {n: w for n, w in out.items() if w} if 0 in out.values() else out
+
+
+def _certify(t: StructureTable, ku, kv):
+    """k_bracket_expand's certificate of the key pair (ku, kv), shared with
+    (ku, p_v), (p_u, kv), (p_u, p_v); None unless it holds, term for term."""
+    dim, partner, memo = t.dim, t.partner, t._memo
+    pairs = (ku, kv), (ku, partner[kv]), (partner[ku], kv), (partner[ku], partner[kv])
+    e = [memo[i * dim + j] or t.entry(i, j) for i, j in pairs]
+    for (terms, form), (image, image_form) in ((e[0], e[3]), (e[1], e[2])):
+        if form != image_form or image != tuple([(partner[k], -c) for k, c in terms]):
+            return None
+    for x, (i, j) in enumerate(pairs):  # the pair at x reads e[x ^ 0], ..., e[x ^ 3]
+        t._certified[i * dim + j] = e[x], e[x ^ 1], e[x ^ 2], e[x ^ 3]
+    return e
+
+
+def _four_entry_expand(t: StructureTable, u, v):
+    """k_bracket_expand term by term, with the checks of y_coordinates:
+    NotExpandable on a nonzero central coefficient or an unmatched term."""
     dim, partner, memo = t.dim, t.partner, t._memo
     lu, ku = divmod(u, dim)
     lv, kv = divmod(v, dim)

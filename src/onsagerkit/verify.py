@@ -15,12 +15,13 @@ the antisymmetry of the table's bracket memo and the sign laws of N (see
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 from .cartan import CartanMatrix, preset
 from .characters import character_space, even_column_set
 from .chevalley import _key_str, eta, sl_realization, sp_realization, sp_structure_table, table_for
-from .exact_math import ExactMatrix, I, IdentityViolation, add_into
+from .exact_math import ExactMatrix, I, IdentityViolation
 from .loop import NotExpandable, bracket_loop, onsager_basis, y_number, y_vector
 from .onsager import FiniteRealization, Realization, filtration_dims, psi_eval, realization_for, relations
 
@@ -93,47 +94,48 @@ def check_onsager_structure(bound=4):
 
 def _expected_y_bracket(t, u, v):
     """Closed-form bracket of the fixed vectors numbered u and v (see
-    `loop`), over the fixed basis by number.  It reads the table's N values
-    on key numbers (`numbered_n`), its pairings and coroot coordinates per
-    key number, never its bracket memo:
+    `loop`), over the fixed basis by number:
 
         [y_{a+l d}, y_{b+m d}] = N(a,b) y_{a+b+(l+m)d} - N(a,-b) y_{a-b+(l-m)d},
         [y_{a+l d}, y_{a+m d}] = sum_i k_i(a) y_{(m-l)d}^(i),  and (m+l) for b = -a,
         [y_{l d}^(i), y_{a+m d}] = a(h_i) (y_{a+(l+m)d} - y_{a+(m-l)d}).
+
+    A key pair's terms come from `_closed_form_terms`, never the bracket
+    memo, and fold with y_vector at the levels l + m and l - m.
     """
     l, a = divmod(u, t.dim)
     m, b = divmod(v, t.dim)
-    # the keys numbered below the rank are h_1..h_r
-    rank = t.rs.rank
     out = {}
-    sign = 1
-    if b < rank <= a:
-        a, l, b, m, sign = b, m, a, l, -1
+    for terms, level in zip(_closed_form_terms(t, a, b), (l + m, l - m)):
+        for k, coeff in terms:
+            for n, c in y_vector(t, k, level).items():
+                out[n] = out.get(n, 0) + c * coeff
+    return {n: c for n, c in out.items() if c} if 0 in out.values() else out
 
-    def put(k, level, coeff):
-        # coeff * y_{k + level*delta}, k a key number
-        if coeff:
-            add_into(out, y_vector(t, k, level), sign * coeff)
 
-    if a < rank:
-        if b >= rank:
-            p = t.pairings[b][a]
-            put(b, l + m, p)
-            put(b, m - l, -p)
-        return out
-    if b == a or b == t.partner[a]:
-        level = m - l if b == a else m + l
-        for i, k in enumerate(t.coroots[a]):
-            put(i, level, k)
-        return out
-    n_of = t.numbered_n
-    hit = n_of.get(a * t.dim + b)
-    if hit:
-        put(hit[1], l + m, hit[0])
-    hit = n_of.get(a * t.dim + t.partner[b])
-    if hit:
-        put(hit[1], l - m, -hit[0])
-    return out
+@lru_cache(maxsize=1024)  # a rank-3 sweep meets at most 441 key pairs
+def _closed_form_terms(t, a, b):
+    """The terms (k, coeff) at level l + m and at level l - m of the key pair
+    numbered a, b, from `numbered_n`, `pairings` and `coroots`; a term at
+    m - l is one on p_k at l - m, since y_vector(k, -l) = -y_vector(p_k, l)."""
+    # the keys numbered below the rank are h_1..h_r, and [h_i, h_j] = 0
+    rank, partner, n_of = t.rs.rank, t.partner, t.numbered_n
+    sums = diffs = ()
+    if a < rank <= b:
+        p = t.pairings[b][a]
+        sums, diffs = [(b, p)], [(partner[b], p)]
+    elif b < rank <= a:
+        p = t.pairings[a][b]
+        sums, diffs = [(a, -p)], [(a, p)]
+    elif rank <= a == b:
+        diffs = [(i, -k) for i, k in enumerate(t.coroots[a])]
+    elif rank <= b == partner[a]:
+        sums = enumerate(t.coroots[a])
+    elif rank <= min(a, b):
+        hit, hit_p = n_of.get(a * t.dim + b), n_of.get(a * t.dim + partner[b])
+        sums = [(hit[1], hit[0])] if hit else ()
+        diffs = [(hit_p[1], -hit_p[0])] if hit_p else ()
+    return tuple((k, c) for k, c in sums if c), tuple((k, c) for k, c in diffs if c)
 
 
 def check_affine_structure_constants(rz: Realization, level_bound=2):
@@ -146,11 +148,11 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     level 0 and alpha > 0; y_{l delta}^(i) at l > 0): the others are their
     negatives, y_{-gamma} = -y_gamma and y_{-l delta}^(i) = -y_{l delta}^(i),
     and both sides are odd in each argument.  The loop terms of -u are the
-    negated terms of u, so the kernel reads the same memo entries and meets
-    the same checks; the closed form is odd through N(-a,-b) = -N(a,b),
-    which the table checks when it is built.  So each basis pair stands for
-    the four signed pairs it covers, and the count reported is that of the
-    signed pairs, (2 * |basis|)^2.
+    negated terms of u, so the kernel reads the same four memo entries under
+    the same certificate (see `loop.k_bracket_expand`); the closed form is
+    odd through N(-a,-b) = -N(a,b), which the table checks when it is built.
+    So each basis pair stands for the four signed pairs it covers, and the
+    count reported is that of the signed pairs, (2 * |basis|)^2.
 
     Both sides run once per unordered basis pair (v at or after u in the
     sweep's order).  Each is odd under swapping its arguments: the closed
@@ -161,6 +163,9 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     for that: entry(j, i) holds the negated terms and the same form as
     entry(i, j).  This settles the reverse order of every pair, and also
     covers the entries the sweep never reads.
+
+    Each side does its per-key-pair work once, the kernel's certificate and
+    the closed form's terms, and then folds each level pair with y_vector.
 
     Both sides read the realization's structure table: the expansion through
     its bracket memo, the closed form through its N values.  So this checks

@@ -16,11 +16,13 @@ import pytest
 
 import onsagerkit
 
+from onsagerkit import loop
 from onsagerkit.cartan import preset, preset_names
 from onsagerkit.chevalley import _omega_key, build_chevalley
 from onsagerkit.loop import (
     NotExpandable,
     YIndex,
+    _four_entry_expand,
     bracket_loop,
     k_bracket_expand,
     y_affine,
@@ -31,6 +33,7 @@ from onsagerkit.loop import (
 from onsagerkit.onsager import FiniteRealization, all_bracket_words, psi_eval, realization_for
 from onsagerkit.roots import AffineRoot
 from test_onsager import element_generators
+from test_verify import MUTATIONS
 
 
 def finite_coordinates(x):
@@ -186,6 +189,131 @@ def test_kernel_rejects_a_non_fixed_input():
     # the fixed vectors themselves expand
     t = build_chevalley(preset("C2~").finite_part())
     assert k_bracket_expand(t, y_number(t, a, 0), y_number(t, b, 1))
+
+
+def _outcome(expand, t, u, v):
+    """What expand returns for the pair, or the message it raises."""
+    try:
+        return expand(t, u, v)
+    except NotExpandable as exc:
+        return "NotExpandable: %s" % exc
+
+
+def _signed_numbers(t, bound):
+    """Every root at the levels |l| <= bound and every h_i at the levels
+    0 < |l| <= bound, by number: the signed fixed vectors."""
+    rank = t.rs.rank
+    return [l * t.dim + k for l in range(-bound, bound + 1) for k in range(t.dim) if l or k >= rank]
+
+
+@pytest.mark.parametrize("name, bound", [("A1~", 3), ("A2~", 3), ("C2~", 3), ("G2~", 3), ("B3~", 3),
+                                         ("C3~", 3), ("D4~", 3), ("F4~", 3), ("G2", 0), ("B3", 0),
+                                         ("E6", 0)])
+def test_kernel_matches_the_four_entry_computation_on_every_pair(name, bound, monkeypatch):
+    # on a fresh table every key pair passes its certificate, so the
+    # four-entry computation never runs inside the kernel
+    c = preset(name)
+    t = build_chevalley(c.finite_part() if name.endswith("~") else c)
+    full = _four_entry_expand
+    nums = _signed_numbers(t, bound)
+
+    def refused(t, u, v):
+        raise AssertionError("pair (%d, %d) failed its certificate" % (u, v))
+
+    monkeypatch.setattr(loop, "_four_entry_expand", refused)
+    for u in nums:
+        for v in nums:
+            assert k_bracket_expand(t, u, v) == full(t, u, v), (u, v)
+
+
+def test_kernel_follows_every_memo_mutation():
+    # each MUTATIONS change of each C2~ memo slot, made after every pair was
+    # bracketed, so that the certificates of the true entries exist: every
+    # signed pair whose key pair reads the slot returns or raises what the
+    # four-entry computation does, and expands again once the slot is back
+    t = build_chevalley(preset("C2"))
+    nums = _signed_numbers(t, 3)
+    readers = {}
+    for u in nums:
+        for v in nums:
+            k_bracket_expand(t, u, v)
+            readers.setdefault((u % t.dim, v % t.dim), []).append((u, v))
+    assert None not in t._memo
+    outcomes = {"raised": 0, "returned": 0}
+    for n, true in enumerate(t._memo):
+        i, j = divmod(n, t.dim)
+        pi, pj = t.partner[i], t.partner[j]
+        pairs = [p for keys in {(i, j), (i, pj), (pi, j), (pi, pj)} for p in readers[keys]]
+        for mutation, change in MUTATIONS.items():
+            wrong = change(*true)
+            if wrong == true:
+                continue
+            t._memo[n] = wrong
+            try:
+                for u, v in pairs:
+                    got = _outcome(k_bracket_expand, t, u, v)
+                    assert got == _outcome(_four_entry_expand, t, u, v), (t.keys[i], t.keys[j], mutation, u, v)
+                    outcomes["raised" if isinstance(got, str) else "returned"] += 1
+            finally:
+                t._memo[n] = true
+            for u, v in pairs:
+                assert k_bracket_expand(t, u, v) == _four_entry_expand(t, u, v), (u, v)
+    assert outcomes["raised"] and outcomes["returned"], outcomes
+
+
+def test_a_replaced_memo_slot_voids_the_certificate():
+    # [y_a, y_{b+d}] on C2~ with a = a1, b = a1 + a2 reads four memo slots,
+    # each with one term; a negated slot breaks the omega-equivariance the
+    # certificate holds, even after the pair was certified
+    t = build_chevalley(preset("C2"))
+    a, b = ("e", (1, 0)), ("e", (1, 1))
+    u, v = y_number(t, a, 0), y_number(t, b, 1)
+    want = k_bracket_expand(t, u, v)
+    assert want == _four_entry_expand(t, u, v) != {}
+    ku, kv = t.number[a], t.number[b]
+    pu, pv = t.partner[ku], t.partner[kv]
+    for i, j in ((ku, kv), (ku, pv), (pu, kv), (pu, pv)):
+        n = i * t.dim + j
+        true = t._memo[n]
+        t._memo[n] = MUTATIONS["negated terms"](*true)
+        assert t._memo[n] != true
+        with pytest.raises(NotExpandable) as full:
+            _four_entry_expand(t, u, v)
+        with pytest.raises(NotExpandable, match="involution-fixed") as caught:
+            k_bracket_expand(t, u, v)
+        assert str(caught.value) == str(full.value)
+        t._memo[n] = true
+        assert k_bracket_expand(t, u, v) == want
+
+
+def test_each_key_pair_is_certified_once(monkeypatch):
+    # one certificate covers the key pairs (k_u or p_u, k_v or p_v), which
+    # read the same four entries: C3 has 3 Cartan keys and 9 partner pairs
+    # of root keys, so its 441 key pairs fall into 9 * 9 + 2 * 3 * 9 + 3 * 3
+    # = 144 classes, and a pass over every signed pair certifies each once;
+    # a second pass certifies none
+    t = build_chevalley(preset("C3"))
+    nums = _signed_numbers(t, 2)
+    certified = []
+    certify = loop._certify
+    monkeypatch.setattr(loop, "_certify", lambda t, ku, kv: certified.append((ku, kv)) or certify(t, ku, kv))
+    first = [k_bracket_expand(t, u, v) for u in nums for v in nums]
+    assert len(certified) == len(set(certified)) == 144
+    certified.clear()
+    assert [k_bracket_expand(t, u, v) for u in nums for v in nums] == first
+    assert certified == []
+
+
+def test_a_certified_pair_drops_cancelled_terms():
+    # an omega-equivariant memo whose [e_a, e_b] holds e_{a+b} and e_{-a-b}
+    # passes the certificate; at level 0 the two terms fold onto y_{a+b}
+    # and cancel, and the four-entry computation leaves no term either
+    t = build_chevalley(preset("C2"))
+    a, b = t.number[("e", (1, 0))], t.number[("e", (0, 1))]
+    k = t.number[("e", (1, 1))]
+    t._memo[a * t.dim + b] = ((k, 1), (t.partner[k], 1)), 0
+    t._memo[t.partner[a] * t.dim + t.partner[b]] = ((t.partner[k], -1), (k, -1)), 0
+    assert k_bracket_expand(t, a, b) == _four_entry_expand(t, a, b) == {}
 
 
 @pytest.mark.parametrize("name", ["A1~", "C2~", "G2~"])

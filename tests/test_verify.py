@@ -260,6 +260,35 @@ def test_sweep_evaluates_the_closed_form_once_per_unordered_pair(monkeypatch):
     assert len(kernel_calls) == len(closed_calls) == 51 * 52 // 2 == 1326
 
 
+def test_the_closed_form_works_out_each_key_pair_once(monkeypatch):
+    # one C3~ sweep on a fresh table builds the closed-form terms of each
+    # key pair it meets once, so at most t.dim ** 2 = 441 times; a second
+    # sweep builds none
+    t = build_chevalley(preset("C3"))
+    rz = AffineRealization(preset("C3~"), t)
+    met = set()
+    kernel = onsager.k_bracket_expand
+    monkeypatch.setattr(onsager, "k_bracket_expand",
+                        lambda t, u, v: met.add((u % t.dim, v % t.dim)) or kernel(t, u, v))
+    verify._closed_form_terms.cache_clear()
+    for sweep in range(2):
+        _, ok, detail = check_affine_structure_constants(rz)
+        assert ok, detail
+        assert verify._closed_form_terms.cache_info().misses == len(met) <= t.dim ** 2 == 441
+
+
+@pytest.mark.parametrize("name", ["A2~", "C3~"])
+def test_both_sides_bracket_a_zero_vector_to_zero(name):
+    # the number of h_i at level 0 is y_{0 delta}^(i) = 0: on each side its
+    # terms at l + m and at l - m fold onto the same vectors and cancel
+    rz = realization_for(preset(name))
+    t = rz.table
+    for i in range(t.rs.rank):
+        for v in _signed_indices(t):
+            for f in (lambda u, v: _expected_y_bracket(t, u, v), rz.basis_bracket):
+                assert f(i, v) == f(v, i) == {}, (i, rz.index(v))
+
+
 MUTATIONS = {
     "negated terms": lambda terms, form: (tuple((k, -c) for k, c in terms), form),
     "doubled terms": lambda terms, form: (tuple((k, 2 * c) for k, c in terms), form),
