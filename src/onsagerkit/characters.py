@@ -54,13 +54,16 @@ class CharacterSpace(namedtuple("CharacterSpace", "window keys basis generator_k
 def character_space(rz: Realization, H: int) -> CharacterSpace:
     """Solve chi([u, v]) = 0 over all window pairs; return the solution basis.
 
-    The solve runs on basis numbers, one row per distinct in-window
-    bracket; the space is reported on basis keys.  A window at or above the
-    realization's top height holds the whole algebra, so the solve is exact;
-    a window below a finite top raises WindowTooSmall.  A window of an
-    infinite basis raises WindowTooSmall unless some in-window bracket lands
-    in it and every basis vector of height <= H-1 appears in the expansion
-    of one.
+    The solve runs on basis numbers and reports the space on basis keys.
+    Each distinct in-window bracket row is offered once to one span, and
+    only the rows that grew it, which span every row met, are solved.
+    Bracketing stops at full rank, which loses nothing: the space is then
+    {0}, and each window vector, a pivot, appears in a row met.  A window at
+    or above the realization's top height holds the whole algebra, so the
+    solve is exact; a window below a finite top raises WindowTooSmall.  A
+    window of an infinite basis raises WindowTooSmall unless some in-window
+    bracket lands in it and every basis vector of height <= H-1 appears in
+    the expansion of one.
     """
     top = rz.top_height
     if top is not None and H < top:
@@ -69,26 +72,34 @@ def character_space(rz: Realization, H: int) -> CharacterSpace:
     keys = [k for k, _ in keyed]
     nums = [rz.number(k) for k in keys]
     col = {n: j for j, n in enumerate(nums)}
-    # the distinct rows, in the order first met: many brackets repeat a row
-    rows = {}
-    touched = set()
+    # many brackets repeat a row: the span sees each distinct one once
+    seen = set()
+    span = IncrementalSpan()
+    rows = []
     for u, v in combinations(nums, 2):
         coords = rz.basis_bracket(u, v)
         if not coords or not coords.keys() <= col.keys():
             continue
-        touched.update(coords)
-        rows.setdefault(frozenset(coords.items()), coords)
+        row = frozenset(coords.items())
+        if row in seen:
+            continue
+        seen.add(row)
+        if span.add({col[n]: c for n, c in coords.items()}):
+            rows.append(coords)
+            if span.rank == len(keys):
+                break
     if top is None:
         if not rows:
             raise WindowTooSmall("no bracket of two basis vectors lands in window %d" % H)
-        missing = {n for n, (_, h) in zip(nums, keyed) if h <= H - 1} - touched
+        # every row met is a combination of these, so touches no vector they miss
+        missing = {n for n, (_, h) in zip(nums, keyed) if h <= H - 1}.difference(*rows)
         if missing:
             raise WindowTooSmall(
                 "window %d leaves %d basis vectors unconstrained, e.g. %s"
                 % (H, len(missing), min((rz.index(n) for n in missing), key=str))
             )
     matrix = ExactMatrix(len(rows), len(keys), {
-        (r, col[n]): c for r, row in enumerate(rows.values()) for n, c in row.items()
+        (r, col[n]): c for r, row in enumerate(rows) for n, c in row.items()
     })
     basis = [{keys[j]: c for j, c in vec.items()} for vec in nullspace_basis(matrix)]
     return CharacterSpace(H, keys, basis, {lab: rz.index(n) for lab, n in rz.generators.items()})

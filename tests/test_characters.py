@@ -304,9 +304,9 @@ def test_character_from_values_rejects_unreachable():
 
 
 def test_c3_affine_solve_is_one_int_nullspace(monkeypatch):
-    # the chars window of C3~ is one 182 x 49 solve over the distinct rows
-    # of its 568 bracket rows, whose entries stay int (the structure
-    # constants are integers)
+    # the chars window of C3~ is one 47 x 49 solve over the independent
+    # rows among its 568 bracket rows (182 distinct), whose entries stay int
+    # (the structure constants are integers)
     from onsagerkit import characters
 
     seen = []
@@ -319,7 +319,7 @@ def test_c3_affine_solve_is_one_int_nullspace(monkeypatch):
     monkeypatch.setattr(characters, "nullspace_basis", recording)
     rz = AffineRealization(preset("C%d~" % 3), sp_structure_table(3))
     space = character_space(rz, 2 * rz.affine.delta_height + 2)
-    assert seen == [(182, 49, {int})]
+    assert seen == [(47, 49, {int})]
     assert len(space.basis) == len(even_column_set(preset("C3~")))
 
 
@@ -337,14 +337,20 @@ def _every_row(rz, H):
     return rows
 
 
-# bracket rows of the default chars window: (every row, distinct rows)
-ROWS = {"A2": (3, 3), "G2": (12, 10), "E7": (1008, 125), "A2~": (144, 78), "C3~": (568, 182), "D4~": (1008, 242)}
+# the default chars window: (bracket rows, distinct rows, pairs the solve
+# brackets); a window without characters stops at the pair whose row fills
+# its rank (A2's is its third and last pair), C3~ brackets all 1,176 pairs
+ROWS = {
+    "A2": (3, 3, 3), "G2": (12, 10, 8), "E7": (1008, 125, 412),
+    "A2~": (144, 78, 38), "C3~": (568, 182, 1176), "D4~": (1008, 242, 250),
+}
 
 
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_the_solve_takes_each_distinct_row_once(name, monkeypatch):
-    # the span receives each distinct bracket row once, in the order first
-    # met, and solves to the basis of the solve over every row
+    # no span is offered a row twice, and the solve equals the solve over
+    # every row; a window without characters stops bracketing once its rows
+    # span it, one with characters (C3~) brackets every pair
     rz = realization_for(preset(name))
     H = rz.top_height or 2 * rz.affine.delta_height + 2
     rows = _every_row(rz, H)
@@ -352,14 +358,60 @@ def test_the_solve_takes_each_distinct_row_once(name, monkeypatch):
     for row in rows:
         if row not in distinct:
             distinct.append(row)
-    assert (len(rows), len(distinct)) == ROWS[name]
-    added = []
+    assert (len(rows), len(distinct)) == ROWS[name][:2]
+    offered = {}
     add = IncrementalSpan.add
-    monkeypatch.setattr(IncrementalSpan, "add", lambda self, vec: added.append(dict(vec)) or add(self, vec))
+
+    def recording(self, vec):
+        offered.setdefault(self, []).append(dict(vec))
+        return add(self, vec)
+
+    monkeypatch.setattr(IncrementalSpan, "add", recording)
+    calls = []
+    bracket = rz.basis_bracket
+    monkeypatch.setattr(rz, "basis_bracket", lambda u, v: calls.append((u, v)) or bracket(u, v))
     space = character_space(rz, H)
     monkeypatch.undo()
-    assert added == distinct
-    keys = [k for k, _ in rz.basis(H)]
-    every = ExactMatrix(len(rows), len(keys), {(r, j): c for r, row in enumerate(rows) for j, c in row.items()})
-    want = [{keys[j]: v for j, v in vec.items()} for vec in nullspace_basis(every)]
-    assert space.basis == want
+    for vecs in offered.values():
+        assert all(v not in vecs[:i] for i, v in enumerate(vecs))
+        assert all(v in distinct for v in vecs)
+    assert len(calls) == ROWS[name][2]
+    assert space.basis == _solve_every_row(rz, H)
+
+
+def _solve_every_row(rz, H):
+    """The character solve over every in-window bracket row, with the
+    WindowTooSmall checks read off all of them."""
+    top = rz.top_height
+    if top is not None and H < top:
+        raise WindowTooSmall("window %d is below the top height %d of the basis" % (H, top))
+    keyed = rz.basis(H)
+    rows = _every_row(rz, H)
+    if top is None:
+        if not rows:
+            raise WindowTooSmall("no bracket of two basis vectors lands in window %d" % H)
+        missing = {j for j, (_, h) in enumerate(keyed) if h <= H - 1} - {j for row in rows for j in row}
+        if missing:
+            raise WindowTooSmall(
+                "window %d leaves %d basis vectors unconstrained, e.g. %s"
+                % (H, len(missing), min((keyed[j][0] for j in missing), key=str))
+            )
+    every = ExactMatrix(len(rows), len(keyed), {(r, j): c for r, row in enumerate(rows) for j, c in row.items()})
+    return [{keyed[j][0]: v for j, v in vec.items()} for vec in nullspace_basis(every)]
+
+
+@pytest.mark.parametrize("name", [n for n in preset_names() if int(n[1:].rstrip("~")) <= 4] + ["E6"])
+def test_the_solve_equals_the_solve_over_every_row(name):
+    # every window from 1 to one above the top, or to 2 delta+3 on an
+    # affine basis, gives the same space, or WindowTooSmall with the same
+    # message; all three messages occur
+    rz = realization_for(preset(name))
+    for H in range(1, (rz.top_height or 2 * rz.affine.delta_height + 2) + 2):
+        try:
+            want = _solve_every_row(rz, H)
+        except WindowTooSmall as e:
+            with pytest.raises(WindowTooSmall) as got:
+                character_space(rz, H)
+            assert str(got.value) == str(e), (name, H)
+        else:
+            assert character_space(rz, H).basis == want, (name, H)
