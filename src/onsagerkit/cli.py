@@ -97,19 +97,30 @@ def structconst_report(c, H):
                  for k in range(-2, 3) for l in range(-2, 3)]
         return {"schema": SCHEMA, "kind": "structconst", "type": "onsager", "brackets": table}
     keys = [k for k, _ in rz.basis(H or rz.structconst_height)]
-    nums = [rz.number(k) for k in keys]
+    # each basis number's key and JSON form, and each (number, coeff) term,
+    # made once and shared by every row that holds it
+    key_of = {rz.number(k): k for k in keys}
+    form = {n: rz.key_json(k) for n, k in key_of.items()}
+    terms = {}
     # each unordered pair once, first member earlier in the realization's pair order
     rank = {k: j for j, k in enumerate(rz.pair_order(keys))}
+    basis = [(n, rank[k]) for n, k in key_of.items()]
     pairs = []
-    for k1, n1 in zip(keys, nums):
-        for k2, n2 in zip(keys, nums):
-            if rank[k2] > rank[k1]:
+    for n1, r1 in basis:
+        for n2, r2 in basis:
+            if r2 > r1:
                 coords = rz.basis_bracket(n1, n2)
-                pairs.append({
-                    "lhs": [rz.key_json(k1), rz.key_json(k2)],
-                    "rhs": [{rz.KEY_FIELD: rz.key_json(k), "coeff": rz.coeff_json(v)}
-                            for k, v in sorted((rz.index(n), v) for n, v in coords.items())],
-                })
+                for n in coords:
+                    if n not in key_of:
+                        key_of[n] = k = rz.index(n)
+                        form[n] = rz.key_json(k)
+                rhs = []
+                for n in sorted(coords, key=key_of.__getitem__):
+                    t = n, coords[n]
+                    if t not in terms:
+                        terms[t] = {rz.KEY_FIELD: form[n], "coeff": rz.coeff_json(t[1])}
+                    rhs.append(terms[t])
+                pairs.append({"lhs": [form[n1], form[n2]], "rhs": rhs})
     return {"schema": SCHEMA, "kind": "structconst", **rz.structconst_fields(pairs)}
 
 
@@ -351,22 +362,48 @@ BATCH = 4096  # chunks per write, so a large report is never one string
 
 def write_json(value, write):
     """Write json.dumps(value, indent=2, sort_keys=True) and a newline through
-    write(), byte for byte, in batches of BATCH chunks.  Dict keys are str."""
+    write(), byte for byte, in batches of BATCH chunks.  Dict keys are str.
+
+    A dict or list met again (report builders share them: `structconst`
+    holds one key form per basis number and one term per (number, coeff))
+    is rendered once more and its text kept, and each later meeting at the
+    same indent writes the kept text.  This is exact: nothing is mutated
+    during a write, so an object's id names it for the whole write and its
+    text at one indent never changes; the kept text is keyed by both.  Only
+    objects met twice keep text.  A batch is flushed only after an object
+    met for the first time, and everything inside an object met again was
+    met before, so no flush falls inside text being kept.
+    """
     import json  # only --json writes JSON
     from json.encoder import encode_basestring_ascii
 
     chunks = []
+    seen, kept = set(), {}  # ids of the containers met; (id, indent) -> text
 
     def walk(x, nl):
         if type(x) is str:
             chunks.append(encode_basestring_ascii(x))
-        elif type(x) is int:
+            return
+        if type(x) is int:
             chunks.append(int.__repr__(x))
-        elif isinstance(x, dict):
-            if not x:
-                chunks.append("{}")
+            return
+        if not isinstance(x, (dict, list, tuple)):
+            chunks.append(json.dumps(x))
+            return
+        if not x:
+            chunks.append("{}" if isinstance(x, dict) else "[]")
+            return
+        again = id(x) in seen
+        if again:
+            text = kept.get((id(x), nl))
+            if text is not None:
+                chunks.append(text)
                 return
-            inner = nl + "  "
+            start = len(chunks)
+        else:
+            seen.add(id(x))
+        inner = nl + "  "
+        if isinstance(x, dict):
             sep = "{" + inner
             for key in sorted(x):
                 chunks.append(sep)
@@ -375,21 +412,17 @@ def write_json(value, write):
                 walk(x[key], inner)
                 sep = "," + inner
             chunks.append(nl + "}")
-        elif isinstance(x, (list, tuple)):
-            if not x:
-                chunks.append("[]")
-                return
-            inner = nl + "  "
+        else:
             sep = "[" + inner
             for item in x:
                 chunks.append(sep)
                 walk(item, inner)
                 sep = "," + inner
             chunks.append(nl + "]")
-        else:
-            chunks.append(json.dumps(x))
-            return
-        if len(chunks) >= BATCH:
+        if again:
+            text = kept[id(x), nl] = "".join(chunks[start:])
+            chunks[start:] = [text]
+        elif len(chunks) >= BATCH:
             write("".join(chunks))
             chunks.clear()
 

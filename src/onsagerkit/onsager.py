@@ -122,8 +122,9 @@ class FiniteRealization(Realization):
 
     def structconst_fields(self, pairs):
         N = self.table.N
+        form = {a: list(a) for kind, a in self.table.keys if kind == "e"}  # one list per root
         return {"type": "finite", "ybrackets": pairs,
-                "ntable": [{"alpha": list(a), "beta": list(b), "N": N[a, b]} for a, b in sorted(N)]}
+                "ntable": [{"alpha": form[a], "beta": form[b], "N": N[a, b]} for a, b in sorted(N)]}
 
     @staticmethod
     def y_str(alpha):

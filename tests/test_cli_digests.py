@@ -61,6 +61,9 @@ def _cases():
         ["chars", "--preset", "A1", "--height", "2"],
         ["chars", "--preset", "A1~", "--height", "1"],
         ["verify", "--preset", "A2~", "--jmax", "3", "--height", "5"],
+        # the largest shared affine reports (2.2 and 6.1 MB)
+        ["structconst", "--preset", "E6~", "--json"],
+        ["structconst", "--preset", "E7~", "--json"],
     ]
     return cases
 

@@ -2,9 +2,11 @@
 json.dumps calls they stand in for, the argv left to argparse, and the exit
 codes of a run whose stdout is closed early and of a label too long to read."""
 
+import collections
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -165,6 +167,44 @@ def test_writer_matches_json_dumps(value):
     assert buf.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+# more than BATCH chunks of distinct lists, so the writer flushes inside it
+FILLER = [[i] for i in range(cli.BATCH)]
+
+
+@st.composite
+def shared_values(draw):
+    """The same few lists and dicts at several positions and depths: each
+    after the first holds an earlier one, and each is used under "a", before
+    FILLER, and again under "z", after it, where FILLER may be used again."""
+    pool = []
+    for _ in range(draw(st.integers(2, 4))):
+        parts = draw(st.lists(json_values, min_size=1, max_size=3))
+        if pool:
+            parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(pool)))
+        pool.append(parts if draw(st.booleans()) else {"k%d" % i: v for i, v in enumerate(parts)})
+    wraps = st.sampled_from([lambda x: x, lambda x: [x], lambda x: {"w": [0, x]}])
+
+    def uses():
+        extra = draw(st.lists(st.sampled_from(pool), max_size=3))
+        return [draw(wraps)(x) for x in draw(st.permutations(pool)) + extra]
+
+    # FILLER met again is kept whole, and the kept text is written at the
+    # third meeting: no flush may fall inside it
+    return {"a": uses(), "big": FILLER, "z": uses() + draw(st.sampled_from([[], [FILLER, FILLER]]))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_values())
+def test_writer_matches_json_dumps_on_shared_objects(value):
+    writes = []
+    cli.write_json(value, writes.append)
+    out = "".join(writes)
+    assert out == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    # a write ends inside "big": a flush falls between the uses under "a" and "z"
+    big, z = out.index('\n  "big": '), out.index('\n  "z": ')
+    assert any(big < end < z for end in itertools.accumulate(map(len, writes)))
+
+
 class CountingOut(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -183,6 +223,70 @@ def test_a_large_report_reaches_write_in_batches(monkeypatch):
     report = cli.structconst_report(cli.preset("C3~"), None)
     assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert out.calls > 1
+
+
+def _one_object_per_value(objects):
+    """True when equal objects in the list are one object, and some repeat."""
+    ids = {}
+    for x in objects:
+        ids.setdefault(json.dumps(x, sort_keys=True), set()).add(id(x))
+    return all(len(same) == 1 for same in ids.values()) and len(ids) < len(objects)
+
+
+@pytest.mark.parametrize("name", ["C3~", "E6"])
+def test_structconst_shares_key_forms_terms_and_root_lists(name):
+    report = cli.structconst_report(cli.preset(name), None)
+    rows, field = (report["brackets"], "idx") if "brackets" in report else (report["ybrackets"], "coords")
+    terms = [t for row in rows for t in row["rhs"]]
+    # one key form per basis number, one term per (number, coeff)
+    assert _one_object_per_value([k for row in rows for k in row["lhs"]] + [t[field] for t in terms])
+    assert _one_object_per_value(terms)
+    if name == "E6":  # one ntable list per root
+        assert _one_object_per_value([row[k] for row in report["ntable"] for k in ("alpha", "beta")])
+
+
+def test_writing_c3_affine_renders_each_shared_object_once_per_indent():
+    """The writer walks a container at its first meeting, once more at each
+    indent it meets it at again, to keep that text, and never after."""
+    report = cli.structconst_report(cli.preset("C3~"), None)
+    met, indents = collections.Counter(), collections.defaultdict(set)
+
+    def meet(x, depth):
+        if isinstance(x, (dict, list)) and x:
+            met[id(x)] += 1
+            indents[id(x)].add(depth)
+            for v in (x.values() if isinstance(x, dict) else x):
+                meet(v, depth + 1)
+
+    meet(report, 0)
+    renders = collections.Counter()
+
+    class Dict(dict):
+        def __iter__(self):
+            renders[self.of] += 1
+            return super().__iter__()
+
+    class List(list):
+        def __iter__(self):
+            renders[self.of] += 1
+            return super().__iter__()
+
+    copies = {}
+
+    def counted(x):
+        """x as counted containers that share as x's do."""
+        if not isinstance(x, (dict, list)):
+            return x
+        if id(x) not in copies:
+            copy = Dict({k: counted(v) for k, v in x.items()}) if isinstance(x, dict) else List(map(counted, x))
+            copy.of, copies[id(x)] = id(x), copy
+        return copies[id(x)]
+
+    writes = []
+    cli.write_json(counted(report), writes.append)
+    assert "".join(writes) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert all(renders[i] <= min(n, 1 + len(indents[i])) for i, n in met.items())
+    assert sum(renders.values()) < sum(met.values()) / 2
 
 
 @pytest.mark.parametrize("argv", [["structconst", "--json", "--preset", "C3~"],
