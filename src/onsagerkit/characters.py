@@ -18,6 +18,7 @@ from itertools import combinations
 from .cartan import CartanMatrix, preset
 from .chevalley import sp_structure_table
 from .exact_math import BadInput, ExactMatrix, IncrementalSpan, add_into, nullspace_basis
+from .loop import y_index
 from .onsager import Realization, realization_class
 from .roots import AffineRoot
 
@@ -179,8 +180,8 @@ def symplectic_closed_form(c: CartanMatrix):
     closed form refers to.  The values (the class's SYMPLECTIC_VALUES
     chi(Y_0), chi(Y_r), and 0 on every other generator) are keyed by the
     preset's labels, which a --matrix-file with the same rows does not
-    share (it is labelled 1..n).  A finite key is read at level 0, where
-    chi(Y_0) does not enter.
+    share (it is labelled 1..n).  A key is read as `loop.y_index` of its
+    number: a finite key at level 0, where chi(Y_0) does not enter.
     """
     kind = realization_class(c)
     r = kind.symplectic_rank(c)
@@ -188,5 +189,5 @@ def symplectic_closed_form(c: CartanMatrix):
         return None
     rz = kind(preset(kind.SYMPLECTIC % r), sp_structure_table(r))
     s, t = kind.SYMPLECTIC_VALUES
-    gens = {0: s, r: t}
-    return rz, {lab: gens.get(lab, 0) for lab in rz.labels}, lambda key: chi_affine(r, s, t, *kind.as_affine(key))
+    values = {lab: {0: s, r: t}.get(lab, 0) for lab in rz.labels}
+    return rz, values, lambda key: chi_affine(r, s, t, *y_index(rz.table, rz.number(key)))

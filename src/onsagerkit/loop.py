@@ -13,14 +13,14 @@ x[k] -> omega(x)[-k], c -> -c, d -> -d; its fixed space has the integral basis
 y_{alpha+k delta} = e_alpha[k] - e_{-alpha}[-k] and
 y_{k delta}^(i) = h_i[k] - h_i[-k].
 
-The fixed-basis bracket works on numbers.  The fixed vector whose leading
-term is x[level], for the table's key number k of x, is numbered
-level * t.dim + k: y = x[level] - x'[-level], x' the omega partner of x.
-Every sign and level of a root has its number, and the positive indices
-(level > 0, or level 0 and a positive root) are the fixed basis.  The same
-numbers at level 0 are the finite fixed basis y_alpha.  `k_bracket_expand`
-folds a bracket from two memo entries of its key pair, whose four entries it
-certifies once per key pair, not on every bracket.
+The fixed-basis bracket works on numbers.  The fixed vector whose leading term
+is x[level], for the table's key number k of x, is numbered level * t.dim + k
+(`y_number`, read back by `y_index`): y = x[level] - x'[-level], x' the omega
+partner of x.  Every sign and level of a root has its number, and the positive
+indices (level > 0, or level 0 and a positive root) are the fixed basis, over
+which `y_vector` writes each fixed vector.  The same numbers at level 0 are the
+finite fixed basis y_alpha.  `k_bracket_expand` folds a bracket from two memo
+entries of its key pair, whose four entries it certifies once per key pair.
 """
 
 from __future__ import annotations
@@ -174,10 +174,13 @@ def y_number(t: StructureTable, key, level):
     return level * t.dim + t.number[key]
 
 
-def y_key(t: StructureTable, n):
-    """(key, level) of the leading term of the fixed vector numbered n."""
+def y_index(t: StructureTable, n):
+    """The YIndex of the fixed vector numbered n; a finite one's root is at level 0."""
     level, k = divmod(n, t.dim)
-    return t.keys[k], level
+    kind, v = t.keys[k]
+    if kind == "h":
+        return YIndex(AffineRoot((0,) * t.rs.rank, level), v + 1)
+    return YIndex(AffineRoot(v, level))
 
 
 def y_vector(t: StructureTable, k, level):

@@ -19,8 +19,8 @@ from .cartan import FINITE, UNTWISTED_AFFINE, CartanMatrix, preset
 from .chevalley import StructureTable, _vneg, table_for
 from .exact_math import BadInput, IncrementalSpan, add_into, bilinear
 from .freelie import BracketExpr, FreeLieElement, lyndon_bracketing
-from .loop import YIndex, k_bracket_expand, y_key, y_number
-from .roots import AffineRoot, RootSystem, height, root_str
+from .loop import YIndex, k_bracket_expand, y_index, y_number
+from .roots import RootSystem, height, root_str
 from .serre_coeffs import serre_relation
 
 
@@ -52,9 +52,9 @@ class Realization:
     `verify_height` (None: the jmax), `character_window`,
     `structconst_height`, and that of `root_listing`, which builds no
     table), the data of the symplectic closed form (`symplectic_rank`, the
-    preset `SYMPLECTIC`, chi(Y_0), chi(Y_r) in `SYMPLECTIC_VALUES`,
-    `as_affine`), and row gates as plain data: `matrix_rows` ("sl", "sp" or
-    None), `sweeps`, `onsager_table` (the A/G row), `checks_characters`.
+    preset `SYMPLECTIC`, chi(Y_0), chi(Y_r) in `SYMPLECTIC_VALUES`), and
+    row gates as plain data: `matrix_rows` ("sl", "sp" or None), `sweeps`,
+    `onsager_table` (the A/G row), `checks_characters`.
     """
 
     matrix_rows = None
@@ -118,7 +118,7 @@ class FiniteRealization(Realization):
         return y_number(self.table, ("e", alpha), 0)
 
     def index(self, n):
-        return y_key(self.table, n)[0][1]
+        return self.table.keys[n][1]
 
     def structconst_fields(self, pairs):
         N = self.table.N
@@ -130,11 +130,6 @@ class FiniteRealization(Realization):
     def y_str(alpha):
         """The fixed-basis vector of a positive root, e.g. "y(a1+a2)"."""
         return "y(%s)" % root_str(alpha)
-
-    @staticmethod
-    def as_affine(alpha):
-        """A basis key as an affine root and slot: alpha at level 0."""
-        return AffineRoot(alpha, 0), 1
 
     @staticmethod
     def symplectic_rank(c):
@@ -191,10 +186,7 @@ class AffineRealization(Realization):
         return y_number(self.table, key, gamma.level)
 
     def index(self, n):
-        (kind, v), level = y_key(self.table, n)
-        if kind == "h":
-            return YIndex(AffineRoot((0,) * self.affine.rank, level), v + 1)
-        return YIndex(AffineRoot(v, level))
+        return y_index(self.table, n)
 
     @staticmethod
     def structconst_fields(pairs):
@@ -205,15 +197,10 @@ class AffineRealization(Realization):
         return {"finite": list(idx.gamma.finite), "level": idx.gamma.level, "i": idx.i}
 
     @staticmethod
-    def as_affine(idx):
-        """A basis key as an affine root and slot."""
-        return idx.gamma, idx.i
-
-    @staticmethod
     def symplectic_rank(c):
-        """r when c is the preset C_r~ (node 0 extends C_r, so A1~ is C1~), else None."""
+        """r when c has the rows of the preset C_r~ (node 0 extends C_r, so A1~ is C1~), else None."""
         r = c.n - 1
-        return r if c.affine_node == 0 and c.finite_part().a == preset("C%d" % r).a else None
+        return r if c.typename in ("A1~", "C%d~" % r) and c.a == preset(c.typename).a else None
 
     @staticmethod
     def root_listing(c, H=None):

@@ -113,7 +113,7 @@ def _expected_y_bracket(t, u, v):
     return {n: c for n, c in out.items() if c} if 0 in out.values() else out
 
 
-@lru_cache(maxsize=1024)  # a rank-3 sweep meets at most 441 key pairs
+@lru_cache(maxsize=None)
 def _closed_form_terms(t, a, b):
     """The terms (k, coeff) at level l + m and at level l - m of the key pair
     numbered a, b, from `numbered_n`, `pairings` and `coroots`; a term at

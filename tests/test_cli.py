@@ -164,21 +164,30 @@ def test_an_empty_preset_name_is_bad_input(capsys):
     assert run_cli(capsys, "verify", "--preset", "") == (2, "", "error: cannot parse preset name ''\n")
 
 
-@pytest.mark.parametrize("name", ["C2~", "A1~"])
+@pytest.mark.parametrize("name", ["C2~", "A1~", "C3", "C2~ middle first"])
 def test_chars_closed_form_from_matrix_file(tmp_path, capsys, name):
     # the file's labels are 1..n, the closed-form realization's those of the
-    # preset (0..r); the closed-form rows must not depend on the labelling
-    from onsagerkit.cartan import preset
+    # preset (0..r); the closed-form rows must not depend on the labelling.
+    # C2~ with its middle node listed first (affine node 1) does not have
+    # the preset's rows: it prints the functionals with no closed-form rows
+    from onsagerkit.cartan import parse_matrix_text, preset, validate
 
+    rows = [(2, -2, -2), (-1, 2, 0), (-1, 0, 2)] if name == "C2~ middle first" else preset(name).a
+    text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
     path = tmp_path / "m.txt"
-    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in preset(name).a))
-    code, want, _ = run_cli(capsys, "chars", "--preset", name)
-    assert code == 0
+    path.write_text(text)
     code, got, err = run_cli(capsys, "chars", "--matrix-file", str(path))
     assert code == 0, err
-    rows = [line for line in want.splitlines() if "closed form" in line]
-    assert rows and all(line.endswith("[ok]") for line in rows)
-    assert [line for line in got.splitlines() if "closed form" in line] == rows
+    got = [line for line in got.splitlines() if "closed form" in line]
+    if name == "C2~ middle first":
+        assert validate(parse_matrix_text(text)).affine_node == 1
+        assert got == []
+        return
+    code, want, _ = run_cli(capsys, "chars", "--preset", name)
+    assert code == 0
+    want = [line for line in want.splitlines() if "closed form" in line]
+    assert want and all(line.endswith("[ok]") for line in want)
+    assert got == want
 
 
 def test_verify_other_kind_rejected(tmp_path, capsys):

@@ -27,6 +27,7 @@ from onsagerkit.loop import (
     k_bracket_expand,
     y_affine,
     y_coordinates,
+    y_index,
     y_number,
     y_vector,
 )
@@ -157,6 +158,9 @@ def test_numbering_round_trips_over_the_basis(name):
     nums = [rz.number(k) for k in keys]
     assert len(set(nums)) == len(nums)
     assert [rz.index(n) for n in nums] == keys
+    # y_index reads a finite number as its root at level 0
+    affine = keys if name.endswith("~") else [YIndex(AffineRoot(k, 0)) for k in keys]
+    assert [y_index(rz.table, n) for n in nums] == affine
 
 
 def test_kernel_rejects_a_non_fixed_input():
@@ -331,6 +335,8 @@ def test_y_vector_matches_the_loop_element(name):
                 idx = YIndex(AffineRoot(v, level))
             got = {rz.index(n): c for n, c in y_vector(t, t.number[(kind, v)], level).items()}
             assert got == y_coordinates(y_affine(idx), rz.affine.rank), idx
+            # y_index reads the number of any key at any level, either sign
+            assert y_index(t, t.number[(kind, v)] + level * t.dim) == idx
 
 
 # the loop element algebra is the tests' reference; the library's checks, its

@@ -260,21 +260,23 @@ def test_sweep_evaluates_the_closed_form_once_per_unordered_pair(monkeypatch):
     assert len(kernel_calls) == len(closed_calls) == 51 * 52 // 2 == 1326
 
 
-def test_the_closed_form_works_out_each_key_pair_once(monkeypatch):
-    # one C3~ sweep on a fresh table builds the closed-form terms of each
-    # key pair it meets once, so at most t.dim ** 2 = 441 times; a second
-    # sweep builds none
-    t = build_chevalley(preset("C3"))
-    rz = AffineRealization(preset("C3~"), t)
+@pytest.mark.parametrize("name, level_bound, dim", [("C3~", 2, 21), ("F4~", 1, 52), ("E6~", 1, 78)],
+                         ids=["C3~", "F4~", "E6~"])
+def test_the_closed_form_works_out_each_key_pair_once(monkeypatch, name, level_bound, dim):
+    # one sweep on a fresh table builds the closed-form terms of each key
+    # pair it meets once, so at most t.dim ** 2 times; a second sweep builds
+    # none, at any rank (F4~ meets 1,378 key pairs, E6~ 3,081)
+    t = build_chevalley(preset(name).finite_part())
+    rz = AffineRealization(preset(name), t)
     met = set()
     kernel = onsager.k_bracket_expand
     monkeypatch.setattr(onsager, "k_bracket_expand",
                         lambda t, u, v: met.add((u % t.dim, v % t.dim)) or kernel(t, u, v))
     verify._closed_form_terms.cache_clear()
     for sweep in range(2):
-        _, ok, detail = check_affine_structure_constants(rz)
+        _, ok, detail = check_affine_structure_constants(rz, level_bound)
         assert ok, detail
-        assert verify._closed_form_terms.cache_info().misses == len(met) <= t.dim ** 2 == 441
+        assert verify._closed_form_terms.cache_info().misses == len(met) <= t.dim ** 2 == dim ** 2
 
 
 @pytest.mark.parametrize("name", ["A2~", "C3~"])
