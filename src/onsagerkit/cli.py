@@ -317,7 +317,7 @@ def _load_matrix(args):
     if args.matrix_file is None:
         return preset(args.preset)
     try:
-        with open(args.matrix_file, encoding="utf-8") as fh:
+        with open(args.matrix_file, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise UsageFault("%s is not UTF-8 text: %s" % (args.matrix_file, exc)) from None

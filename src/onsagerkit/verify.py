@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 from .cartan import CartanMatrix, preset
 from .characters import character_space, even_column_set
-from .chevalley import _key_str, eta, sl_realization, sp_realization, sp_structure_table, table_for
+from .chevalley import _key_str, _vadd, eta, sl_realization, sp_realization, sp_structure_table, table_for
 from .exact_math import ExactMatrix, I, IdentityViolation
 from .loop import NotExpandable, bracket_loop, onsager_basis, y_number, y_vector
 from .onsager import FiniteRealization, Realization, filtration_dims, psi_eval, realization_for, relations
@@ -116,25 +116,27 @@ def _expected_y_bracket(t, u, v):
 @lru_cache(maxsize=None)
 def _closed_form_terms(t, a, b):
     """The terms (k, coeff) at level l + m and at level l - m of the key pair
-    numbered a, b, from `numbered_n`, `pairings` and `coroots`; a term at
-    m - l is one on p_k at l - m, since y_vector(k, -l) = -y_vector(p_k, l)."""
+    numbered a, b, from N and the root system, never the bracket memo; a term
+    at m - l is one on p_k at l - m, since y_vector(k, -l) = -y_vector(p_k, l)."""
     # the keys numbered below the rank are h_1..h_r, and [h_i, h_j] = 0
-    rank, partner, n_of = t.rs.rank, t.partner, t.numbered_n
+    rs, partner, number = t.rs, t.partner, t.number
+    (_, u), (_, v) = t.keys[a], t.keys[b]
     sums = diffs = ()
-    if a < rank <= b:
-        p = t.pairings[b][a]
+    if a < rs.rank <= b:
+        p = rs.pairing(v, a)
         sums, diffs = [(b, p)], [(partner[b], p)]
-    elif b < rank <= a:
-        p = t.pairings[a][b]
+    elif b < rs.rank <= a:
+        p = rs.pairing(u, b)
         sums, diffs = [(a, -p)], [(a, p)]
-    elif rank <= a == b:
-        diffs = [(i, -k) for i, k in enumerate(t.coroots[a])]
-    elif rank <= b == partner[a]:
-        sums = enumerate(t.coroots[a])
-    elif rank <= min(a, b):
-        hit, hit_p = n_of.get(a * t.dim + b), n_of.get(a * t.dim + partner[b])
-        sums = [(hit[1], hit[0])] if hit else ()
-        diffs = [(hit_p[1], -hit_p[0])] if hit_p else ()
+    elif rs.rank <= a == b:
+        diffs = [(i, -k) for i, k in enumerate(rs.coroot_coords(u))]
+    elif rs.rank <= b == partner[a]:
+        sums = enumerate(rs.coroot_coords(u))
+    elif rs.rank <= min(a, b):
+        w = t.keys[partner[b]][1]
+        n, n_p = t.N.get((u, v)), t.N.get((u, w))
+        sums = [(number["e", _vadd(u, v)], n)] if n else ()
+        diffs = [(number["e", _vadd(u, w)], -n_p)] if n_p else ()
     return tuple((k, c) for k, c in sums if c), tuple((k, c) for k, c in diffs if c)
 
 
@@ -168,11 +170,11 @@ def check_affine_structure_constants(rz: Realization, level_bound=2):
     the closed form's terms, and then folds each level pair with y_vector.
 
     Both sides read the realization's structure table: the expansion through
-    its bracket memo, the closed form through its N values.  So this checks
-    the closed form relative to the table.  A table that keeps its sign laws
-    but is wrong (say, one sign orbit of N flipped) still passes here; only a
-    check on the algebra's relations, such as the Serre-relation check, can
-    catch it.  A corrupted memo entry fails here.
+    its bracket memo, the closed form through N and its root system.  So this
+    checks the closed form relative to the table.  A table that keeps its sign
+    laws but is wrong (say, one sign orbit of N flipped) still passes here;
+    only a check on the algebra's relations, such as the Serre-relation check,
+    can catch it.  A corrupted memo entry fails here.
     """
     t = rz.table
     name = "fixed-basis bracket expansions match closed forms"

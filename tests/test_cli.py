@@ -160,6 +160,26 @@ def test_a_matrix_file_that_is_not_utf8_is_bad_input(tmp_path, capsys):
     assert err.startswith("error: %s is not UTF-8 text: " % path) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["roots", "verify"])
+def test_a_matrix_file_may_start_with_a_byte_order_mark(tmp_path, capsys, command):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("2 -1\n-1 2\n", encoding="utf-8")
+    marked.write_text("2 -1\n-1 2\n", encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    code, out, err = run_cli(capsys, command, "--matrix-file", str(marked))
+    assert (code, out, err) == run_cli(capsys, command, "--matrix-file", str(plain))[:2] + ("",)
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("verify", "--preset", "A2", "--jmax", "0"), "error: --jmax must be positive\n"),
+    (("roots", "--preset", "A2", "--height", "0"), "error: --height must be positive\n"),
+    (("coeffs", "--a", "-1", "--rmax", "-1"), "error: --rmax must be non-negative\n"),
+])
+def test_a_bound_below_its_least_value_is_bad_input(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
 def test_an_empty_preset_name_is_bad_input(capsys):
     assert run_cli(capsys, "verify", "--preset", "") == (2, "", "error: cannot parse preset name ''\n")
 

@@ -57,6 +57,11 @@ def test_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_bracket("B²")
     assert err.value.pos == 1
+    for text, message, pos in (("[B1,]", "unmatched ']'", 4), ("[C1,B2]", "expected 'B<n>' or '['", 1),
+                               ("B1B2", "trailing input", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_bracket(text)
+        assert (str(err.value), err.value.pos) == ("%s (at offset %d)" % (message, pos), pos)
     assert parse_bracket("B\u0661") == BracketExpr.leaf(1)  # ARABIC-INDIC DIGIT ONE
     # a label is an integer, never truncated (1.7 made B1) or parsed ("3")
     for label in (1.7, "3", Fraction(1, 2), None):

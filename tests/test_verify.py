@@ -77,6 +77,19 @@ def test_sweep_reports_a_halved_coefficient():
     assert detail == ONE_ORDER
 
 
+def test_sweep_reports_a_non_integer_coefficient():
+    # E(e_a1, e_a2) halved together with its omega image E(e_-a1, e_-a2):
+    # the kernel's certificate still holds, so it expands the half
+    t = build_chevalley(preset("C2"))
+    for a, b in (((1, 0), (0, 1)), ((-1, 0), (0, -1))):
+        i, j = t.number["e", a], t.number["e", b]
+        ((k, c),), form = t.entry(i, j)
+        t._memo[i * t.dim + j] = ((k, Fraction(c, 2)),), form
+    _, ok, detail = check_affine_structure_constants(AffineRealization(preset("C2~"), t))
+    assert not ok
+    assert detail == "non-integer coefficient in [y(-a1+d), y(-a2+d)]"
+
+
 def test_sweep_names_a_pair_negated_at_its_first_visit():
     # the kernel's expansion negated at the pair's one visit differs from
     # the closed form there
@@ -585,6 +598,29 @@ def test_matrix_rows_under_optimize():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     _check_matrix_cases(json.loads(proc.stdout))
+
+
+# a fresh A1 table numbers its keys h1, e(-a1), e(a1)
+@pytest.mark.parametrize("i, j, change, detail", [
+    (0, 2, lambda terms, form: (tuple((k, 2 * c) for k, c in terms), form), "[G_1,A_-4] != 2A_-3 - 2A_-5"),
+    (0, 0, lambda terms, form: (((2, 1),), form), "[G_1,G_1] != 0"),
+], ids=["doubled [h1, e(a1)]", "e(a1) in [h1, h1]"])
+def test_the_onsager_row_checks_g_against_a_and_g(monkeypatch, i, j, change, detail):
+    t = build_chevalley(preset("A1"))
+    assert t.keys == (("h", 0), ("e", (-1,)), ("e", (1,)))
+    t._memo[i * t.dim + j] = change(*t.entry(i, j))
+    monkeypatch.setattr(verify, "table_for", lambda c: t)
+    assert verify.check_onsager_structure() == ("classical A/G bracket table", False, detail)
+
+
+def test_the_gl_row_checks_the_block_shape_of_each_fixed_image(monkeypatch):
+    # E_{0,3} added to the cached display of e_a1 in sp_4 is off the block
+    # shape (B, C; -C, B); the realization was checked when it was built
+    images = chevalley.sp_realization(2).images
+    monkeypatch.setitem(images, ("e", (1, 0)), images["e", (1, 0)] + chevalley._unit(4, 0, 3))
+    rows = verify.check_matrix_realization(realization_for(preset("C2")))
+    assert [(ok, detail) for _, ok, detail in rows] == [
+        (False, "fixed image is not of block shape (B, C; -C, B)"), (True, "rank 2")]
 
 
 def test_flipped_sign_keeps_the_sign_laws_and_fails_the_realization():
